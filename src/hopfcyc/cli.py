@@ -163,6 +163,8 @@ def cmd_cohomology(args):
     try:
         table = (hochschild_dims(X, args.max_degree) if args.theory == "hochschild"
                  else cyclic_dims(X, args.max_degree))
+    except CocyclicConstructionError as err:
+        return _print_result(err.check, args.json)
     except FieldError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
@@ -198,12 +200,10 @@ def cmd_cup(args):
             entries[i] = field.parse(lit)
         return entries
 
-    from .cocyclic import invariant_functionals
-    from .symmetries import colinear_hom_space
     from .linalg import SubspaceSolver, Vector as Vec
 
-    phis = invariant_functionals(action_algebra, coeff, p)
-    psis = colinear_hom_space(comodule_algebra, coeff, q)
+    phis = pairing.module_side.subspaces[p]
+    psis = pairing.comodule_side.subspaces[q]
     phi_amb = Vec(phis.ambient, coords_from(phi_d, phis.ambient.dim, "phi"))
     psi_amb = Vec(psis.ambient, coords_from(psi_d, psis.ambient.dim, "psi"))
     pc = SubspaceSolver(phis.basis).coords(phi_amb)

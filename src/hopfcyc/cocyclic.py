@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .linalg import (
     Chain,
+    Contraction,
     LinMap,
     Space,
     SubspaceSolver,
@@ -45,10 +46,11 @@ class CocyclicModule:
     """Spaces for degrees 0..N with cofaces (degree-raising), codegeneracies
     (degree-lowering) and cyclic operators, all as matrices on the computed
     bases.  ``ambient_descriptions[n]`` keeps one human-readable line per
-    basis element for witnesses and serialization."""
+    basis element for witnesses and serialization; ``subspaces[n]`` (from the
+    builders) is the computed subspace whose basis those bases index."""
 
     def __init__(self, kind, field, max_degree, spaces, cofaces, codegeneracies,
-                 cyclic, ambient_descriptions):
+                 cyclic, ambient_descriptions, subspaces=None):
         self.kind = kind
         self.field = field
         self.max_degree = max_degree
@@ -57,6 +59,7 @@ class CocyclicModule:
         self.codegeneracies = codegeneracies  # codegeneracies[n]: σ_0..σ_n, C^{n+1}→C^n
         self.cyclic = cyclic                # cyclic[n]: τ_n on C^n
         self.ambient_descriptions = ambient_descriptions
+        self.subspaces = subspaces
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -143,16 +146,14 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
         # A^{⊗(n+1)} → A^{⊗(n+2)}, insert the unit after slot i
         return Chain([As] * (n + 1)).apply(A.unit_map(), i + 1, 0, [As]).to_map()
 
-    def wrap_chain(phi, n, multiply_front):
-        legs = [As] * (n + 1)
-        chain = Chain(legs).rotate_last_to_front().apply(coact, 0, 1, [Hs, As])
+    def wrap(n, multiply_front):
+        # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
+        # its own first argument (cyclic operator)
+        pre = Chain([As] * (n + 1)).rotate_last_to_front().apply(coact, 0, 1, [Hs, As])
         if multiply_front:
-            chain.apply(A.mult, 1, 2, [As])
-            slots = n
-        else:
-            slots = n + 1
-        chain.apply(phi, 1, slots, [Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
-        return chain.to_map()
+            pre.apply(A.mult, 1, 2, [As])
+        post = Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
+        return Contraction(pre, 1, n if multiply_front else n + 1, post)
 
     cofaces, codegens, cyclic = {}, {}, {}
     for n in range(N + 1):
@@ -168,9 +169,10 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
                     for k, phi in enumerate(subs[n - 1].maps())
                 ]
                 ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
+            last = wrap(n, True)
             images = [
                 _express(solvers[n],
-                         _hom_image(wrap_chain(phi, n, True), subs[n]),
+                         _hom_image(last.contract(phi), subs[n]),
                          "coface δ_%d" % n, k, n)
                 for k, phi in enumerate(subs[n - 1].maps())
             ]
@@ -188,15 +190,16 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
                 ]
                 ops.append(_matrix_from_images(images, subs[n + 1].dim, spaces[n], spaces[n + 1]))
             codegens[n] = ops
+        rotate = wrap(n, False)
         images = [
             _express(solvers[n],
-                     _hom_image(wrap_chain(phi, n, False), subs[n]),
+                     _hom_image(rotate.contract(phi), subs[n]),
                      "cyclic τ_%d" % n, k, n)
             for k, phi in enumerate(maps_n)
         ]
         cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
     return CocyclicModule("comodule-algebra", As.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions)
+                          codegens, cyclic, descriptions, subs)
 
 
 def _hom_image(linmap, sub):
@@ -275,7 +278,7 @@ def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N)
         ]
         cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
     return CocyclicModule("comodule-coalgebra", Cs.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions)
+                          codegens, cyclic, descriptions, subs)
 
 
 def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n):
@@ -425,7 +428,7 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
         ]
         cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
     return CocyclicModule("module-algebra", As.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions)
+                          codegens, cyclic, descriptions, subs)
 
 
 def _identity_failure(name, lhs, rhs, module, degree):

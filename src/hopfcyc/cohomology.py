@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .fields import FieldError
 from .linalg import LinMap, SubspaceSolver, identity, kernel_basis, rank, span_dim
-from .cocyclic import CocyclicModule
+from .cocyclic import CocyclicConstructionError, CocyclicModule
+from . import results
 
 
 def hochschild_coboundary(X: CocyclicModule, n) -> LinMap:
@@ -77,11 +78,11 @@ def hochschild_dims(X: CocyclicModule, top=None) -> CohomologyTable:
     top = X.max_degree - 1 if top is None else top
     if top > X.max_degree - 1:
         raise ValueError("need the ladder one degree above the reported top")
-    bs = [hochschild_coboundary(X, n) for n in range(top + 1)]
+    ranks = [rank(hochschild_coboundary(X, n)) for n in range(top + 1)]
     dims, data = [], []
     for n in range(top + 1):
-        kdim = X.spaces[n].dim - rank(bs[n])
-        prev_rank = rank(bs[n - 1]) if n >= 1 else 0
+        kdim = X.spaces[n].dim - ranks[n]
+        prev_rank = ranks[n - 1] if n >= 1 else 0
         dims.append(kdim - prev_rank)
         data.append({"degree": n, "kernel": kdim, "image_below": prev_rank})
     return CohomologyTable("hochschild", dims, top, data)
@@ -97,7 +98,9 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
     """Cyclic cohomology via the cyclic-eigenvector subcomplex under b.
 
     Characteristic zero only; positive characteristic is refused because the
-    eigenspace subcomplex does not compute the right groups there."""
+    eigenspace subcomplex does not compute the right groups there.  Raises
+    CocyclicConstructionError, with the escaping image of b as the witness,
+    when b leaves the subcomplex (the input is not cocyclic)."""
     if X.field.characteristic != 0:
         raise FieldError(
             "cyclic cohomology via the eigenvector subcomplex needs characteristic 0"
@@ -115,9 +118,11 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
             img = b.apply(vec)
             coords = solvers[n + 1].coords(img)
             if coords is None:
-                raise AssertionError(
-                    "b does not preserve the cyclic subcomplex; the input is "
-                    "not a cocyclic module")
+                raise CocyclicConstructionError(results.failed(
+                    "cyclic-subcomplex-closed",
+                    "b of cyclic basis element %d = %s at degree %d" % (col, vec.describe(), n),
+                    img, "an element of the cyclic subcomplex at degree %d" % (n + 1),
+                    detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
             for r, v in coords.items():
                 entries[(r, col)] = v
         restricted.append((entries, len(bases[n]), len(bases[n + 1])))

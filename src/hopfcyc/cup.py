@@ -14,6 +14,7 @@ from __future__ import annotations
 from .hopf import StructureError, trivial_hopf
 from .linalg import (
     Chain,
+    Contraction,
     LinMap,
     Space,
     Vector,
@@ -23,7 +24,6 @@ from .linalg import (
     tensor_space,
     tensor_vectors,
     vector_to_functional,
-    vector_to_linmap,
 )
 from .symmetries import ComoduleAlgebra, ModuleAlgebra, ModuleComodule, scalar_coefficients
 from .cocyclic import CocyclicModule, build_module_algebra_complex
@@ -197,34 +197,23 @@ class CrossedPairing:
                 raise StructureError(ident)
         self.target = classical_complex(self.crossed, N=N + 1)
         self.diagonal = diagonal_complex(self.module_side, self.comodule_side, N + 1)
-        self._module_subs = None
         self._psi_cache = {}
 
-    def _phi_functional(self, vec, degree):
-        from .cocyclic import invariant_functionals
-
-        dom = tensor_space(self.M.space,
-                           *([self.action_algebra.space] * (degree + 1)))
-        return vector_to_functional(vec, dom)
-
-    def psi_on_pair(self, phi_vec, psi_vec, n) -> LinMap:
-        """Ψ(φ⊗ψ) as a functional on (A⋊B)^{⊗(n+1)}; φ and ψ are ambient
-        vectors (dual coordinates and hom coordinates respectively)."""
+    def _twist_pipeline(self, n):
+        """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, which iterates the
+        coaction on b_i to depth i+1 and acts on each a_j by S⁻¹ of the
+        product of the legs that land on it; ψ is contracted into the
+        B-legs, giving Ψ(φ⊗ψ) = φ ∘ (ψ ⊗ id) ∘ P_n."""
         Aact, B, M, H = (self.action_algebra, self.comodule_algebra, self.M, self.hopf)
         As, Bs, Hs, Ms = Aact.space, B.space, H.space, M.space
-        coact = B.coaction
         s_inv = H.antipode_inverse()
-        phi = self._phi_functional(phi_vec, n)
-        hom_dom = tensor_space(*([Bs] * (n + 1)))
-        psi = vector_to_linmap(psi_vec, hom_dom, Ms)
-
         chain = Chain([As, Bs] * (n + 1))
         order = [2 * i + 1 for i in range(n + 1)] + [2 * i for i in range(n + 1)]
         chain.permute(order)
         # iterate the coaction on b_i to depth i+1, right to left
         for i in range(n, -1, -1):
             depth = i + 1
-            it = _iterated_left_coaction(coact, Hs, Bs, depth)
+            it = _iterated_left_coaction(B.coaction, Hs, Bs, depth)
             chain.apply(it, i, 1, [Hs] * depth + [Bs])
         # current layout: blocks [H^{i+1}, b_i⟨0⟩] for i = 0..n, then A-legs
         starts = []
@@ -246,32 +235,27 @@ class CrossedPairing:
             chain.apply(s_inv, p, 1, [Hs])
             chain.apply(Aact.action, p, 2, [As])
             p += 1
-        chain.apply(psi, 0, n + 1, [Ms])
-        chain.apply(phi, 0, n + 2, [])
-        return chain.to_map()
+        return Contraction(chain, 0, n + 1, Chain([Ms] + [As] * (n + 1)))
 
     def psi_matrix(self, n) -> LinMap:
         """Ψ_n as a matrix from the degree-n diagonal space to the degree-n
-        space of the crossed product's classical complex (dual coordinates)."""
+        space of the crossed product's classical complex (dual coordinates);
+        column i·dim(Y_n)+j is Ψ(φ_i⊗ψ_j) on the kept subspace bases."""
         if n in self._psi_cache:
             return self._psi_cache[n]
-        from .cocyclic import invariant_functionals
-        from .symmetries import colinear_hom_space
-
-        X, Y = self.module_side, self.comodule_side
-        phis = invariant_functionals(self.action_algebra, self.M, n).basis
-        psis = colinear_hom_space(self.comodule_algebra, self.M, n).basis
-        dom = self.diagonal.spaces[n]
-        cod = self.target.spaces[n]
+        phis = self.module_side.subspaces[n].basis
+        psis = self.comodule_side.subspaces[n].maps()
+        twist = self._twist_pipeline(n)
         entries = {}
         dy = len(psis)
-        for i, phi_vec in enumerate(phis):
-            for j, psi_vec in enumerate(psis):
-                func = self.psi_on_pair(phi_vec, psi_vec, n)
+        for j, psi in enumerate(psis):
+            twisted = twist.contract(psi)
+            for i, phi_vec in enumerate(phis):
+                func = vector_to_functional(phi_vec, twisted.codomain) @ twisted
                 col = i * dy + j
                 for (_, c), v in func.entries.items():
                     entries[(c, col)] = v
-        out = LinMap(dom, cod, entries)
+        out = LinMap(self.diagonal.spaces[n], self.target.spaces[n], entries)
         self._psi_cache[n] = out
         return out
 

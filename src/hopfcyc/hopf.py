@@ -48,6 +48,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.name = name or "H"
         self.field = space.field
+        self._memo = {}  # iterated_comult / antipode_inverse results
         _check_hopf_shapes(self)
         if validate:
             check = verify_hopf(self)
@@ -65,13 +66,16 @@ class HopfAlgebra:
 
     def iterated_comult(self, k):
         """Δ^{k}: H → H^{⊗(k+1)}, Sweedler legs left to right; Δ^{0} = id."""
-        out = identity(self.space)
-        for i in range(k):
-            # expand the last leg
-            chain = Chain([self.space] * (i + 1))
-            chain.apply(self.comult, i, 1, [self.space, self.space])
-            out = chain.to_map() @ out
-        return out
+        key = ("Δ", k)
+        if key not in self._memo:
+            out = identity(self.space)
+            for i in range(k):
+                # expand the last leg
+                chain = Chain([self.space] * (i + 1))
+                chain.apply(self.comult, i, 1, [self.space, self.space])
+                out = chain.to_map() @ out
+            self._memo[key] = out
+        return self._memo[key]
 
     def multiply_legs(self, k):
         """H^{⊗k} → H, left-to-right product; k=0 gives the unit map."""
@@ -83,7 +87,10 @@ class HopfAlgebra:
         return chain.to_map()
 
     def antipode_inverse(self):
-        return inverse_map(self.antipode)
+        """S⁻¹, memoized per instance."""
+        if "S⁻¹" not in self._memo:
+            self._memo["S⁻¹"] = inverse_map(self.antipode)
+        return self._memo["S⁻¹"]
 
     def flip(self):
         """The tensor swap H⊗H→H⊗H."""

@@ -4,8 +4,12 @@ Spaces carry ordered basis labels (tensor products join labels with the
 character ⊗ in row-major order), so every counterexample the checkers emit
 reads as honest algebra.  Linear maps are sparse ``(row, col) -> scalar``
 dictionaries.  Composite tensor expressions are assembled with ``Chain``,
-which walks basis columns through the pipeline one at a time; large
-intermediate tensor spaces are therefore never materialized.
+which walks basis columns through the pipeline one at a time.
+
+An operator on cochains, φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre, is a
+``Contraction``: both fixed pipelines are materialized once (the prefix as
+raw entries, never as a large labeled space), and each cochain is then
+contracted into the middle legs by index arithmetic.
 
 All values are immutable after construction (by convention; nothing mutates
 a published object), so everything here is safe to share between threads.
@@ -14,6 +18,7 @@ a published object), so everything here is safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .fields import QQ
 
@@ -319,20 +324,6 @@ def tensor_map(f, g):
     return LinMap(dom, cod, entries)
 
 
-def tensor_maps(*maps):
-    out = maps[0]
-    for m in maps[1:]:
-        out = tensor_map(out, m)
-    return out
-
-
-def _strides(dims):
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
 def _flatten(dims, tup):
     flat = 0
     for d, i in zip(dims, tup):
@@ -445,17 +436,67 @@ class Chain:
             state = new_state
         return state
 
-    def to_map(self):
+    def entries(self):
+        """The composite's ``(row, col) -> scalar`` entries; no labeled spaces."""
         src_dims = [s.dim for s in self.source_legs]
         out_dims = [s.dim for s in self.legs]
-        dom = tensor_space(*self.source_legs) if self.source_legs else unit_space(self.field)
-        cod = tensor_space(*self.legs) if self.legs else unit_space(self.field)
         entries = {}
         for tup in itertools.product(*[range(d) for d in src_dims]) if src_dims else [()]:
             col = _flatten(src_dims, tup)
             for t, v in self._run_column(tup).items():
                 entries[(_flatten(out_dims, t), col)] = v
-        return LinMap(dom, cod, entries)
+        return entries
+
+    def to_map(self):
+        return LinMap(_legs_space(self.source_legs, self.field),
+                      _legs_space(self.legs, self.field), self.entries())
+
+
+def _legs_space(legs, field):
+    return tensor_space(*legs) if legs else unit_space(field)
+
+
+class Contraction:
+    """The operator f ↦ post ∘ (id ⊗ f ⊗ id) ∘ pre for fixed tensor pipelines.
+
+    ``pre`` is a Chain whose legs ``at .. at+nin-1`` are the domain of f;
+    ``post`` is a Chain whose source legs are pre's legs with f's codomain
+    legs in their place.  ``contract(f)`` visits only the prefix entries that
+    meet a nonzero column of f, and equals the Chain with f in between."""
+
+    def __init__(self, pre, at, nin, post):
+        left, right = pre.legs[:at], pre.legs[at + nin:]
+        nout = len(post.source_legs) - len(left) - len(right)
+        if nout < 0 or [s.dim for s in post.source_legs[:at] + post.source_legs[at + nout:]] \
+                != [s.dim for s in left + right]:
+            raise DimensionMismatch("contraction: post legs do not match pre around f")
+        self.field = pre.field
+        self.in_dim = math.prod(s.dim for s in pre.legs[at:at + nin])
+        self.out_dim = math.prod(s.dim for s in post.source_legs[at:at + nout])
+        self.right_dim = math.prod(s.dim for s in right)
+        self.domain = _legs_space(pre.source_legs, pre.field)
+        self._pre = {}  # middle index x -> [(left index, right index, col, v)]
+        for (row, col), v in pre.entries().items():
+            lx, r = divmod(row, self.right_dim)
+            l, x = divmod(lx, self.in_dim)
+            self._pre.setdefault(x, []).append((l, r, col, v))
+        self._post = post.to_map()
+        self.codomain = self._post.codomain
+
+    def contract(self, f):
+        """post ∘ (id ⊗ f ⊗ id) ∘ pre as a map from pre's source legs."""
+        if f.domain.dim != self.in_dim or f.codomain.dim != self.out_dim:
+            raise DimensionMismatch("contraction: map is %d×%d, legs give %d×%d" % (
+                f.codomain.dim, f.domain.dim, self.out_dim, self.in_dim))
+        zero = self.field.zero
+        odim, rdim = self.out_dim, self.right_dim
+        mid = {}
+        for x, fcol in f.by_col().items():
+            for l, r, col, v in self._pre.get(x, ()):
+                for y, w in fcol:
+                    key = ((l * odim + y) * rdim + r, col)
+                    mid[key] = mid.get(key, zero) + v * w
+        return self._post @ LinMap(self.domain, self._post.domain, mid)
 
 
 def _rref(rows, field):

@@ -21,6 +21,7 @@ from .hopf import (
 )
 from .linalg import (
     Chain,
+    Contraction,
     LinMap,
     Space,
     SubspaceSolver,
@@ -578,9 +579,6 @@ class HomSubspace:
     def maps(self):
         return [vector_to_linmap(v, self.domain, self.codomain) for v in self.basis]
 
-    def solver(self):
-        return SubspaceSolver(self.basis)
-
 
 def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n) -> HomSubspace:
     """Exact basis of the left-colinear maps A^{⊗(n+1)} → M, i.e. the f with
@@ -653,9 +651,6 @@ class TensorSubspace:
     def dim(self):
         return len(self.basis)
 
-    def solver(self):
-        return SubspaceSolver(self.basis)
-
 
 def cotensor_space(C: ComoduleCoalgebra, M: ModuleComodule, n) -> TensorSubspace:
     """Basis of C^{⊗(n+1)} □_H M: kernel of ρ_diag⊗id − id⊗λ_M inside
@@ -717,34 +712,33 @@ def check_sayd(M: ModuleComodule) -> CheckResult:
     return results.passed("sayd", detail=M.name)
 
 
-def _carrier_ayd_sides(A, M, phi, n):
-    """Both sides of the carrier-relative AYD identity for one colinear map."""
+def _carrier_sayd_pipelines(A, M, n):
+    """The two sides of the carrier-relative AYD identity and the stability
+    map at degree n, each as a pipeline contracted with a colinear map φ."""
     H, Hs, Ms, As = A.hopf, A.hopf.space, M.space, A.space
     legs = [As] * (n + 1)
     coact = A.left_coaction()
-    lhs = (
-        Chain(legs)
-        .apply(coact, 0, 1, [Hs, As])
-        .apply(phi, 1, n + 1, [Ms])
-        .permute([1, 0])
-        .apply(M.action, 0, 2, [Ms])
-        .apply(M.coaction, 0, 1, [Hs, Ms])
-        .to_map()
+    lhs = Contraction(
+        Chain(legs).apply(coact, 0, 1, [Hs, As]), 1, n + 1,
+        Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
+        .apply(M.coaction, 0, 1, [Hs, Ms]),
     )
-    rhs = (
-        Chain(legs)
-        .apply(coact, 0, 1, [Hs, As])
-        .apply(H.iterated_comult(2), 0, 1, [Hs, Hs, Hs])
-        .apply(phi, 3, n + 1, [Ms])
+    rhs = Contraction(
+        Chain(legs).apply(coact, 0, 1, [Hs, As]).apply(H.iterated_comult(2), 0, 1, [Hs] * 3),
+        3, n + 1,
+        Chain([Hs, Hs, Hs, Ms])
         .apply(M.coaction, 3, 1, [Hs, Ms])
         .permute([2, 3, 0, 4, 1])
         .apply(H.antipode, 0, 1, [Hs])
         .apply(H.mult, 0, 2, [Hs])
         .apply(H.mult, 0, 2, [Hs])
-        .apply(M.action, 1, 2, [Ms])
-        .to_map()
+        .apply(M.action, 1, 2, [Ms]),
     )
-    return lhs, rhs
+    stab = Contraction(
+        Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs), 1, n + 1,
+        Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms]),
+    )
+    return lhs, rhs, stab
 
 
 def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> CheckResult:
@@ -757,9 +751,10 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     for n in range(n_max + 1):
         sub = colinear_hom_space(A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
-        lam_diag = diag_left_coaction(A, n + 1)
+        if sub.dim:
+            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, M, n)
         for k, phi in enumerate(sub.maps()):
-            lhs, rhs = _carrier_ayd_sides(A, M, phi, n)
+            lhs, rhs = lhs_p.contract(phi), rhs_p.contract(phi)
             col = maps_first_difference(lhs, rhs)
             if col is not None:
                 return results.failed(
@@ -769,16 +764,7 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
                     rhs.column(col),
                     detail=dims_note,
                 )
-            Hs, Ms, As = A.hopf.space, M.space, A.space
-            legs = [As] * (n + 1)
-            stab = (
-                Chain(legs)
-                .apply(lam_diag, 0, n + 1, [Hs] + legs)
-                .apply(phi, 1, n + 1, [Ms])
-                .permute([1, 0])
-                .apply(M.action, 0, 2, [Ms])
-                .to_map()
-            )
+            stab = stab_p.contract(phi)
             col = maps_first_difference(stab, phi)
             if col is not None:
                 return results.failed(

@@ -111,6 +111,28 @@ class TestFieldRestrictions:
         assert hochschild_dims(X, 2).dims == [1, 0, 0]
 
 
+def test_cyclic_dims_names_the_escaping_image(trivial_ladder):
+    # τ_1 = τ_2 = −id makes the whole of degree 1 and none of degree 2
+    # cyclic, while b = id from degree 1 still maps the one into the other
+    from hopfcyc.cocyclic import CocyclicConstructionError, CocyclicModule
+
+    X = trivial_ladder
+    minus = X.field.from_int(-1)
+    broken = CocyclicModule(
+        X.kind, X.field, X.max_degree, X.spaces, X.cofaces, X.codegeneracies,
+        {**X.cyclic, 1: identity(X.spaces[1]).scaled(minus),
+         2: identity(X.spaces[2]).scaled(minus)},
+        X.ambient_descriptions)
+    with pytest.raises(CocyclicConstructionError) as err:
+        cyclic_dims(broken, 3)
+    check = err.value.check
+    assert not check.passed and check.condition == "cyclic-subcomplex-closed"
+    assert check.witness.location.startswith("b of cyclic basis element 0 = ")
+    assert check.witness.location.endswith("at degree 1")
+    escaping = hochschild_coboundary(broken, 1).apply(X.spaces[1].basis_vector(0))
+    assert not escaping.is_zero() and check.lhs_vector == escaping
+
+
 def test_table_rendering(trivial_ladder):
     table = cyclic_dims(trivial_ladder, 3)
     text = table.render()

@@ -27,6 +27,8 @@ from hopfcyc.symmetries import (
 )
 from hopfcyc.corpus import crossed_product_instances
 
+import chain_oracle
+
 
 @pytest.fixture(scope="module")
 def trivial_pairing():
@@ -104,7 +106,7 @@ class TestPairingMap:
 
         for phi_vec in phis:
             for psi_vec in psis:
-                func = pairing.psi_on_pair(phi_vec, psi_vec, 0)
+                func = chain_oracle.psi_on_pair(pairing, phi_vec, psi_vec, 0)
                 phi = vector_to_functional(
                     phi_vec, invariant_functionals(A, M, 0).domain)
                 psi = vector_to_linmap(psi_vec, B.space, M.space)

@@ -239,3 +239,14 @@ def test_multiply_legs_and_iterated_comult(H4):
     Hs = H4.space
     out = Chain([Hs]).apply(d2, 0, 1, [Hs, Hs, Hs]).apply(H4.counit, 1, 1, []).to_map()
     assert out == H4.comult
+
+
+def test_iterated_comult_and_antipode_inverse_are_memoized(H4):
+    # one object per instance and degree; a fresh algebra computes its own
+    assert H4.iterated_comult(2) is H4.iterated_comult(2)
+    assert H4.iterated_comult(1) == H4.comult
+    assert H4.antipode_inverse() is H4.antipode_inverse()
+    assert H4.antipode_inverse() @ H4.antipode == identity(H4.space)
+    fresh = sweedler_h4()
+    assert fresh.iterated_comult(2) is not H4.iterated_comult(2)
+    assert fresh.iterated_comult(2) == H4.iterated_comult(2)
