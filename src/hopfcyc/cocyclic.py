@@ -15,7 +15,7 @@ from .linalg import (
     LinMap,
     Space,
     SubspaceSolver,
-    Vector,
+    _null_vectors,
     dual_space,
     identity,
     maps_first_difference,
@@ -27,7 +27,7 @@ from .symmetries import (
     ComoduleCoalgebra,
     ModuleAlgebra,
     ModuleComodule,
-    colinear_hom_space,
+    _colinear,
     cotensor_space,
 )
 from . import results
@@ -46,8 +46,9 @@ class CocyclicModule:
     """Spaces for degrees 0..N with cofaces (degree-raising), codegeneracies
     (degree-lowering) and cyclic operators, all as matrices on the computed
     bases.  ``ambient_descriptions[n]`` keeps one human-readable line per
-    basis element for witnesses and serialization; ``subspaces[n]`` (from the
-    builders) is the computed subspace whose basis those bases index."""
+    basis element for witnesses and serialization; ``subspaces[n]`` (kept by
+    the module-algebra and comodule-algebra builders, which the pairing reads)
+    is the computed subspace whose basis those bases index."""
 
     def __init__(self, kind, field, max_degree, spaces, cofaces, codegeneracies,
                  cyclic, ambient_descriptions, subspaces=None):
@@ -133,7 +134,7 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     final argument to the front through its coaction and act on the value."""
     H, Hs, Ms, As = A.hopf, A.hopf.space, M.space, A.space
     coact = A.left_coaction()
-    subs = [colinear_hom_space(A, M, n) for n in range(N + 1)]
+    subs = [_colinear(A, M, n) for n in range(N + 1)]
     solvers = [SubspaceSolver(s.basis) for s in subs]
     spaces = [_abstract_space(As.field, n, subs[n].dim, "φ") for n in range(N + 1)]
     descriptions = [[v.describe() for v in subs[n].basis] for n in range(N + 1)]
@@ -278,7 +279,7 @@ def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N)
         ]
         cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
     return CocyclicModule("comodule-coalgebra", Cs.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions, subs)
+                          codegens, cyclic, descriptions)
 
 
 def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n):
@@ -326,21 +327,8 @@ def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n):
                 row.pop(x, None)
         if row:
             rows.append(row)
-    from .linalg import _rref
-
-    echelon = _rref(rows, field)
-    pivot_set = {c for c, _ in echelon}
     dual = dual_space(X)
-    basis = []
-    for j in range(dual.dim):
-        if j in pivot_set:
-            continue
-        entries = {j: field.one}
-        for c, row in echelon:
-            v = row.get(j)
-            if v:
-                entries[c] = -v
-        basis.append(Vector(dual, entries))
+    basis = _null_vectors(rows, dual)
 
     class _Sub:
         pass

@@ -176,7 +176,7 @@ class CrossedPairing:
 
     def __init__(self, action_algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
                  M: ModuleComodule, N=2, check_coefficients=True):
-        from .symmetries import check_sayd_over_algebra
+        from .symmetries import _solve_once, check_sayd_over_algebra
         from .cocyclic import build_comodule_algebra_complex, verify_cocyclic_identities
 
         self.action_algebra = action_algebra
@@ -184,13 +184,14 @@ class CrossedPairing:
         self.M = M
         self.N = N
         self.hopf = action_algebra.hopf
-        if check_coefficients:
-            side = check_sayd_over_algebra(comodule_algebra, M, n_max=min(N, 2))
-            if not side:
-                raise StructureError(side)
-        self.crossed = CrossedProductAlgebra(action_algebra, comodule_algebra)
-        self.module_side = build_module_algebra_complex(action_algebra, M, N + 1)
-        self.comodule_side = build_comodule_algebra_complex(comodule_algebra, M, N + 1)
+        with _solve_once():  # the SAYD check and the complex share their hom spaces
+            if check_coefficients:
+                side = check_sayd_over_algebra(comodule_algebra, M, n_max=min(N, 2))
+                if not side:
+                    raise StructureError(side)
+            self.crossed = CrossedProductAlgebra(action_algebra, comodule_algebra)
+            self.module_side = build_module_algebra_complex(action_algebra, M, N + 1)
+            self.comodule_side = build_comodule_algebra_complex(comodule_algebra, M, N + 1)
         if check_coefficients:
             ident = verify_cocyclic_identities(self.module_side)
             if not ident:

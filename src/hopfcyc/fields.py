@@ -1,13 +1,16 @@
 """Exact ground-field scalars: arbitrary-precision rationals and prime fields.
 
-Every linear-algebra value in the kit is either a ``fractions.Fraction``
-(field ``QQ``) or a ``GFElement`` (field ``GF(p)``).  Both support the
-arithmetic operators that the elimination routines use, so all higher
-modules are field-agnostic.  One computation never mixes fields.
+A scalar of ``QQ`` is a plain ``int`` while it is integral and a
+``fractions.Fraction`` once a division makes it one; a scalar of ``GF(p)`` is
+a ``GFElement``.  Both support the arithmetic operators that the elimination
+routines use, so all higher modules are field-agnostic.  Every division goes
+through ``field.inv``, so an int/int quotient never becomes a float.  One
+computation never mixes fields.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -16,33 +19,36 @@ class FieldError(ValueError):
 
 
 class RationalField:
-    """The rationals, backed by ``fractions.Fraction``. Singleton ``QQ``."""
+    """The rationals as ``int`` or ``fractions.Fraction``.  Singleton ``QQ``."""
 
     name = "Q"
     characteristic = 0
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def sign(self, n):
         # (-1)**n as a field element
-        return Fraction(-1 if n % 2 else 1)
+        return -1 if n % 2 else 1
+
+    def inv(self, x):
+        """1/x; an int when the numerator of x is ±1, else a Fraction."""
+        if not x:
+            raise FieldError("division by zero in Q")
+        num, den = x.numerator, x.denominator
+        return num * den if num in (1, -1) else Fraction(den, num)
 
     def parse(self, text):
         try:
-            return Fraction(str(text))
+            q = Fraction(str(text))
         except ZeroDivisionError:
             raise FieldError("division by zero in scalar literal %r" % text)
         except (ValueError, TypeError):
             raise FieldError("malformed rational literal %r" % text)
+        return q.numerator if q.denominator == 1 else q
 
     def format(self, value):
         return str(value)
@@ -166,6 +172,9 @@ class PrimeField:
 
     def sign(self, n):
         return GFElement(-1 if n % 2 else 1, self.p)
+
+    def inv(self, x):
+        return self.one / x
 
     def parse(self, text):
         text = str(text).strip()

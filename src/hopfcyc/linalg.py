@@ -17,6 +17,7 @@ a published object), so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -526,7 +527,7 @@ def _rref(rows, field):
         if not row:
             continue
         lead = min(row)
-        inv = field.one / row[lead]
+        inv = field.inv(row[lead])
         row = {c: inv * v for c, v in row.items()}
         # back-eliminate the new pivot column from all existing rows
         for prow in echelon.values():
@@ -559,19 +560,25 @@ def kernel_basis(f):
 
     dim ker + rank = dim domain holds by construction.
     """
-    field = f.field
-    echelon = _rref(_map_rows(f), field)
-    pivots = [c for c, _ in echelon]
-    pivot_set = set(pivots)
-    free = [c for c in range(f.domain.dim) if c not in pivot_set]
+    return _null_vectors(_map_rows(f), f.domain)
+
+
+def _null_vectors(rows, space):
+    """Canonical basis of the vectors of ``space`` that every sparse row
+    annihilates: one vector per free column, ascending."""
+    field = space.field
+    echelon = _rref(rows, field)
+    pivot_set = {c for c, _ in echelon}
     basis = []
-    for j in free:
+    for j in range(space.dim):
+        if j in pivot_set:
+            continue
         entries = {j: field.one}
         for c, row in echelon:
             v = row.get(j)
             if v:
                 entries[c] = -v
-        basis.append(Vector(f.domain, entries))
+        basis.append(Vector(space, entries))
     return basis
 
 
@@ -591,11 +598,10 @@ class SubspaceSolver:
             if not row:
                 raise ValueError("subspace basis is linearly dependent at index %d" % j)
             lead = min(row)
-            inv = self.field.one / row[lead]
+            inv = self.field.inv(row[lead])
             row = {c: inv * v for c, v in row.items()}
             coords = {c: inv * v for c, v in coords.items()}
-            self.echelon.append((lead, row, coords))
-            self.echelon.sort(key=lambda t: t[0])
+            bisect.insort(self.echelon, (lead, row, coords), key=lambda t: t[0])
 
     def _reduce(self, entries, coords):
         row = dict(entries)

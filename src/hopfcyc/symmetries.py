@@ -9,6 +9,9 @@ whose two sides were evaluated independently.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 from .fields import QQ
 from .hopf import (
     Character,
@@ -26,6 +29,7 @@ from .linalg import (
     Space,
     SubspaceSolver,
     Vector,
+    _null_vectors,
     hom_space,
     identity,
     kernel_basis,
@@ -622,22 +626,29 @@ def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n) -> HomSubspace:
                         row.pop(key, None)
                 if row:
                     rows.append(row)
-    from .linalg import _rref
+    return HomSubspace(dom, M.space, _null_vectors(rows, hom_space(dom, M.space)))
 
-    echelon = _rref(rows, field)
-    pivot_set = {c for c, _ in echelon}
-    hom = hom_space(dom, M.space)
-    basis = []
-    for j in range(hom.dim):
-        if j in pivot_set:
-            continue
-        entries = {j: field.one}
-        for c, row in echelon:
-            v = row.get(j)
-            if v:
-                entries[c] = -v
-        basis.append(Vector(hom, entries))
-    return HomSubspace(dom, M.space, basis)
+
+_solved = contextvars.ContextVar("solved colinear hom spaces", default=None)
+
+
+@contextlib.contextmanager
+def _solve_once():
+    """Inside this block each colinear hom space (A, M, n) is solved once."""
+    token = _solved.set({})
+    try:
+        yield
+    finally:
+        _solved.reset(token)
+
+
+def _colinear(A, M, n):
+    memo = _solved.get()
+    if memo is None:
+        return colinear_hom_space(A, M, n)
+    if (A, M, n) not in memo:
+        memo[A, M, n] = colinear_hom_space(A, M, n)
+    return memo[A, M, n]
 
 
 class TensorSubspace:
@@ -749,7 +760,7 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     the value of φ, and (ii) stability φ(ã⟨0⟩)◁ã⟨−1⟩ = φ(ã)."""
     verdicts = []
     for n in range(n_max + 1):
-        sub = colinear_hom_space(A, M, n)
+        sub = _colinear(A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
             lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, M, n)

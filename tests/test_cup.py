@@ -127,6 +127,36 @@ class TestPairingMap:
                     got = func.entries.get((0, col), Fraction(0))
                     assert got == expected
 
+    def test_colinear_hom_spaces_solved_once(self, monkeypatch):
+        # the SAYD check and the comodule-algebra complex share their solves
+        import hopfcyc.cocyclic
+        import hopfcyc.symmetries
+
+        solve, calls = hopfcyc.symmetries.colinear_hom_space, []
+
+        def counted(A, M, n):
+            calls.append((id(A), id(M), n))
+            return solve(A, M, n)
+
+        monkeypatch.setattr(hopfcyc.symmetries, "colinear_hom_space", counted)
+        monkeypatch.setattr(hopfcyc.cocyclic, "colinear_hom_space", counted, raising=False)
+        name, A, B, M = crossed_product_instances()[1]
+        pairing = CrossedPairing(A, B, M, N=2)
+        assert sorted(calls) == [(id(B), id(M), n) for n in range(4)]
+        assert pairing.check_cocyclic_map(2)
+        assert hopfcyc.symmetries._solved.get() is None
+
+    def test_non_sayd_coefficient_refused_with_witness(self, H4, H4_eps, H4_one):
+        from hopfcyc.symmetries import check_sayd_over_algebra, trivial_module_algebra
+
+        B = regular_comodule_algebra(H4)
+        M = scalar_coefficients(H4, H4_eps, H4_one)
+        expected = check_sayd_over_algebra(B, M, n_max=1)
+        assert not expected
+        with pytest.raises(StructureError) as err:
+            CrossedPairing(trivial_module_algebra(H4), B, M, N=1)
+        assert err.value.check.to_dict() == expected.to_dict()
+
 
 class TestCup:
     def test_product_of_traces(self, trivial_pairing):
