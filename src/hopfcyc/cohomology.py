@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .fields import FieldError
 from .linalg import LinMap, SubspaceSolver, identity, kernel_basis, rank, span_dim
-from .cocyclic import CocyclicConstructionError, CocyclicModule
+from .cocyclic import CocyclicConstructionError, CocyclicModule, _abstract_space
 from . import results
 
 
@@ -110,7 +110,7 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
         raise ValueError("need the ladder one degree above the reported top")
     bases = [cyclic_subcomplex_basis(X, n) for n in range(top + 2)]
     solvers = [SubspaceSolver(b) for b in bases]
-    restricted = []
+    ranks = []
     for n in range(top + 1):
         b = hochschild_coboundary(X, n)
         entries = {}
@@ -125,22 +125,16 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
                     detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
             for r, v in coords.items():
                 entries[(r, col)] = v
-        restricted.append((entries, len(bases[n]), len(bases[n + 1])))
+        ranks.append(rank(LinMap(_abstract_space(X.field, n, len(bases[n]), "c"),
+                                 _abstract_space(X.field, n + 1, len(bases[n + 1]), "c"),
+                                 entries)))
     dims, data = [], []
-    prev_rank = 0
     for n in range(top + 1):
-        entries, dom, cod = restricted[n]
-        rows = {}
-        for (r, c), v in entries.items():
-            rows.setdefault(r, {})[c] = v
-        from .linalg import _rref
-
-        rk = len(_rref([rows[r] for r in sorted(rows)], X.field))
-        kdim = dom - rk
+        kdim = len(bases[n]) - ranks[n]
+        prev_rank = ranks[n - 1] if n >= 1 else 0
         dims.append(kdim - prev_rank)
-        data.append({"degree": n, "subcomplex_dim": dom, "kernel": kdim,
+        data.append({"degree": n, "subcomplex_dim": len(bases[n]), "kernel": kdim,
                      "image_below": prev_rank})
-        prev_rank = rk
     return CohomologyTable("cyclic", dims, top, data)
 
 

@@ -4,7 +4,8 @@ Spaces carry ordered basis labels (tensor products join labels with the
 character ⊗ in row-major order), so every counterexample the checkers emit
 reads as honest algebra.  Linear maps are sparse ``(row, col) -> scalar``
 dictionaries.  Composite tensor expressions are assembled with ``Chain``,
-which walks basis columns through the pipeline one at a time.
+which moves all domain columns through each step of the pipeline together,
+keyed by flat row indices, so no index tuple is ever built.
 
 An operator on cochains, φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre, is a
 ``Contraction``: both fixed pipelines are materialized once (the prefix as
@@ -17,7 +18,7 @@ a published object), so everything here is safe to share between threads.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
 
@@ -325,43 +326,16 @@ def tensor_map(f, g):
     return LinMap(dom, cod, entries)
 
 
-def _flatten(dims, tup):
-    flat = 0
-    for d, i in zip(dims, tup):
-        flat = flat * d + i
-    return flat
-
-
-def _unflatten(dims, flat):
-    out = [0] * len(dims)
-    for i in range(len(dims) - 1, -1, -1):
-        out[i] = flat % dims[i]
-        flat //= dims[i]
-    return tuple(out)
-
-
 def leg_permutation(legs, order):
     """Map ⊗legs → ⊗legs[order[i]]; order[i] names the source leg landing in
     target slot i.  Materialized; only use on spaces of modest dimension."""
-    legs = list(legs)
-    if sorted(order) != list(range(len(legs))):
-        raise ValueError("order must be a permutation of the legs")
-    dims = [s.dim for s in legs]
-    dom = tensor_space(*legs)
-    cod = tensor_space(*[legs[j] for j in order])
-    out_dims = [dims[j] for j in order]
-    one = dom.field.one
-    entries = {}
-    for tup in itertools.product(*[range(d) for d in dims]):
-        src = _flatten(dims, tup)
-        dst = _flatten(out_dims, tuple(tup[j] for j in order))
-        entries[(dst, src)] = one
-    return LinMap(dom, cod, entries)
+    return Chain(legs).permute(order).to_map()
 
 
 class Chain:
     """Tensor-pipeline builder: apply maps to selected legs, permute legs,
-    then materialize the composite by walking each domain basis column.
+    then materialize the composite by moving every domain column through
+    each step at once, on flat row indices.
 
     ``apply(f, at, nin, out_legs)`` consumes legs ``at .. at+nin-1`` as the
     domain of ``f`` (row-major), producing ``out_legs`` in their place.
@@ -380,17 +354,12 @@ class Chain:
 
     def apply(self, f, at, nin, out_legs):
         dims = [s.dim for s in self.legs[at : at + nin]]
-        prod = 1
-        for d in dims:
-            prod *= d
-        if f.domain.dim != prod:
+        if f.domain.dim != math.prod(dims):
             raise DimensionMismatch(
-                "apply: map domain dim %d, legs give %d" % (f.domain.dim, prod)
+                "apply: map domain dim %d, legs give %d" % (f.domain.dim, math.prod(dims))
             )
         out_legs = list(out_legs)
-        oprod = 1
-        for s in out_legs:
-            oprod *= s.dim
+        oprod = math.prod(s.dim for s in out_legs)
         if f.codomain.dim != oprod:
             raise DimensionMismatch(
                 "apply: map codomain dim %d, out legs give %d" % (f.codomain.dim, oprod)
@@ -410,47 +379,67 @@ class Chain:
         n = len(self.legs)
         return self.permute([n - 1] + list(range(n - 1)))
 
-    def _run_column(self, tup):
-        state = {tuple(tup): self.field.one}
+    def entries(self):
+        """The composite's ``(row, col) -> scalar`` entries; no labeled spaces.
+
+        The state maps each flat row index over the current legs to its
+        ``{col: scalar}`` row, starting from the identity on the source legs."""
+        zero, one = self.field.zero, self.field.one
+        dims = [s.dim for s in self.source_legs]
+        state = {i: {i: one} for i in range(math.prod(dims))}
         for step in self.steps:
             if step[0] == "perm":
                 order = step[1]
-                state = {
-                    tuple(t[j] for j in order): v for t, v in state.items()
-                }
+                # a row's new index is additive over the source legs, so it is
+                # a sum of two lookups: the leading legs and the trailing legs
+                dest, stride = [0] * len(dims), 1  # each source leg's new stride
+                for j in reversed(order):
+                    dest[j], stride = stride, stride * dims[j]
+                m = len(dims) // 2
+                lead, trail = _leg_table(dims[:m], dest[:m]), _leg_table(dims[m:], dest[m:])
+                size = len(trail)
+                state = {lead[row // size] + trail[row % size]: cols
+                         for row, cols in state.items()}
+                dims = [dims[j] for j in order]
                 continue
             _, f, at, in_dims, out_dims = step
-            nin = len(in_dims)
-            cols = f.by_col()
+            in_dim, out_dim = math.prod(in_dims), math.prod(out_dims)
+            right_dim = math.prod(dims[at + len(in_dims):])
+            by_col = f.by_col()
             new_state = {}
-            zero = self.field.zero
-            for t, coeff in state.items():
-                col = _flatten(in_dims, t[at : at + nin]) if nin else 0
-                for r, v in cols.get(col, ()):
-                    out_tup = _unflatten(out_dims, r) if out_dims else ()
-                    nt = t[:at] + out_tup + t[at + nin :]
-                    w = new_state.get(nt, zero) + coeff * v
-                    if w:
-                        new_state[nt] = w
-                    else:
-                        del new_state[nt]
-            state = new_state
-        return state
-
-    def entries(self):
-        """The composite's ``(row, col) -> scalar`` entries; no labeled spaces."""
-        src_dims = [s.dim for s in self.source_legs]
-        out_dims = [s.dim for s in self.legs]
-        entries = {}
-        for tup in itertools.product(*[range(d) for d in src_dims]) if src_dims else [()]:
-            col = _flatten(src_dims, tup)
-            for t, v in self._run_column(tup).items():
-                entries[(_flatten(out_dims, t), col)] = v
-        return entries
+            for row, cols in state.items():
+                lx, r = divmod(row, right_dim)
+                l, x = divmod(lx, in_dim)
+                base = l * out_dim
+                for y, v in by_col.get(x, ()):
+                    key = (base + y) * right_dim + r
+                    acc = new_state.get(key)
+                    if acc is None:
+                        # a unit entry (the int 1 over ℚ) copies the row as is
+                        new_state[key] = dict(cols) if v is one else {
+                            c: v * w for c, w in cols.items()}
+                        continue
+                    for c, w in cols.items():
+                        s = acc.get(c, zero) + v * w
+                        if s:
+                            acc[c] = s
+                        else:
+                            del acc[c]
+            state = {row: cols for row, cols in new_state.items() if cols}
+            dims[at : at + len(in_dims)] = out_dims
+        return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
 
     def to_map(self):
         return LinMap(_legs_space(self.source_legs, self.field),
                       _legs_space(self.legs, self.field), self.entries())
+
+
+def _leg_table(dims, strides):
+    """Σ index_i · stride_i for every row-major index over ``dims``."""
+    table = [0]
+    for d, s in zip(dims, strides):
+        table = [t + i * s for t in table for i in range(d)]
+    return table
 
 
 def _legs_space(legs, field):
@@ -592,32 +581,45 @@ class SubspaceSolver:
             self.space = basis[0].space
         self.basis = list(basis)
         self.field = self.space.field if self.space is not None else QQ
-        self.echelon = []  # (lead index, row entries, coord entries), leads ascending
+        self.echelon = {}  # lead index -> (row entries, coord entries)
         for j, vec in enumerate(self.basis):
             row, coords = self._reduce(vec.entries, {j: self.field.one})
             if not row:
                 raise ValueError("subspace basis is linearly dependent at index %d" % j)
             lead = min(row)
             inv = self.field.inv(row[lead])
-            row = {c: inv * v for c, v in row.items()}
-            coords = {c: inv * v for c, v in coords.items()}
-            bisect.insort(self.echelon, (lead, row, coords), key=lambda t: t[0])
+            self.echelon[lead] = ({c: inv * v for c, v in row.items()},
+                                  {c: inv * v for c, v in coords.items()})
 
     def _reduce(self, entries, coords):
+        """Eliminate, in ascending order, every lead the row meets.  An echelon
+        row has no entry below its own lead, so a popped lead never returns;
+        a lead is pushed only when elimination newly creates it."""
         row = dict(entries)
         coords = dict(coords)
-        for lead, erow, ecoords in self.echelon:
+        echelon, zero = self.echelon, self.field.zero
+        heap = [c for c in row if c in echelon]
+        heapq.heapify(heap)
+        while heap:
+            lead = heapq.heappop(heap)
             factor = row.get(lead)
             if not factor:
                 continue
+            erow, ecoords = echelon[lead]
             for c, v in erow.items():
-                w = row.get(c, self.field.zero) - factor * v
+                old = row.get(c)
+                if old is None:
+                    row[c] = zero - factor * v
+                    if c in echelon:
+                        heapq.heappush(heap, c)
+                    continue
+                w = old - factor * v
                 if w:
                     row[c] = w
                 else:
-                    row.pop(c, None)
+                    del row[c]
             for c, v in ecoords.items():
-                w = coords.get(c, self.field.zero) - factor * v
+                w = coords.get(c, zero) - factor * v
                 if w:
                     coords[c] = w
                 else:

@@ -1,7 +1,10 @@
-"""Reference oracle: the per-cochain ``Chain`` walks that the library's
-pipeline contractions replace.  Each function rebuilds the whole pipeline for
-one cochain, exactly as the operators are written down, so a differential
-test can demand identical matrices from the fast path."""
+"""Reference oracle: the per-column ``Chain`` walk that ``Chain.entries()``
+replaces, and the per-cochain ``Chain`` walks that the library's pipeline
+contractions replace.  Each function rebuilds the whole computation the slow
+way, exactly as it is written down, so a differential test can demand
+identical matrices from the fast path."""
+
+import itertools
 
 from hopfcyc.cocyclic import invariant_functionals
 from hopfcyc.cup import _iterated_left_coaction
@@ -15,6 +18,52 @@ from hopfcyc.linalg import (
     vector_to_linmap,
 )
 from hopfcyc.symmetries import colinear_hom_space, diag_left_coaction
+
+
+def _flatten(dims, tup):
+    flat = 0
+    for d, i in zip(dims, tup):
+        flat = flat * d + i
+    return flat
+
+
+def _unflatten(dims, flat):
+    out = [0] * len(dims)
+    for i in range(len(dims) - 1, -1, -1):
+        out[i] = flat % dims[i]
+        flat //= dims[i]
+    return tuple(out)
+
+
+def walk_entries(chain):
+    """``chain.entries()`` computed by walking each domain basis column alone
+    through every step, on index tuples."""
+    field = chain.field
+    src_dims = [s.dim for s in chain.source_legs]
+    out_dims = [s.dim for s in chain.legs]
+    entries = {}
+    for tup in itertools.product(*[range(d) for d in src_dims]):
+        state = {tup: field.one}
+        for step in chain.steps:
+            if step[0] == "perm":
+                state = {tuple(t[j] for j in step[1]): v for t, v in state.items()}
+                continue
+            _, f, at, in_dims, step_out = step
+            nin = len(in_dims)
+            new_state = {}
+            for t, coeff in state.items():
+                for r, v in f.by_col().get(_flatten(in_dims, t[at:at + nin]), ()):
+                    nt = t[:at] + _unflatten(step_out, r) + t[at + nin:]
+                    w = new_state.get(nt, field.zero) + coeff * v
+                    if w:
+                        new_state[nt] = w
+                    else:
+                        del new_state[nt]
+            state = new_state
+        col = _flatten(src_dims, tup)
+        for t, v in state.items():
+            entries[(_flatten(out_dims, t), col)] = v
+    return entries
 
 
 def psi_on_pair(pairing, phi_vec, psi_vec, n):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chain_oracle
 from hopfcyc.fields import GF, QQ, FieldError
 from hopfcyc.linalg import (
     Chain,
@@ -21,12 +22,13 @@ from hopfcyc.linalg import (
     tensor_map,
     tensor_space,
     tensor_vectors,
+    unit_space,
     zero_map,
 )
 
 
-def space(n, prefix="e"):
-    return Space(tuple("%s%d" % (prefix, i) for i in range(n)))
+def space(n, prefix="e", field=QQ):
+    return Space(tuple("%s%d" % (prefix, i) for i in range(n)), field)
 
 
 def from_rows(rows, dom=None, cod=None):
@@ -130,13 +132,21 @@ class TestMembership:
         ok, coords = membership(sp.basis_vector(0), [sp.basis_vector(1)])
         assert not ok and coords is None
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.lists(scalars, min_size=3, max_size=3), min_size=2, max_size=2),
-           st.lists(scalars, min_size=3, max_size=3))
-    def test_membership_agrees_with_rank_oracle(self, basis_rows, vrow):
-        sp = space(3)
-        basis = [Vector(sp, {j: x for j, x in enumerate(row) if x}) for row in basis_rows]
-        basis = [b for b in basis if not b.is_zero()]
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([QQ, GF(7)]),
+           st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+           st.booleans())
+    def test_membership_agrees_with_rank_oracle(self, field, basis_rows, vrow, descending):
+        sp = space(4, field=field)
+
+        def vector(row):
+            return Vector(sp, {j: field.from_int(x) for j, x in enumerate(row) if x})
+
+        basis = [b for b in map(vector, basis_rows) if not b.is_zero()]
+        if descending:  # later basis vectors bring smaller leads
+            basis.sort(key=lambda b: -min(b.entries))
         # drop dependent rows so SubspaceSolver accepts the basis
         indep = []
         for b in basis:
@@ -145,26 +155,26 @@ class TestMembership:
                 indep.append(b)
             except ValueError:
                 pass
-        v = Vector(sp, {j: x for j, x in enumerate(vrow) if x})
+        v = vector(vrow)
         ok, coords = membership(v, indep)
-        # oracle: rank comparison on stacked rows
+        # oracle: rank comparison on stacked dense rows
         def dense_rank(rows):
             mat = [list(r) for r in rows]
             r = 0
-            cols = len(mat[0]) if mat else 0
-            for c in range(cols):
+            for c in range(4):
                 piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
                 if piv is None:
                     continue
                 mat[r], mat[piv] = mat[piv], mat[r]
+                inv = field.inv(mat[r][c])
                 for i in range(len(mat)):
                     if i != r and mat[i][c]:
-                        f = Fraction(mat[i][c], mat[r][c])
+                        f = mat[i][c] * inv
                         mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
                 r += 1
             return r
         def densify(vec):
-            return [vec.entries.get(j, Fraction(0)) for j in range(3)]
+            return [vec.entries.get(j, field.zero) for j in range(4)]
         rows = [densify(b) for b in indep]
         expected = dense_rank(rows) == dense_rank(rows + [densify(v)]) if rows else v.is_zero()
         assert ok == expected
@@ -174,8 +184,69 @@ class TestMembership:
                 recon = recon + indep[j].scaled(c)
             assert recon == v
 
+    def test_elimination_creates_a_later_lead(self):
+        # e0 meets only lead 0; eliminating it with e0 + e2 creates an entry
+        # at lead 2, which must be eliminated too
+        sp = space(3)
+        basis = [Vector(sp, {0: 1, 2: 1}), Vector(sp, {2: 1})]
+        ok, coords = membership(Vector(sp, {0: 1}), basis)
+        assert ok and coords == {0: 1, 1: -1}
+        ok, _ = membership(Vector(sp, {0: 1, 1: 1}), basis)
+        assert not ok
+
+
+@st.composite
+def random_chains(draw):
+    """A Chain on 0-4 source legs of dim 1-3 (never more than 5 legs) with up
+    to five steps: sparse maps with entries that cancel (±1, ±2, zero maps
+    included), inserts (nin = 0), drops (no output legs), permutations and
+    rotations, over ℚ or GF(7)."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    names = iter("abcdefghijklmnopqrstuvwxyz")
+    dims = st.integers(1, 3)
+    legs = [space(d, next(names), field)
+            for d in draw(st.lists(dims, min_size=0, max_size=4))]
+    chain = Chain(legs, field)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["apply", "apply", "permute", "rotate"]))
+        n = len(chain.legs)
+        if kind == "permute" and n:
+            chain.permute(draw(st.permutations(range(n))))
+        elif kind == "rotate" and n:
+            chain.rotate_last_to_front()
+        elif kind == "apply":
+            at = draw(st.integers(0, n))
+            nin = draw(st.integers(0, min(2, n - at)))
+            nout = draw(st.integers(0, min(2, 5 - n + nin)))  # at most 5 legs
+            out_legs = [space(d, next(names), field)
+                        for d in draw(st.lists(dims, min_size=nout, max_size=nout))]
+            dom, cod = (tensor_space(*ls) if ls else unit_space(field)
+                        for ls in (chain.legs[at:at + nin], out_legs))
+            values = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2]),
+                                   min_size=dom.dim * cod.dim, max_size=dom.dim * cod.dim))
+            if draw(st.booleans()) and draw(st.booleans()):
+                values = [0] * len(values)
+            f = LinMap(dom, cod, {(k // dom.dim, k % dom.dim): field.from_int(x)
+                                  for k, x in enumerate(values) if x})
+            chain.apply(f, at, nin, out_legs)
+    return chain
+
 
 class TestChain:
+    @settings(max_examples=300, deadline=None)
+    @given(random_chains())
+    def test_entries_match_column_walk(self, chain):
+        assert chain.entries() == chain_oracle.walk_entries(chain)
+
+    def test_cancelling_rows_are_dropped(self):
+        a = space(2, "a")
+        k = Space(("()",))
+        diag = LinMap(k, a, {(0, 0): 1, (1, 0): 1})
+        diff = LinMap(a, k, {(0, 0): 1, (0, 1): -1})
+        chain = Chain([a]).apply(diag, 1, 0, [a]).apply(diff, 1, 1, [])
+        assert chain.entries() == {} == chain_oracle.walk_entries(chain)
+        assert Chain([], QQ).apply(diag, 0, 0, [a]).entries() == {(0, 0): 1, (1, 0): 1}
+
     def test_permutation_matches_leg_permutation(self):
         a, b, c = space(2, "a"), space(3, "b"), space(2, "c")
         perm = leg_permutation([a, b, c], [2, 0, 1])
