@@ -1,10 +1,15 @@
 """Cocyclic modules: the three complex builders and the identity verifier.
 
 A CocyclicModule is a finite ladder of computed subspaces with all operators
-materialized as exact matrices over the per-degree bases.  Builders test
-membership of every operator image in the target subspace; an image that
-escapes is a well-definedness failure (reported through check_hcc as a
-verdict, or raised as CocyclicConstructionError from the builders).
+materialized as exact matrices over the per-degree bases.  The three
+builders (comodule-algebra cochains, comodule-coalgebra cotensor chains,
+module-algebra functionals) share one assembly skeleton and differ only in
+their operator sets: each supplies the cofaces δ_i, codegeneracies σ_i and
+cyclic operators τ_n as maps from a source basis vector to the target's
+ambient space.  The skeleton expands every image over the target subspace;
+an image that escapes is a well-definedness failure (reported through
+check_hcc as a verdict, or raised as CocyclicConstructionError from the
+builders).
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from .linalg import (
     Contraction,
     LinMap,
     Space,
+    Subspace,
     SubspaceSolver,
     _null_vectors,
     dual_space,
     identity,
-    maps_first_difference,
     tensor_space,
-    vector_to_functional,
+    unit_space,
 )
 from .symmetries import (
     ComoduleAlgebra,
@@ -31,7 +36,7 @@ from .symmetries import (
     cotensor_space,
 )
 from . import results
-from .results import CheckResult
+from .results import CheckResult, compare
 
 
 class CocyclicConstructionError(Exception):
@@ -74,6 +79,10 @@ class CocyclicModule:
     def tau(self, n):
         return self.cyclic[n]
 
+    def basis_label(self, n, k):
+        desc = self.ambient_descriptions[n]
+        return desc[k] if k < len(desc) else str(k)
+
     def to_dict(self):
         def map_entries(m):
             return [
@@ -107,45 +116,60 @@ def _abstract_space(field, n, dim, prefix="b"):
     return Space(tuple("%s%d@%d" % (prefix, k, n) for k in range(dim)), field)
 
 
-def _express(solver, image, op_name, basis_index, degree):
-    coords = solver.coords(image)
-    if coords is None:
-        raise CocyclicConstructionError(results.failed(
-            "well-defined",
-            "%s of basis element %d at degree %d" % (op_name, basis_index, degree),
-            image,
-            "an element of the computed subspace",
-            detail="operator image escapes the subspace",
-        ))
-    return coords
+def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
+              keep_subspaces=True):
+    """The loop shared by the three builders.  ``coface(n, i)``,
+    ``codegeneracy(n, i)`` and ``cyclic(n)`` each return the operator as a
+    function from a basis vector of its source subspace to a vector of
+    ``subs[n].ambient``; every image is expanded over the basis of
+    ``subs[n]``, and one that escapes it raises the well-defined failure."""
+    solvers = [SubspaceSolver(s.basis) for s in subs]
+    spaces = [_abstract_space(field, n, s.dim, prefix) for n, s in enumerate(subs)]
+
+    def matrix(op, src, n, name):
+        entries = {}
+        for k, vec in enumerate(subs[src].basis):
+            image = op(vec)
+            coords = solvers[n].coords(image)
+            if coords is None:
+                raise CocyclicConstructionError(results.failed(
+                    "well-defined",
+                    "%s of basis element %d at degree %d" % (name, k, n),
+                    image,
+                    "an element of the computed subspace",
+                    detail="operator image escapes the subspace",
+                ))
+            for r, v in coords.items():
+                entries[(r, k)] = v
+        return LinMap(spaces[src], spaces[n], entries)
+
+    cofaces, codegens, cyclics = {}, {}, {}
+    for n in range(N + 1):
+        if n >= 1:
+            cofaces[n] = [matrix(coface(n, i), n - 1, n, "coface δ_%d" % i)
+                          for i in range(n + 1)]
+        if n + 1 <= N:
+            codegens[n] = [matrix(codegeneracy(n, i), n + 1, n, "codegeneracy σ_%d" % i)
+                           for i in range(n + 1)]
+        cyclics[n] = matrix(cyclic(n), n, n, "cyclic τ_%d" % n)
+    descriptions = [[v.describe() for v in s.basis] for s in subs]
+    return CocyclicModule(kind, field, N, spaces, cofaces, codegens, cyclics, descriptions,
+                          subs if keep_subspaces else None)
 
 
-def _matrix_from_images(images_coords, dom_dim, cod_space, dom_space):
-    entries = {}
-    for col, coords in enumerate(images_coords):
-        for r, v in coords.items():
-            entries[(r, col)] = v
-    return LinMap(dom_space, cod_space, entries)
+def _precompose(subs, n, src, chain):
+    """φ ↦ φ ∘ chain, from the degree-src subspace to the degree-n one."""
+    fixed = chain.to_map()
+    return lambda vec: subs[n].vector(subs[src].map(vec) @ fixed)
 
 
 def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
     """Degree-n space: colinear maps A^{⊗(n+1)} → M.  Inner cofaces multiply
     adjacent arguments; the last coface and the cyclic operator rotate the
     final argument to the front through its coaction and act on the value."""
-    H, Hs, Ms, As = A.hopf, A.hopf.space, M.space, A.space
+    Hs, Ms, As = A.hopf.space, M.space, A.space
     coact = A.left_coaction()
     subs = [_colinear(A, M, n) for n in range(N + 1)]
-    solvers = [SubspaceSolver(s.basis) for s in subs]
-    spaces = [_abstract_space(As.field, n, subs[n].dim, "φ") for n in range(N + 1)]
-    descriptions = [[v.describe() for v in subs[n].basis] for n in range(N + 1)]
-
-    def merge_map(n, i):
-        # A^{⊗(n+1)} → A^{⊗n}, multiply slots i, i+1
-        return Chain([As] * (n + 1)).apply(A.mult, i, 2, [As]).to_map()
-
-    def insert_map(n, i):
-        # A^{⊗(n+1)} → A^{⊗(n+2)}, insert the unit after slot i
-        return Chain([As] * (n + 1)).apply(A.unit_map(), i + 1, 0, [As]).to_map()
 
     def wrap(n, multiply_front):
         # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
@@ -154,135 +178,60 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
         if multiply_front:
             pre.apply(A.mult, 1, 2, [As])
         post = Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
-        return Contraction(pre, 1, n if multiply_front else n + 1, post)
+        src = n - 1 if multiply_front else n
+        pipeline = Contraction(pre, 1, src + 1, post)
+        return lambda vec: subs[n].vector(pipeline.contract(subs[src].map(vec)))
 
-    cofaces, codegens, cyclic = {}, {}, {}
-    for n in range(N + 1):
-        maps_n = subs[n].maps()
-        if n >= 1:
-            ops = []
-            for i in range(n):
-                merge = merge_map(n, i)
-                images = [
-                    _express(solvers[n],
-                             _hom_image(phi @ merge, subs[n]),
-                             "coface δ_%d" % i, k, n)
-                    for k, phi in enumerate(subs[n - 1].maps())
-                ]
-                ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            last = wrap(n, True)
-            images = [
-                _express(solvers[n],
-                         _hom_image(last.contract(phi), subs[n]),
-                         "coface δ_%d" % n, k, n)
-                for k, phi in enumerate(subs[n - 1].maps())
-            ]
-            ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            cofaces[n] = ops
-        if n + 1 <= N:
-            ops = []
-            for i in range(n + 1):
-                ins = insert_map(n, i)
-                images = [
-                    _express(solvers[n],
-                             _hom_image(phi @ ins, subs[n]),
-                             "codegeneracy σ_%d" % i, k, n)
-                    for k, phi in enumerate(subs[n + 1].maps())
-                ]
-                ops.append(_matrix_from_images(images, subs[n + 1].dim, spaces[n], spaces[n + 1]))
-            codegens[n] = ops
-        rotate = wrap(n, False)
-        images = [
-            _express(solvers[n],
-                     _hom_image(rotate.contract(phi), subs[n]),
-                     "cyclic τ_%d" % n, k, n)
-            for k, phi in enumerate(maps_n)
-        ]
-        cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
-    return CocyclicModule("comodule-algebra", As.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions, subs)
+    def coface(n, i):
+        if i == n:
+            return wrap(n, True)
+        # A^{⊗(n+1)} → A^{⊗n}, multiply slots i, i+1
+        chain = Chain([As] * (n + 1)).apply(A.mult, i, 2, [As])
+        return _precompose(subs, n, n - 1, chain)
 
+    def codegeneracy(n, i):
+        # A^{⊗(n+1)} → A^{⊗(n+2)}, insert the unit after slot i
+        chain = Chain([As] * (n + 1)).apply(A.unit_map(), i + 1, 0, [As])
+        return _precompose(subs, n, n + 1, chain)
 
-def _hom_image(linmap, sub):
-    from .linalg import linmap_to_vector
-
-    return linmap_to_vector(linmap, sub.ambient)
+    return _assemble("comodule-algebra", As.field, N, subs, "φ", coface, codegeneracy,
+                     lambda n: wrap(n, False))
 
 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
     """Degree-n space: C^{⊗(n+1)} □ M.  Inner cofaces insert the
     comultiplication; the last coface splits the first leg and acts on the
     coefficient; the cyclic operator rotates the first leg to the back."""
-    H, Hs, Ms, Cs = C.hopf, C.hopf.space, M.space, C.space
-    subs = [cotensor_space(C, M, n) for n in range(N + 1)]
-    solvers = [SubspaceSolver(s.basis) for s in subs]
-    spaces = [_abstract_space(Cs.field, n, subs[n].dim, "w") for n in range(N + 1)]
-    descriptions = [[v.describe() for v in subs[n].basis] for n in range(N + 1)]
+    Hs, Ms, Cs = C.hopf.space, M.space, C.space
 
-    def delta_inner(n, i):
-        legs = [Cs] * n + [Ms]
-        return Chain(legs).apply(C.comult, i, 1, [Cs, Cs]).to_map()
-
-    def delta_last(n):
+    def coface(n, i):
+        chain = Chain([Cs] * n + [Ms])
+        if i < n:
+            return chain.apply(C.comult, i, 1, [Cs, Cs]).to_map().apply
         # c₀⊗…⊗c_{n−1}⊗m ↦ c₀⁽²⁾⊗c₁⊗…⊗c_{n−1}⊗c₀⁽¹⁾⟨0⟩⊗m◁c₀⁽¹⁾⟨1⟩
-        legs = [Cs] * n + [Ms]
-        chain = Chain(legs).apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
+        chain.apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c01_0, c01_1, c02, c1..c_{n−1}, m
         order = [2] + list(range(3, n + 2)) + [0, n + 2, 1]
         chain.permute(order).apply(M.action, n + 1, 2, [Ms])
-        return chain.to_map()
+        return chain.to_map().apply
 
-    def sigma(n, i):
-        legs = [Cs] * (n + 2) + [Ms]
-        return Chain(legs).apply(C.counit, i + 1, 1, []).to_map()
+    def codegeneracy(n, i):
+        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).to_map().apply
 
-    def tau(n):
-        legs = [Cs] * (n + 1) + [Ms]
-        chain = Chain(legs).apply(C.coaction, 0, 1, [Cs, Hs])
+    def cyclic(n):
+        chain = Chain([Cs] * (n + 1) + [Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c0_0, c0_1, c1..cn, m
         order = list(range(2, n + 2)) + [0, n + 2, 1]
         chain.permute(order).apply(M.action, n + 1, 2, [Ms])
-        return chain.to_map()
+        return chain.to_map().apply
 
-    cofaces, codegens, cyclic = {}, {}, {}
-    for n in range(N + 1):
-        if n >= 1:
-            ops = []
-            for i in range(n):
-                op = delta_inner(n, i)
-                images = [
-                    _express(solvers[n], op.apply(w), "coface δ_%d" % i, k, n)
-                    for k, w in enumerate(subs[n - 1].basis)
-                ]
-                ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            op = delta_last(n)
-            images = [
-                _express(solvers[n], op.apply(w), "coface δ_%d" % n, k, n)
-                for k, w in enumerate(subs[n - 1].basis)
-            ]
-            ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            cofaces[n] = ops
-        if n + 1 <= N:
-            ops = []
-            for i in range(n + 1):
-                op = sigma(n, i)
-                images = [
-                    _express(solvers[n], op.apply(w), "codegeneracy σ_%d" % i, k, n)
-                    for k, w in enumerate(subs[n + 1].basis)
-                ]
-                ops.append(_matrix_from_images(images, subs[n + 1].dim, spaces[n], spaces[n + 1]))
-            codegens[n] = ops
-        op = tau(n)
-        images = [
-            _express(solvers[n], op.apply(w), "cyclic τ_%d" % n, k, n)
-            for k, w in enumerate(subs[n].basis)
-        ]
-        cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
-    return CocyclicModule("comodule-coalgebra", Cs.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions)
+    # no caller reads the cotensor bases, so the complex does not keep them
+    return _assemble("comodule-coalgebra", Cs.field, N,
+                     [cotensor_space(C, M, n) for n in range(N + 1)], "w",
+                     coface, codegeneracy, cyclic, keep_subspaces=False)
 
 
-def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n):
+def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace:
     """Basis of the H-linear functionals on M⊗A^{⊗(n+1)}, where H acts
     diagonally with the antipode twist on the coefficient:
     h·(m⊗ã) = m◁S(h⁽¹⁾) ⊗ h⁽²⁾▷a₀ ⊗ … ⊗ h⁽ⁿ⁺²⁾▷aₙ."""
@@ -328,17 +277,7 @@ def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n):
         if row:
             rows.append(row)
     dual = dual_space(X)
-    basis = _null_vectors(rows, dual)
-
-    class _Sub:
-        pass
-
-    sub = _Sub()
-    sub.ambient = dual
-    sub.domain = X
-    sub.basis = basis
-    sub.dim = len(basis)
-    return sub
+    return Subspace(dual, _null_vectors(rows, dual), X, unit_space(field))
 
 
 def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -350,87 +289,29 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
     H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
     s_inv = H.antipode_inverse()
     subs = [invariant_functionals(Aact, M, n) for n in range(N + 1)]
-    solvers = [SubspaceSolver(s.basis) for s in subs]
-    spaces = [_abstract_space(As.field, n, subs[n].dim, "φ") for n in range(N + 1)]
-    descriptions = [[v.describe() for v in subs[n].basis] for n in range(N + 1)]
 
-    def pre_merge(n, i):
-        legs = [Ms] + [As] * (n + 1)
-        return Chain(legs).apply(Aact.mult, 1 + i, 2, [As]).to_map()
-
-    def pre_insert(n, i):
-        legs = [Ms] + [As] * (n + 1)
-        return Chain(legs).apply(Aact.unit_map(), 2 + i, 0, [As]).to_map()
-
-    def pre_wrap(n, multiply_front):
-        legs = [Ms] + [As] * (n + 1)
-        chain = Chain(legs).apply(M.coaction, 0, 1, [Hs, Ms]).apply(s_inv, 0, 1, [Hs])
+    def wrap(n, multiply_front):
+        chain = Chain([Ms] + [As] * (n + 1)).apply(M.coaction, 0, 1, [Hs, Ms])
+        chain.apply(s_inv, 0, 1, [Hs])
         # legs: S⁻¹(m⟨−1⟩), m⟨0⟩, a0..an
         order = [1, 0, n + 2] + list(range(2, n + 2))
         chain.permute(order).apply(Aact.action, 1, 2, [As])
         if multiply_front:
             chain.apply(Aact.mult, 1, 2, [As])
-        return chain.to_map()
+        return _precompose(subs, n, n - 1 if multiply_front else n, chain)
 
-    def functional(vec, n):
-        return vector_to_functional(vec, subs[n].domain)
+    def coface(n, i):
+        if i == n:
+            return wrap(n, True)
+        chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As])
+        return _precompose(subs, n, n - 1, chain)
 
-    def image_of(phi_vec, W, n_src, n_dst):
-        composed = functional(phi_vec, n_src) @ W
-        from .linalg import functional_to_vector
+    def codegeneracy(n, i):
+        chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.unit_map(), 2 + i, 0, [As])
+        return _precompose(subs, n, n + 1, chain)
 
-        return functional_to_vector(composed, subs[n_dst].ambient)
-
-    cofaces, codegens, cyclic = {}, {}, {}
-    for n in range(N + 1):
-        if n >= 1:
-            ops = []
-            for i in range(n):
-                W = pre_merge(n, i)
-                images = [
-                    _express(solvers[n], image_of(v, W, n - 1, n), "coface δ_%d" % i, k, n)
-                    for k, v in enumerate(subs[n - 1].basis)
-                ]
-                ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            W = pre_wrap(n, True)
-            images = [
-                _express(solvers[n], image_of(v, W, n - 1, n), "coface δ_%d" % n, k, n)
-                for k, v in enumerate(subs[n - 1].basis)
-            ]
-            ops.append(_matrix_from_images(images, subs[n - 1].dim, spaces[n], spaces[n - 1]))
-            cofaces[n] = ops
-        if n + 1 <= N:
-            ops = []
-            for i in range(n + 1):
-                W = pre_insert(n, i)
-                images = [
-                    _express(solvers[n], image_of(v, W, n + 1, n), "codegeneracy σ_%d" % i, k, n)
-                    for k, v in enumerate(subs[n + 1].basis)
-                ]
-                ops.append(_matrix_from_images(images, subs[n + 1].dim, spaces[n], spaces[n + 1]))
-            codegens[n] = ops
-        W = pre_wrap(n, False)
-        images = [
-            _express(solvers[n], image_of(v, W, n, n), "cyclic τ_%d" % n, k, n)
-            for k, v in enumerate(subs[n].basis)
-        ]
-        cyclic[n] = _matrix_from_images(images, subs[n].dim, spaces[n], spaces[n])
-    return CocyclicModule("module-algebra", As.field, N, spaces, cofaces,
-                          codegens, cyclic, descriptions, subs)
-
-
-def _identity_failure(name, lhs, rhs, module, degree):
-    col = maps_first_difference(lhs, rhs)
-    if col is None:
-        return None
-    desc = module.ambient_descriptions[degree]
-    label = desc[col] if col < len(desc) else str(col)
-    return results.failed(
-        name,
-        "degree %d, basis element %d = %s" % (degree, col, label),
-        lhs.column(col),
-        rhs.column(col),
-    )
+    return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
+                     lambda n: wrap(n, False))
 
 
 def verify_cocyclic_identities(X: CocyclicModule) -> CheckResult:
@@ -439,10 +320,11 @@ def verify_cocyclic_identities(X: CocyclicModule) -> CheckResult:
     N = X.max_degree
     checks = []
 
-    def add(name, lhs, rhs, src_degree):
-        fail = _identity_failure(name, lhs, rhs, X, src_degree)
-        checks.append(fail if fail is not None else results.passed(name))
-        return fail is None
+    def add(name, lhs, rhs, degree):
+        def at(col):
+            return "degree %d, basis element %d = %s" % (degree, col, X.basis_label(degree, col))
+
+        checks.append(compare(name, lhs, rhs, at))
 
     for n in range(2, N + 1):
         for j in range(n + 1):

@@ -19,7 +19,6 @@ from .linalg import (
     Space,
     Vector,
     identity,
-    maps_first_difference,
     tensor_map,
     tensor_space,
     tensor_vectors,
@@ -29,7 +28,7 @@ from .symmetries import ComoduleAlgebra, ModuleAlgebra, ModuleComodule, scalar_c
 from .cocyclic import CocyclicModule, build_module_algebra_complex
 from .cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
 from . import results
-from .results import CheckResult
+from .results import CheckResult, compare
 
 
 class CrossedProductAlgebra:
@@ -89,20 +88,13 @@ class CrossedProductAlgebra:
         P = self.space
         lhs = Chain([P, P, P]).apply(self.mult, 0, 2, [P]).apply(self.mult, 0, 2, [P]).to_map()
         rhs = Chain([P, P, P]).apply(self.mult, 1, 2, [P]).apply(self.mult, 0, 2, [P]).to_map()
-        col = maps_first_difference(lhs, rhs)
-        if col is not None:
-            dom = tensor_space(P, P, P)
-            return results.failed("crossed-product-associativity",
-                                  dom.labels[col], lhs.column(col), rhs.column(col))
-        u_l = Chain([P]).apply(self.unit_map(), 0, 0, [P]).apply(self.mult, 0, 2, [P]).to_map()
-        u_r = Chain([P]).apply(self.unit_map(), 1, 0, [P]).apply(self.mult, 0, 2, [P]).to_map()
-        for name, got in (("left", u_l), ("right", u_r)):
-            col = maps_first_difference(got, identity(P))
-            if col is not None:
-                return results.failed("crossed-product-%s-unit" % name,
-                                      P.labels[col], got.column(col),
-                                      identity(P).column(col))
-        return results.passed("crossed-product")
+        checks = [compare("crossed-product-associativity", lhs, rhs,
+                          lambda col: tensor_space(P, P, P).labels[col])]
+        for name, at in (("left", 0), ("right", 1)):
+            unit = Chain([P]).apply(self.unit_map(), at, 0, [P]).apply(self.mult, 0, 2, [P])
+            checks.append(compare("crossed-product-%s-unit" % name, unit.to_map(),
+                                  identity(P), P.label))
+        return results.merge("crossed-product", checks)
 
     def as_module_algebra(self, over=None) -> ModuleAlgebra:
         """The underlying algebra as a module algebra over the trivial Hopf
@@ -265,26 +257,31 @@ class CrossedPairing:
         between the diagonal complex and the crossed product's complex."""
         N = self.N if max_degree is None else max_degree
         checks = []
+
+        def locate(degree):
+            return lambda col: "degree %d, basis %s" % (
+                degree, self.diagonal.basis_label(degree, col))
+
         for n in range(N + 1):
             psis = {m: self.psi_matrix(m) for m in (n - 1, n, n + 1) if 0 <= m <= N + 1}
             if n >= 1:
                 for i in range(n + 1):
                     lhs = psis[n] @ self.diagonal.coface(n, i)
                     rhs = self.target.coface(n, i) @ psis[n - 1]
-                    checks.append(_pair_cmp(
+                    checks.append(compare(
                         "pairing∘δ_%d = δ_%d∘pairing (deg %d)" % (i, i, n),
-                        lhs, rhs, self.diagonal, n - 1))
+                        lhs, rhs, locate(n - 1)))
             if n + 1 <= N:
                 for i in range(n + 1):
                     lhs = psis[n] @ self.diagonal.codegeneracy(n, i)
                     rhs = self.target.codegeneracy(n, i) @ psis[n + 1]
-                    checks.append(_pair_cmp(
+                    checks.append(compare(
                         "pairing∘σ_%d = σ_%d∘pairing (deg %d)" % (i, i, n),
-                        lhs, rhs, self.diagonal, n + 1))
+                        lhs, rhs, locate(n + 1)))
             lhs = psis[n] @ self.diagonal.tau(n)
             rhs = self.target.tau(n) @ psis[n]
-            checks.append(_pair_cmp("pairing∘τ_%d = τ_%d∘pairing" % (n, n),
-                                    lhs, rhs, self.diagonal, n))
+            checks.append(compare("pairing∘τ_%d = τ_%d∘pairing" % (n, n),
+                                  lhs, rhs, locate(n)))
         return results.merge("pairing-cocyclic-map", checks)
 
     def alexander_whitney(self, phi_coords, p, psi_coords, q):
@@ -351,13 +348,3 @@ def _iterated_left_coaction(coaction, Hs, Bs, depth):
     for i in range(depth):
         chain.apply(coaction, i, 1, [Hs, Bs])
     return chain.to_map()
-
-
-def _pair_cmp(name, lhs, rhs, module, degree):
-    col = maps_first_difference(lhs, rhs)
-    if col is None:
-        return results.passed(name)
-    desc = module.ambient_descriptions[degree]
-    label = desc[col] if col < len(desc) else str(col)
-    return results.failed(name, "degree %d, basis %s" % (degree, label),
-                          lhs.column(col), rhs.column(col))

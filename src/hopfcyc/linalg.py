@@ -52,6 +52,9 @@ class Space:
             self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         return self._label_index[label]
 
+    def label(self, i):
+        return self.labels[i]
+
     def basis_vector(self, i):
         return Vector(self, {i: self.field.one})
 
@@ -209,8 +212,9 @@ class LinMap:
             )
         out = {}
         zero = self.field.zero
+        cols = self.by_col()
         for c, coeff in vec.entries.items():
-            for r, v in self.by_col().get(c, ()):
+            for r, v in cols.get(c, ()):
                 w = out.get(r, zero) + coeff * v
                 if w:
                     out[r] = w
@@ -227,8 +231,9 @@ class LinMap:
             )
         zero = self.field.zero
         out = {}
+        cols = self.by_col()
         for (k, c), v in other.entries.items():
-            for r, w in self.by_col().get(k, ()):
+            for r, w in cols.get(k, ()):
                 key = (r, c)
                 s = out.get(key, zero) + w * v
                 if s:
@@ -638,6 +643,34 @@ class SubspaceSolver:
         return {c: -v for c, v in coords.items()}
 
 
+class Subspace:
+    """A computed basis of a subspace of ``ambient``.  When the ambient is a
+    hom space (or a dual space, with the ground field as codomain), its
+    vectors are the maps ``domain → codomain`` that ``map`` reads back and
+    ``vector`` writes; a subspace of a tensor space has neither."""
+
+    __slots__ = ("ambient", "basis", "domain", "codomain")
+
+    def __init__(self, ambient, basis, domain=None, codomain=None):
+        self.ambient = ambient
+        self.basis = basis
+        self.domain = domain
+        self.codomain = codomain
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def map(self, vec):
+        return vector_to_linmap(vec, self.domain, self.codomain)
+
+    def maps(self):
+        return [self.map(v) for v in self.basis]
+
+    def vector(self, f):
+        return linmap_to_vector(f, self.ambient)
+
+
 def membership(vec, basis):
     """True with exact expansion coefficients iff vec lies in span(basis)."""
     coords = SubspaceSolver(basis).coords(vec)
@@ -738,7 +771,3 @@ def vector_to_functional(vec, domain):
     """Vector in dual coordinates -> LinMap domain → ground field."""
     cod = unit_space(domain.field)
     return LinMap(domain, cod, {(0, c): v for c, v in vec.entries.items()})
-
-
-def functional_to_vector(f, dual):
-    return Vector(dual, {c: v for (_, c), v in f.entries.items()})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .linalg import maps_first_difference
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -72,6 +74,15 @@ def failed(condition, location, lhs, rhs, detail=""):
         lhs_vector=lhs if hasattr(lhs, "describe") else None,
         rhs_vector=rhs if hasattr(rhs, "describe") else None,
     )
+
+
+def compare(condition, lhs, rhs, locate, detail=""):
+    """Pass iff the maps lhs and rhs agree; otherwise fail at their first
+    differing domain column c, located at ``locate(c)``, with both columns."""
+    col = maps_first_difference(lhs, rhs)
+    if col is None:
+        return passed(condition)
+    return failed(condition, locate(col), lhs.column(col), rhs.column(col), detail=detail)
 
 
 def merge(condition, results):

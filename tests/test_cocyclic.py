@@ -5,6 +5,7 @@ import pytest
 from hopfcyc import (
     CocyclicConstructionError,
     adjoint_comodule_coalgebra,
+    adjoint_module_algebra,
     build_comodule_algebra_complex,
     build_comodule_coalgebra_complex,
     build_module_algebra_complex,
@@ -95,6 +96,8 @@ class TestComoduleCoalgebraComplex:
         M = scalar_coefficients(H4, H4_eps, H4_one)
         res = check_hcc("comodule-coalgebra", C, M, N=2)
         assert not res.passed
+        assert res.condition == "well-defined"
+        assert res.witness.location == "coface δ_2 of basis element 4 at degree 2"
 
     def test_kz2_adjoint(self, KZ2):
         C = adjoint_comodule_coalgebra(KZ2)
@@ -133,6 +136,16 @@ class TestModuleAlgebraComplex:
         assert all(d == 1 for d in X.dims())
         assert verify_cocyclic_identities(X)
 
+    def test_incompatible_coefficient_escapes(self, H4, H4_eps, H4_one):
+        # the adjoint action with the ε-unit coefficient: the last coface
+        # leaves the invariant functionals at degree 2
+        A = adjoint_module_algebra(H4)
+        M = scalar_coefficients(H4, H4_eps, H4_one)
+        with pytest.raises(CocyclicConstructionError) as err:
+            build_module_algebra_complex(A, M, 2)
+        assert err.value.check.condition == "well-defined"
+        assert err.value.check.witness.location == "coface δ_2 of basis element 4 at degree 2"
+
 
 class TestCheckHcc:
     def test_carrier_sayd_passes(self, H4, H4_eps, H4_g):
@@ -156,7 +169,8 @@ class TestCheckHcc:
         M = scalar_coefficients(H4, H4_eps, H4_one)
         res = check_hcc("comodule-algebra", A, M, N=2)
         assert not res.passed
-        assert res.witness is not None
+        assert res.condition == "well-defined"
+        assert res.witness.location == "coface δ_1 of basis element 0 at degree 1"
 
     def test_unknown_flavor_rejected(self, H4, H4_eps, H4_g):
         with pytest.raises(ValueError):

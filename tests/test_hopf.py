@@ -27,6 +27,7 @@ from hopfcyc import (
     unit_group_like,
     verify_hopf,
 )
+from hopfcyc.corpus import get_hopf
 from hopfcyc.groups import ExactFactorization, GroupError
 from hopfcyc.linalg import Chain, maps_first_difference
 from hopfcyc.hopf import _left_multiplication, _right_multiplication
@@ -204,11 +205,15 @@ class TestCharactersAndGroupLikes:
         found = enumerate_characters(KS3)
         assert len(found) == 2  # trivial and sign
 
-    def test_group_likes_of_group_algebra(self, KS3):
+    def test_group_likes_of_group_algebra(self, KS3, H4):
         gl = enumerate_group_likes(KS3)
         # exactly the six group elements
         assert len(gl) == 6
         assert all(len(x.sigma.entries) == 1 for x in gl)
+        # Sweedler's algebra: 1 and g; k^Z3 over ℚ: only the unit Σ δ_t
+        assert sorted(x.name for x in enumerate_group_likes(H4)) == ["1", "g"]
+        dual = get_hopf("dualZ3")
+        assert [x.sigma for x in enumerate_group_likes(dual)] == [dual.unit]
 
     def test_group_like_inverse(self, KZ3):
         t = GroupLike(KZ3, KZ3.space.basis_vector(1), name="t")
