@@ -32,7 +32,8 @@ from .symmetries import (
     ComoduleCoalgebra,
     ModuleAlgebra,
     ModuleComodule,
-    _colinear,
+    _once,
+    colinear_hom_space,
     cotensor_space,
 )
 from . import results
@@ -169,7 +170,7 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     final argument to the front through its coaction and act on the value."""
     Hs, Ms, As = A.hopf.space, M.space, A.space
     coact = A.left_coaction()
-    subs = [_colinear(A, M, n) for n in range(N + 1)]
+    subs = [_once(colinear_hom_space, A, M, n) for n in range(N + 1)]
 
     def wrap(n, multiply_front):
         # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as

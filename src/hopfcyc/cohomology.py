@@ -38,7 +38,6 @@ def connes_boundary(X: CocyclicModule, n) -> LinMap:
     σ_extra = σ_{n−1} ∘ τ_n and the norm N = Σ_{j<n} λ^j on degree n−1."""
     if n < 1 or n > X.max_degree:
         raise ValueError("connes boundary needs 1 ≤ n ≤ max degree")
-    fld = X.field
     lam_n = cyclic_eigenvalue_operator(X, n)
     one_minus = identity(X.spaces[n]) - lam_n
     extra = X.codegeneracy(n - 1, n - 1) @ X.tau(n)

@@ -52,7 +52,7 @@ from .symmetries import (
     trivial_coaction_module,
 )
 from .cocyclic import check_hcc
-from .cup import CrossedPairing, crossed_product
+from .cup import CrossedPairing
 from .linalg import membership
 from . import results
 from .results import CheckResult
@@ -509,7 +509,3 @@ def run_scenario(name):
     if name not in SCENARIOS:
         raise KeyError("unknown scenario %r" % name)
     return SCENARIOS[name]()
-
-
-def run_all():
-    return {name: run_scenario(name) for name in SCENARIOS}

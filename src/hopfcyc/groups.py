@@ -78,12 +78,6 @@ class Group:
                             % (self.labels[a], self.labels[b], self.labels[c])
                         )
 
-    def is_abelian(self):
-        n = self.order
-        return all(
-            self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n)
-        )
-
     def subgroup_indices(self, labels):
         """Indices of a subset, verified to be a subgroup."""
         idxs = [self.index(lab) for lab in labels]

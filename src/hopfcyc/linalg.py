@@ -2,8 +2,9 @@
 
 Spaces carry ordered basis labels (tensor products join labels with the
 character ⊗ in row-major order), so every counterexample the checkers emit
-reads as honest algebra.  Linear maps are sparse ``(row, col) -> scalar``
-dictionaries.  Composite tensor expressions are assembled with ``Chain``,
+reads as honest algebra; a tensor space whose joined labels cannot collide
+joins them only when they are read.  Linear maps are sparse
+``(row, col) -> scalar`` dictionaries.  Composite tensor expressions are assembled with ``Chain``,
 which moves all domain columns through each step of the pipeline together,
 keyed by flat row indices, so no index tuple is ever built.
 
@@ -11,6 +12,10 @@ An operator on cochains, φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre, is a
 ``Contraction``: both fixed pipelines are materialized once (the prefix as
 raw entries, never as a large labeled space), and each cochain is then
 contracted into the middle legs by index arithmetic.
+
+Every rank, kernel, solution and membership test runs through one
+elimination kernel, ``_eliminate``, which visits only the leads a row
+actually holds, so its cost follows the fill of the system, not its rank².
 
 All values are immutable after construction (by convention; nothing mutates
 a published object), so everything here is safe to share between threads.
@@ -30,30 +35,41 @@ class DimensionMismatch(ValueError):
 
 
 class Space:
-    """A finite-dimensional vector space with ordered, distinct basis labels."""
+    """A finite-dimensional vector space with ordered, distinct basis labels.
 
-    __slots__ = ("labels", "field", "factors", "_label_index")
+    A tensor space whose joined labels cannot collide is built with
+    ``labels=None``: it records its factors and dimension, and joins the
+    labels only when they are first read."""
+
+    __slots__ = ("_labels", "dim", "field", "factors")
 
     def __init__(self, labels, field=QQ, factors=None):
+        self.field = field
+        self.factors = tuple(factors) if factors else None
+        if labels is None:
+            self._labels = None
+            self.dim = math.prod(s.dim for s in self.factors)
+            return
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
-        self.labels = labels
-        self.field = field
-        self.factors = tuple(factors) if factors else None
-        self._label_index = None
+        self._labels = labels
+        self.dim = len(labels)
 
     @property
-    def dim(self):
-        return len(self.labels)
-
-    def index_of(self, label):
-        if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_index[label]
+    def labels(self):
+        if self._labels is None:
+            self._labels = _joined_labels(self.factors)
+        return self._labels
 
     def label(self, i):
-        return self.labels[i]
+        if self._labels is not None:
+            return self._labels[i]
+        parts = []
+        for s in reversed(self.factors):
+            i, j = divmod(i, s.dim)
+            parts.append(s.label(j))
+        return "⊗".join(reversed(parts))
 
     def basis_vector(self, i):
         return Vector(self, {i: self.field.one})
@@ -74,7 +90,7 @@ class Space:
     def __repr__(self):
         if self.dim <= 4:
             return "Space(%s)" % (", ".join(self.labels))
-        return "Space(dim=%d, %s, ...)" % (self.dim, self.labels[0])
+        return "Space(dim=%d, %s, ...)" % (self.dim, self.label(0))
 
 
 def unit_space(field=QQ):
@@ -82,8 +98,17 @@ def unit_space(field=QQ):
     return Space(("()",), field)
 
 
+def _joined_labels(spaces):
+    return tuple("⊗".join(parts) for parts in itertools.product(*[s.labels for s in spaces]))
+
+
 def tensor_space(*spaces):
-    """Tensor product with row-major index convention and ⊗-joined labels."""
+    """Tensor product with row-major index convention and ⊗-joined labels.
+
+    When every factor is ⊗-free or is itself a lazily labeled tensor space,
+    each joined label splits at ⊗ back into one label per factor, so the
+    labels are distinct and are built on first read; otherwise they are
+    joined and checked here."""
     if not spaces:
         raise ValueError("tensor_space needs at least one factor")
     field = spaces[0].field
@@ -92,10 +117,9 @@ def tensor_space(*spaces):
             raise DimensionMismatch("tensor factors over different fields")
     if len(spaces) == 1:
         return spaces[0]
-    labels = tuple(
-        "⊗".join(parts) for parts in itertools.product(*[s.labels for s in spaces])
-    )
-    return Space(labels, field, factors=spaces)
+    if all(s._labels is None or not any("⊗" in lab for lab in s._labels) for s in spaces):
+        return Space(None, field, factors=spaces)
+    return Space(_joined_labels(spaces), field, factors=spaces)
 
 
 def tensor_power(space, k):
@@ -154,7 +178,7 @@ class Vector:
         parts = []
         for i in sorted(self.entries):
             coeff = self.entries[i]
-            label = self.space.labels[i]
+            label = self.space.label(i)
             if coeff == field.one:
                 parts.append(label)
             else:
@@ -494,48 +518,70 @@ class Contraction:
         return self._post @ LinMap(self.domain, self._post.domain, mid)
 
 
+def _eliminate(row, echelon, zero):
+    """Subtract from ``row``, in place and in ascending order, the echelon
+    row at every lead it meets.  An echelon row has no entry below its own
+    lead, so a popped lead never returns; a lead is pushed only when
+    elimination newly creates it.  This is the one elimination kernel."""
+    heap = [c for c in row if c in echelon]
+    heapq.heapify(heap)
+    while heap:
+        lead = heapq.heappop(heap)
+        factor = row.get(lead)
+        if not factor:
+            continue
+        for c, v in echelon[lead].items():
+            old = row.get(c)
+            if old is None:
+                row[c] = zero - factor * v
+                if c in echelon:
+                    heapq.heappush(heap, c)
+                continue
+            w = old - factor * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+    return row
+
+
+def _insert(row, echelon, field):
+    """Reduce ``row`` by the echelon; if anything is left, normalize it at
+    its lead, file it there and return the lead, else return None."""
+    row = _eliminate(row, echelon, field.zero)
+    if not row:
+        return None
+    lead = min(row)
+    inv = field.inv(row[lead])
+    echelon[lead] = {c: inv * v for c, v in row.items()}
+    return lead
+
+
+def _echelon(rows, field):
+    """Forward elimination: lead col -> normalized row with no entry at any
+    lead filed before it."""
+    echelon = {}
+    for row in rows:
+        _insert(dict(row), echelon, field)
+    return echelon
+
+
 def _rref(rows, field):
     """Reduced row echelon form of sparse rows (dict col -> scalar).
 
     Returns (pivot list [(col, rowdict)], sorted by col).  Exact arithmetic,
     pivot = first nonzero column; deterministic for any input order since the
-    RREF of a row space is unique.  Invariant: every echelon row meets the
-    pivot columns only in its own pivot, so kernel extraction can read the
+    RREF of a row space is unique.  Forward elimination, then one pass in
+    descending lead order in which each row subtracts only the reduced rows
+    whose leads it holds.  Invariant: every echelon row meets the pivot
+    columns only in its own pivot, so kernel extraction can read the
     free-column coefficients directly.
     """
-    echelon = {}  # pivot col -> row dict (normalized, fully reduced)
-    for row in rows:
-        row = dict(row)
-        # eliminate every existing pivot column from the new row; echelon rows
-        # carry no foreign pivot columns, so one pass over a snapshot suffices
-        for c in sorted(c for c in row if c in echelon):
-            factor = row.get(c)
-            if not factor:
-                continue
-            for c2, v in echelon[c].items():
-                w = row.get(c2, field.zero) - factor * v
-                if w:
-                    row[c2] = w
-                else:
-                    row.pop(c2, None)
-        if not row:
-            continue
-        lead = min(row)
-        inv = field.inv(row[lead])
-        row = {c: inv * v for c, v in row.items()}
-        # back-eliminate the new pivot column from all existing rows
-        for prow in echelon.values():
-            factor = prow.get(lead)
-            if not factor:
-                continue
-            for c, v in row.items():
-                w = prow.get(c, field.zero) - factor * v
-                if w:
-                    prow[c] = w
-                else:
-                    prow.pop(c, None)
-        echelon[lead] = row
-    return sorted(echelon.items())
+    done = {}
+    zero = field.zero
+    for lead, row in sorted(_echelon(rows, field).items(), reverse=True):
+        done[lead] = _eliminate(row, done, zero)
+    return sorted(done.items())
 
 
 def _map_rows(f):
@@ -546,7 +592,7 @@ def _map_rows(f):
 
 
 def rank(f):
-    return len(_rref(_map_rows(f), f.field))
+    return len(_echelon(_map_rows(f), f.field))
 
 
 def kernel_basis(f):
@@ -559,25 +605,26 @@ def kernel_basis(f):
 
 def _null_vectors(rows, space):
     """Canonical basis of the vectors of ``space`` that every sparse row
-    annihilates: one vector per free column, ascending."""
-    field = space.field
-    echelon = _rref(rows, field)
-    pivot_set = {c for c, _ in echelon}
-    basis = []
-    for j in range(space.dim):
-        if j in pivot_set:
-            continue
-        entries = {j: field.one}
-        for c, row in echelon:
-            v = row.get(j)
-            if v:
-                entries[c] = -v
-        basis.append(Vector(space, entries))
-    return basis
+    annihilates: one vector per free column, ascending, read off the RREF in
+    one transposed pass."""
+    one = space.field.one
+    echelon = _rref(rows, space.field)
+    pivots = {c for c, _ in echelon}
+    free = {}  # free col -> {pivot col: -coefficient}, pivots ascending
+    for c, row in echelon:
+        for j, v in row.items():
+            if j != c:
+                free.setdefault(j, {})[c] = -v
+    return [Vector(space, {j: one, **free.get(j, {})})
+            for j in range(space.dim) if j not in pivots]
 
 
 class SubspaceSolver:
-    """Expand vectors over a fixed independent basis (incremental elimination)."""
+    """Expand vectors over a fixed independent basis (incremental elimination).
+
+    Basis vector j is reduced with the coordinate column ``dim + j`` appended,
+    so each echelon row carries its own expansion and one kernel serves both
+    the build and every ``coords`` call."""
 
     def __init__(self, basis):
         if not basis:
@@ -586,50 +633,11 @@ class SubspaceSolver:
             self.space = basis[0].space
         self.basis = list(basis)
         self.field = self.space.field if self.space is not None else QQ
-        self.echelon = {}  # lead index -> (row entries, coord entries)
+        self.echelon = {}  # lead index -> row over ambient and coordinate columns
+        dim, one = self.space.dim if self.basis else 0, self.field.one
         for j, vec in enumerate(self.basis):
-            row, coords = self._reduce(vec.entries, {j: self.field.one})
-            if not row:
+            if _insert({**vec.entries, dim + j: one}, self.echelon, self.field) >= dim:
                 raise ValueError("subspace basis is linearly dependent at index %d" % j)
-            lead = min(row)
-            inv = self.field.inv(row[lead])
-            self.echelon[lead] = ({c: inv * v for c, v in row.items()},
-                                  {c: inv * v for c, v in coords.items()})
-
-    def _reduce(self, entries, coords):
-        """Eliminate, in ascending order, every lead the row meets.  An echelon
-        row has no entry below its own lead, so a popped lead never returns;
-        a lead is pushed only when elimination newly creates it."""
-        row = dict(entries)
-        coords = dict(coords)
-        echelon, zero = self.echelon, self.field.zero
-        heap = [c for c in row if c in echelon]
-        heapq.heapify(heap)
-        while heap:
-            lead = heapq.heappop(heap)
-            factor = row.get(lead)
-            if not factor:
-                continue
-            erow, ecoords = echelon[lead]
-            for c, v in erow.items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = zero - factor * v
-                    if c in echelon:
-                        heapq.heappush(heap, c)
-                    continue
-                w = old - factor * v
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-            for c, v in ecoords.items():
-                w = coords.get(c, zero) - factor * v
-                if w:
-                    coords[c] = w
-                else:
-                    coords.pop(c, None)
-        return row, coords
 
     def coords(self, vec):
         """Coefficients of vec over the basis, or None if not in the span."""
@@ -637,10 +645,11 @@ class SubspaceSolver:
             return {} if vec.is_zero() else None
         if vec.space.dim != self.space.dim:
             raise DimensionMismatch("membership test across different spaces")
-        row, coords = self._reduce(vec.entries, {})
-        if row:
+        dim = self.space.dim
+        row = _eliminate(dict(vec.entries), self.echelon, self.field.zero)
+        if row and min(row) < dim:
             return None
-        return {c: -v for c, v in coords.items()}
+        return {c - dim: -v for c, v in row.items()}
 
 
 class Subspace:
@@ -682,8 +691,7 @@ def membership(vec, basis):
 def span_dim(vectors):
     if not vectors:
         return 0
-    rows = [dict(v.entries) for v in vectors]
-    return len(_rref(rows, vectors[0].space.field))
+    return len(_echelon([v.entries for v in vectors], vectors[0].space.field))
 
 
 def solve_linear(rows, rhs, ncols, field):

@@ -609,12 +609,13 @@ def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n) -> Subspace:
     return Subspace(ambient, _null_vectors(rows, ambient), dom, M.space)
 
 
-_solved = contextvars.ContextVar("solved colinear hom spaces", default=None)
+_solved = contextvars.ContextVar("subspaces and coactions built once", default=None)
 
 
 @contextlib.contextmanager
 def _solve_once():
-    """Inside this block each colinear hom space (A, M, n) is solved once."""
+    """Inside this block (or a function it decorates) each ``_once`` call
+    builds its value once; nothing outlives the block."""
     token = _solved.set({})
     try:
         yield
@@ -622,13 +623,14 @@ def _solve_once():
         _solved.reset(token)
 
 
-def _colinear(A, M, n):
+def _once(fn, *args):
     memo = _solved.get()
     if memo is None:
-        return colinear_hom_space(A, M, n)
-    if (A, M, n) not in memo:
-        memo[A, M, n] = colinear_hom_space(A, M, n)
-    return memo[A, M, n]
+        return fn(*args)
+    key = (fn, *args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
 
 
 def cotensor_space(C: ComoduleCoalgebra, M: ModuleComodule, n) -> Subspace:
@@ -638,7 +640,7 @@ def cotensor_space(C: ComoduleCoalgebra, M: ModuleComodule, n) -> Subspace:
     k = n + 1
     _check_size_cap(Cs.dim ** k * Ms.dim, "cotensor space at degree %d" % n)
     legs = [Cs] * k + [Ms]
-    rho = diag_right_coaction(C, k)
+    rho = _once(diag_right_coaction, C, k)
     # both sides land in C^{⊗k} ⊗ H ⊗ M
     left = Chain(legs).apply(rho, 0, k, [Cs] * k + [Hs]).to_map()
     right = Chain(legs).apply(M.coaction, k, 1, [Hs, Ms]).to_map()
@@ -725,13 +727,13 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     the value of φ, and (ii) stability φ(ã⟨0⟩)◁ã⟨−1⟩ = φ(ã)."""
     verdicts = []
     for n in range(n_max + 1):
-        sub = _colinear(A, M, n)
+        sub = _once(colinear_hom_space, A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
             lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, M, n)
         for k, phi in enumerate(sub.maps()):
             def at(col):
-                return "n=%d, φ_%d, input %s" % (n, k, phi.domain.labels[col])
+                return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))
 
             res = compare("carrier-ayd-algebra", lhs_p.contract(phi), rhs_p.contract(phi),
                           at, detail=dims_note)
@@ -744,6 +746,7 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     return results.passed("sayd-over-algebra", detail="; ".join(verdicts))
 
 
+@_solve_once()  # the cotensor spaces and the stability maps share ρ_diag
 def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) -> CheckResult:
     """Carrier-relative SAYD test through the cotensor chains on C.
 
@@ -780,7 +783,7 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
         dims_notes.append("n=%d, dim=%d" % (n, sub.dim))
         k = n + 1
         legs = [Cs] * k + [Ms]
-        rho = diag_right_coaction(C, k)
+        rho = _once(diag_right_coaction, C, k)
         T = (
             Chain(legs)
             .apply(rho, 0, k, [Cs] * k + [Hs])
@@ -862,7 +865,6 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
     labels = tuple(v.describe() for v in basis)
     B = Space(labels, As.field)
     solver = SubspaceSolver(basis)
-    field = As.field
     # multiplication restricted to the kernel
     from .linalg import tensor_vectors
 
@@ -1080,7 +1082,6 @@ def bicrossed_function_comodule_algebra(B) -> ComoduleAlgebra:
     mult = LinMap(tensor_space(A, A), A, {(a, a * nf + a): one for a in range(nf)})
     unit = Vector(A, {a: one for a in range(nf)})
     upos_e = fz.right.index(group.identity)
-    fpos = {f: i for i, f in enumerate(fz.left)}
     entries = {}
     for fi, f in enumerate(fz.left):
         for ai, a in enumerate(fz.left):

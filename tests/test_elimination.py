@@ -1,0 +1,166 @@
+"""The lead-driven elimination kernel against the reference oracle.
+
+``_rref``, ``rank``, ``kernel_basis``, ``span_dim``, ``solve_linear`` and
+``SubspaceSolver.coords`` must give exactly what the fully reduced,
+row-by-row elimination of ``rref_oracle`` gives, with exact scalars, on
+sparse systems whose structure stresses the lead bookkeeping: permuted
+block-diagonal matrices, duplicate rows, rows that cancel to zero, and empty
+or all-zero systems."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rref_oracle
+from hopfcyc.fields import GF, QQ, GFElement
+from hopfcyc.linalg import (
+    LinMap,
+    Space,
+    SubspaceSolver,
+    Vector,
+    _rref,
+    kernel_basis,
+    rank,
+    solve_linear,
+    span_dim,
+)
+
+GF7 = GF(7)
+
+raw_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(2, 5)),
+)
+
+
+def to_field(field, value):
+    return value if field is QQ else field.parse(str(value))
+
+
+def is_exact(field, value):
+    if field is QQ:
+        return type(value) in (int, Fraction)
+    return type(value) is GFElement and value.p == field.p
+
+
+def sparse(field, values):
+    """{col: scalar} without the zero entries."""
+    out = {}
+    for c, v in values.items():
+        v = to_field(field, v)
+        if v:
+            out[c] = v
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(field, rows, ncols): blocks placed on the diagonal, padded with zero
+    columns, grown by duplicate, scaled and cancelling rows and by empty
+    rows, then shuffled by a row and a column permutation."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    rows, ncols = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        nr, nc = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        for _ in range(nr):
+            values = draw(st.lists(raw_scalars, min_size=nc, max_size=nc))
+            rows.append(sparse(field, {ncols + j: v for j, v in enumerate(values)}))
+        ncols += nc
+    ncols += draw(st.integers(0, 2))  # columns no row meets
+    ncols = max(ncols, 1)
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["duplicate", "scaled", "cancel", "combine"]))
+        a = to_field(field, draw(raw_scalars))
+        if kind == "duplicate":
+            new = dict(rows[i])
+        elif kind == "scaled":
+            new = {c: a * v for c, v in rows[i].items()}
+        elif kind == "cancel":  # with rows[i] it sums to zero
+            new = {c: field.zero - v for c, v in rows[i].items()}
+        else:  # rows[i] + a·rows[j]: eliminates to zero against its sources
+            new = dict(rows[i])
+            for c, v in rows[j].items():
+                new[c] = new.get(c, field.zero) + a * v
+        rows.append({c: v for c, v in new.items() if v})
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(rows))))
+    perm = draw(st.permutations(range(ncols)))
+    rows = [{perm[c]: v for c, v in rows[i].items()} for i in order]
+    return field, rows, ncols
+
+
+def matrix(field, rows, ncols):
+    dom = Space(tuple("c%d" % j for j in range(ncols)), field)
+    cod = Space(tuple("r%d" % i for i in range(max(len(rows), 1))), field)
+    return LinMap(dom, cod, {(i, c): v for i, row in enumerate(rows) for c, v in row.items()})
+
+
+def assert_exact(field, values):
+    bad = [v for v in values if not is_exact(field, v)]
+    assert not bad, "inexact scalars %r" % bad
+
+
+def check_against_oracle(field, rows, ncols, rhs_values):
+    expected = rref_oracle.rref(rows, field)
+    got = _rref(rows, field)
+    assert got == expected
+    assert_exact(field, [v for _, row in got for v in row.values()])
+
+    f = matrix(field, rows, ncols)
+    assert rank(f) == len(expected)
+    kernel = kernel_basis(f)
+    assert kernel == rref_oracle.null_vectors(rows, f.domain)
+    assert [list(v.entries) for v in kernel] == [
+        list(v.entries) for v in rref_oracle.null_vectors(rows, f.domain)]
+    assert_exact(field, [v for vec in kernel for v in vec.entries.values()])
+    assert span_dim([Vector(f.domain, row) for row in rows]) == len(expected)
+
+    rhs = [to_field(field, v) for v in rhs_values]
+    solution = solve_linear(rows, rhs, ncols, field)
+    assert solution == rref_oracle.solve_linear(rows, rhs, ncols, field)
+    if solution is not None:
+        assert_exact(field, solution.values())
+
+    if kernel:  # the kernel basis is independent: recover known coordinates
+        solver = SubspaceSolver(kernel)
+        coeffs = {k: to_field(field, v) for k, v in enumerate(rhs_values[:len(kernel)])}
+        combo = Vector(f.domain, {})
+        for k, c in coeffs.items():
+            combo = combo + kernel[k].scaled(c)
+        coords = solver.coords(combo)
+        assert coords == {k: c for k, c in coeffs.items() if c}
+        assert_exact(field, coords.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_elimination_agrees_with_oracle(system, data):
+    field, rows, ncols = system
+    rhs = data.draw(st.lists(raw_scalars, min_size=len(rows), max_size=len(rows)))
+    check_against_oracle(field, rows, ncols, rhs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("rows", [[], [{}], [{}, {}, {}]], ids=["empty", "one-zero", "zeros"])
+def test_empty_and_zero_systems(field, rows):
+    check_against_oracle(field, rows, 3, [1] * len(rows))
+    assert _rref(rows, field) == []
+    assert len(kernel_basis(matrix(field, rows, 3))) == 3
+
+
+def test_diagonal_system_under_permutation():
+    """One entry per row and many duplicates: the shape of the colinear
+    systems, where the old back-substitution cost rank²."""
+    n = 200
+    perm = [(7 * j) % n for j in range(n)]  # 7 is prime to 200
+    rows = [{perm[j]: j + 1} for j in range(0, n, 2)] * 2
+    expected = rref_oracle.rref(rows, QQ)
+    assert _rref(rows, QQ) == expected
+    assert len(expected) == n // 2
+    f = matrix(QQ, rows, n)
+    assert kernel_basis(f) == rref_oracle.null_vectors(rows, f.domain)

@@ -1,5 +1,6 @@
 """Exact linear algebra: tensor maps, kernels, membership, wiring chains."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hopfcyc.linalg import (
     membership,
     rank,
     tensor_map,
+    tensor_power,
     tensor_space,
     tensor_vectors,
     unit_space,
@@ -309,3 +311,33 @@ def test_tensor_vectors_row_major():
     t = tensor_vectors(v, w)
     assert t.entries == {2: Fraction(6)}
     assert t.space.labels[2] == "a1⊗b0"
+
+
+def test_lazy_tensor_labels_match_eager_join():
+    a, b, c = space(2, "a"), space(3, "b"), space(2, "c")
+    ab, bc = tensor_space(a, b), tensor_space(b, c)
+    flat = tensor_space(a, b, c).labels
+    for t in (tensor_space(ab, c), tensor_space(a, bc), tensor_power(ab, 2),
+              tensor_space(ab, unit_space(), bc)):
+        assert t._labels is None  # nothing joined until a label is read
+        parts = [f.labels for f in t.factors]
+        eager = tuple("⊗".join(p) for p in itertools.product(*parts))
+        assert [t.label(i) for i in range(t.dim)] == list(eager)
+        assert t._labels is None  # single labels are read without joining all
+        assert t.labels == eager and len(set(eager)) == t.dim
+    assert tensor_space(ab, c).labels == flat == tensor_space(a, bc).labels
+
+
+@pytest.mark.parametrize("factors", [
+    [("a", "a⊗b"), ("b⊗c", "c")],
+    [("a", "a⊗b"), ("b", "c"), ("c⊗d", "d")],
+])
+def test_colliding_tensor_labels_raise_from_tensor_space(factors):
+    spaces = [Space(labels) for labels in factors]
+    with pytest.raises(ValueError, match="distinct"):
+        tensor_space(*spaces)
+
+
+def test_tensor_labels_with_separator_are_joined_eagerly():
+    t = tensor_space(Space(("p⊗q", "r")), space(2, "s"))
+    assert t._labels == ("p⊗q⊗s0", "p⊗q⊗s1", "r⊗s0", "r⊗s1")

@@ -94,6 +94,15 @@ class TestColinearHom:
         assert colinear_hom_space(A, M, 1).dim == 6
         assert colinear_hom_space(A, M, 2).dim == 36
 
+    def test_degree_four_regular_action(self, KS3):
+        # 46,656 unknowns, 77,760 one-entry rows: desk-scale only when the
+        # elimination cost follows the fill rather than rank²
+        A = regular_comodule_algebra(KS3)
+        M = regular_action_trivial_coaction(KS3)
+        sub = colinear_hom_space(A, M, 4)
+        assert sub.ambient.dim == 46_656
+        assert sub.dim == 7_776
+
 
 class TestCotensor:
     def test_regular_comodule_gives_dim_m(self, H4, H4_eps, H4_g, KZ2):
