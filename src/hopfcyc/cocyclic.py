@@ -21,6 +21,7 @@ from .linalg import (
     Space,
     Subspace,
     SubspaceSolver,
+    Vector,
     _null_vectors,
     dual_space,
     identity,
@@ -159,9 +160,26 @@ def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
 
 
 def _precompose(subs, n, src, chain):
-    """φ ↦ φ ∘ chain, from the degree-src subspace to the degree-n one."""
+    """φ ↦ φ ∘ chain, from the degree-src subspace to the degree-n one, on
+    hom coordinates: the fixed map is indexed by row once, so each φ visits
+    only the rows at its own columns."""
     fixed = chain.to_map()
-    return lambda vec: subs[n].vector(subs[src].map(vec) @ fixed)
+    rows = {}
+    for (k, c), v in fixed.entries.items():
+        rows.setdefault(k, []).append((c, v))
+    zero = fixed.field.zero
+    src_dim, dim = subs[src].domain.dim, fixed.domain.dim
+
+    def op(vec):
+        out = {}
+        for flat, w in vec.entries.items():
+            r, k = divmod(flat, src_dim)
+            for c, v in rows.get(k, ()):
+                key = r * dim + c
+                out[key] = out.get(key, zero) + w * v
+        return Vector(subs[n].ambient, out)
+
+    return op
 
 
 def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:

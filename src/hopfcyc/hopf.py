@@ -668,11 +668,23 @@ def enumerate_characters(H, max_dim_for_search=6):
     values = (field.zero, field.one, field.from_int(-1))
     found = []
     for combo in itertools.product(values, repeat=H.dim):
-        try:
+        if _is_character(H, combo):
             found.append(Character.from_values(H, list(combo), name=_char_name(H, combo)))
-        except StructureError:
-            continue
     return found
+
+
+def _is_character(H, values):
+    """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs, for the basis values of δ
+    compared on raw entries (no labeled witness)."""
+    field = H.field
+    zero, d, cols = field.zero, H.dim, H.mult.by_col()
+    if sum((v * values[i] for i, v in H.unit.entries.items()), zero) != field.one:
+        return False
+    return all(
+        sum((v * values[r] for r, v in cols.get(i * d + j, ())), zero) == a * b
+        for i, a in enumerate(values)
+        for j, b in enumerate(values)
+    )
 
 
 def _char_name(H, combo):

@@ -1,6 +1,7 @@
 """Reference oracle: the per-column ``Chain`` walk that ``Chain.entries()``
-replaces, and the per-cochain ``Chain`` walks that the library's pipeline
-contractions replace.  Each function rebuilds the whole computation the slow
+replaces, the per-cochain ``Chain`` walks that the library's pipeline
+contractions replace, and the whole-``Chain`` diagonal coactions, cotensor
+spaces and coalgebra stability maps that the library reads from entries.  Each function rebuilds the whole computation the slow
 way, exactly as it is written down, so a differential test can demand
 identical matrices from the fast path."""
 
@@ -11,13 +12,15 @@ from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
     LinMap,
+    Subspace,
     SubspaceSolver,
+    kernel_basis,
     linmap_to_vector,
     tensor_space,
     vector_to_functional,
     vector_to_linmap,
 )
-from hopfcyc.symmetries import colinear_hom_space, diag_left_coaction
+from hopfcyc.symmetries import colinear_hom_space
 
 
 def _flatten(dims, tup):
@@ -192,5 +195,63 @@ def stability_map(A, M, phi, n):
         .apply(phi, 1, n + 1, [Ms])
         .permute([1, 0])
         .apply(M.action, 0, 2, [Ms])
+        .to_map()
+    )
+
+
+def diag_left_coaction(A, k):
+    """A^{⊗k} → H ⊗ A^{⊗k} through A^{⊗k} coacted leg by leg: all k coaction
+    legs moved to the front, then multiplied."""
+    H = A.hopf
+    coact = A.left_coaction()
+    if k == 0:
+        return Chain([], field=H.field).apply(H.unit_map(), 0, 0, [H.space]).to_map()
+    chain = Chain([A.space] * k)
+    for i in range(k):
+        chain.apply(coact, 2 * i, 1, [H.space, A.space])
+    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    chain.permute(order)
+    for _ in range(k - 1):
+        chain.apply(H.mult, 0, 2, [H.space])
+    return chain.to_map()
+
+
+def diag_right_coaction(C, k):
+    """C^{⊗k} → C^{⊗k} ⊗ H through C^{⊗k} ⊗ H^{⊗k}, then the H legs
+    multiplied."""
+    H = C.hopf
+    if k == 0:
+        return Chain([], field=H.field).apply(H.unit_map(), 0, 0, [H.space]).to_map()
+    chain = Chain([C.space] * k)
+    for i in range(k):
+        chain.apply(C.coaction, 2 * i, 1, [C.space, H.space])
+    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    chain.permute(order)
+    for _ in range(k - 1):
+        chain.apply(H.mult, k, 2, [H.space])
+    return chain.to_map()
+
+
+def cotensor_space(C, M, n, rho):
+    """C^{⊗(n+1)} □_H M as the kernel of the materialized ρ⊗id − id⊗λ_M,
+    for ρ = diag_right_coaction(C, n + 1)."""
+    Cs, Hs, Ms = C.space, C.hopf.space, M.space
+    k = n + 1
+    legs = [Cs] * k + [Ms]
+    left = Chain(legs).apply(rho, 0, k, [Cs] * k + [Hs]).to_map()
+    right = Chain(legs).apply(M.coaction, k, 1, [Hs, Ms]).to_map()
+    diff = left - right
+    return Subspace(diff.domain, kernel_basis(diff))
+
+
+def coalgebra_stability_map(C, M, k, rho):
+    """The map c̃ ⊗ m ↦ c̃⟨0⟩ ⊗ m◁c̃⟨1⟩ on C^{⊗k} ⊗ M, materialized, for
+    ρ = diag_right_coaction(C, k)."""
+    Cs, Hs, Ms = C.space, C.hopf.space, M.space
+    return (
+        Chain([Cs] * k + [Ms])
+        .apply(rho, 0, k, [Cs] * k + [Hs])
+        .permute(list(range(k)) + [k + 1, k])
+        .apply(M.action, k, 2, [Ms])
         .to_map()
     )

@@ -1,0 +1,193 @@
+"""The diagonal coactions built degree by degree and kept on the carrier, the
+cotensor constraints and coalgebra stability read from their entries, the
+row-indexed precomposition of the cochain complexes and the filtered character
+search: each against the whole-``Chain`` (or unfiltered) construction of
+``chain_oracle``, on every corpus carrier over ℚ and GF(32003)."""
+
+import itertools
+
+import pytest
+
+from hopfcyc.cocyclic import (
+    _precompose,
+    build_comodule_algebra_complex,
+    invariant_functionals,
+)
+from hopfcyc.corpus import bicrossed_names, get_bicrossed, get_hopf, hopf_names
+from hopfcyc.fields import GF, QQ
+from hopfcyc.hopf import (
+    Character,
+    StructureError,
+    _char_name,
+    counit_character,
+    enumerate_characters,
+    unit_group_like,
+)
+from hopfcyc.linalg import Chain
+from hopfcyc.symmetries import (
+    _coalgebra_stability,
+    adjoint_comodule_coalgebra,
+    bicrossed_function_comodule_algebra,
+    bicrossed_group_comodule_coalgebra,
+    colinear_hom_space,
+    cotensor_space,
+    diag_left_coaction,
+    diag_right_coaction,
+    regular_action_trivial_coaction,
+    regular_coaction_trivial_action,
+    regular_comodule_algebra,
+    scalar_coefficients,
+    trivial_comodule_algebra,
+    trivial_comodule_coalgebra,
+    translation_module_algebra,
+)
+from hopfcyc.groups import symmetric_group
+
+import chain_oracle
+
+# the corpus Hopf algebras that carry comodule (co)algebras
+CARRIER_HOPF = ["kZ2", "kZ3", "kS3", "dualZ3", "sweedler-h4",
+                "bicrossed-s3-f3", "bicrossed-s3-f2"]
+FIELDS = [QQ, GF(32003)]
+FIELD_IDS = ["Q", "GF32003"]
+TOP = 4  # diagonal coactions up to ρ_4, cotensor spaces up to C^{⊗4} □ M
+
+
+def _algebras(name, field):
+    H = get_hopf(name, field)
+    out = [("regular", regular_comodule_algebra(H)),
+           ("trivial", trivial_comodule_algebra(H))]
+    if name in bicrossed_names():
+        out.append(("function-factor",
+                    bicrossed_function_comodule_algebra(get_bicrossed(name, field))))
+    return out
+
+
+def _coalgebras(name, field):
+    H = get_hopf(name, field)
+    out = [("adjoint", adjoint_comodule_coalgebra(H)),
+           ("trivial", trivial_comodule_coalgebra(H))]
+    if name in bicrossed_names():
+        out.append(("u-factor", bicrossed_group_comodule_coalgebra(get_bicrossed(name, field))))
+    return out
+
+
+def _coefficients(H):
+    return [regular_coaction_trivial_action(H), regular_action_trivial_coaction(H),
+            scalar_coefficients(H, counit_character(H), unit_group_like(H))]
+
+
+def _same_map(fast, slow):
+    return (fast.entries == slow.entries and fast.domain.dim == slow.domain.dim
+            and fast.codomain.dim == slow.codomain.dim)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", CARRIER_HOPF)
+def test_diagonal_coactions_match_oracle(name, field):
+    for label, A in _algebras(name, field):
+        for k in range(TOP + 1):
+            assert _same_map(diag_left_coaction(A, k),
+                             chain_oracle.diag_left_coaction(A, k)), (label, k)
+    for label, C in _coalgebras(name, field):
+        for k in range(TOP + 1):
+            assert _same_map(diag_right_coaction(C, k),
+                             chain_oracle.diag_right_coaction(C, k)), (label, k)
+
+
+def test_diagonal_coaction_is_built_once_per_carrier(KZ3):
+    C = adjoint_comodule_coalgebra(KZ3)
+    A = regular_comodule_algebra(KZ3)
+    assert diag_right_coaction(C, 3) is diag_right_coaction(C, 3)
+    assert diag_left_coaction(A, 3) is diag_left_coaction(A, 3)
+    assert sorted(C._diag) == sorted(A._diag) == [0, 1, 2, 3]
+    # a second carrier with the same structure keeps its own
+    assert diag_right_coaction(adjoint_comodule_coalgebra(KZ3), 3) is not C._diag[3]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", CARRIER_HOPF)
+def test_cotensor_and_stability_match_oracle(name, field):
+    H = get_hopf(name, field)
+    for label, C in _coalgebras(name, field):
+        for n in range(TOP):
+            rho = chain_oracle.diag_right_coaction(C, n + 1)
+            for M in _coefficients(H):
+                fast = cotensor_space(C, M, n)
+                slow = chain_oracle.cotensor_space(C, M, n, rho)
+                assert fast.ambient == slow.ambient
+                assert [v.entries for v in fast.basis] == [v.entries for v in slow.basis], \
+                    (label, M.name, n)
+                stab = _coalgebra_stability(C, M, n + 1)
+                T = chain_oracle.coalgebra_stability_map(C, M, n + 1, rho)
+                for i in range(T.domain.dim):
+                    assert stab(fast.ambient.basis_vector(i)) == T.column(i), (label, M.name, n, i)
+
+
+def _precompositions(N, prefix_legs, A):
+    """(n, src, chain) for every inner coface and codegeneracy of a complex
+    whose degree-n cochains live on prefix_legs ⊗ A^{⊗(n+1)}."""
+    As, p = A.space, len(prefix_legs)
+    for n in range(N + 1):
+        legs = list(prefix_legs) + [As] * (n + 1)
+        if n >= 1:
+            for i in range(n):
+                yield n, n - 1, Chain(legs).apply(A.mult, p + i, 2, [As])
+        if n + 1 <= N:
+            for i in range(n + 1):
+                yield n, n + 1, Chain(legs).apply(A.unit_map(), p + i + 1, 0, [As])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_precompose_matches_matmul(field):
+    H = get_hopf("sweedler-h4", field)
+    cases = []
+    A = regular_comodule_algebra(H)
+    for M in _coefficients(H):
+        subs = [colinear_hom_space(A, M, n) for n in range(3)]
+        cases.append((subs, _precompositions(2, [], A)))
+    G, Aact = translation_module_algebra(symmetric_group(3), field)
+    Mt = scalar_coefficients(G, counit_character(G), unit_group_like(G))
+    subs = [invariant_functionals(Aact, Mt, n) for n in range(3)]
+    cases.append((subs, _precompositions(2, [Mt.space], Aact)))
+    checked = 0
+    for subs, ops in cases:
+        for n, src, chain in ops:
+            op, fixed = _precompose(subs, n, src, chain), chain.to_map()
+            for vec in subs[src].basis:
+                assert op(vec) == subs[n].vector(subs[src].map(vec) @ fixed)
+                checked += 1
+    assert checked > 100
+
+
+def test_kS3_regular_action_complex_at_degree_4(KS3):
+    A = regular_comodule_algebra(KS3)
+    M = regular_action_trivial_coaction(KS3)
+    assert build_comodule_algebra_complex(A, M, 4).dims() == [6, 36, 216, 1296, 7776]
+
+
+def _unfiltered_characters(H):
+    field = H.field
+    values = (field.zero, field.one, field.from_int(-1))
+    found = []
+    for combo in itertools.product(values, repeat=H.dim):
+        try:
+            found.append(Character.from_values(H, list(combo), name=_char_name(H, combo)))
+        except StructureError:
+            continue
+    return found
+
+
+@pytest.mark.parametrize("name", hopf_names())
+def test_character_search_matches_unfiltered(name):
+    H = get_hopf(name)
+    fast, slow = enumerate_characters(H), _unfiltered_characters(H)
+    assert [(c.name, c.delta.entries) for c in fast] == \
+        [(c.name, c.delta.entries) for c in slow]
+    assert fast  # the counit is always found
+
+
+def test_character_search_over_gfp():
+    H = get_hopf("kZ3", GF(32003))
+    assert [c.name for c in enumerate_characters(H)] == \
+        [c.name for c in _unfiltered_characters(H)]
