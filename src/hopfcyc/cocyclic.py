@@ -33,6 +33,7 @@ from .symmetries import (
     ComoduleCoalgebra,
     ModuleAlgebra,
     ModuleComodule,
+    _acting_suffix,
     _once,
     colinear_hom_space,
     cotensor_space,
@@ -68,6 +69,7 @@ class CocyclicModule:
         self.cyclic = cyclic                # cyclic[n]: τ_n on C^n
         self.ambient_descriptions = ambient_descriptions
         self.subspaces = subspaces
+        self._memo = {}  # hochschild_coboundary / connes_boundary results
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -186,9 +188,10 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     """Degree-n space: colinear maps A^{⊗(n+1)} → M.  Inner cofaces multiply
     adjacent arguments; the last coface and the cyclic operator rotate the
     final argument to the front through its coaction and act on the value."""
-    Hs, Ms, As = A.hopf.space, M.space, A.space
+    Hs, As = A.hopf.space, A.space
     coact = A.left_coaction()
     subs = [_once(colinear_hom_space, A, M, n) for n in range(N + 1)]
+    act = _acting_suffix(M)  # h⊗m ↦ m◁h, shared by every wrap
 
     def wrap(n, multiply_front):
         # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
@@ -196,9 +199,8 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
         pre = Chain([As] * (n + 1)).rotate_last_to_front().apply(coact, 0, 1, [Hs, As])
         if multiply_front:
             pre.apply(A.mult, 1, 2, [As])
-        post = Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
         src = n - 1 if multiply_front else n
-        pipeline = Contraction(pre, 1, src + 1, post)
+        pipeline = Contraction(pre, 1, src + 1, act)
         return lambda vec: subs[n].vector(pipeline.contract(subs[src].map(vec)))
 
     def coface(n, i):

@@ -20,12 +20,15 @@ def hochschild_coboundary(X: CocyclicModule, n) -> LinMap:
     """b = Σ_{i=0}^{n+1} (−1)^i δ_i : C^n → C^{n+1}."""
     if n + 1 > X.max_degree:
         raise ValueError("degree %d out of range (max %d)" % (n, X.max_degree - 1))
-    fld = X.field
-    out = None
-    for i in range(n + 2):
-        term = X.coface(n + 1, i).scaled(fld.sign(i))
-        out = term if out is None else out + term
-    return out
+    key = ("b", n)
+    if key not in X._memo:
+        fld = X.field
+        out = None
+        for i in range(n + 2):
+            term = X.coface(n + 1, i).scaled(fld.sign(i))
+            out = term if out is None else out + term
+        X._memo[key] = out
+    return X._memo[key]
 
 
 def cyclic_eigenvalue_operator(X: CocyclicModule, n) -> LinMap:
@@ -38,16 +41,19 @@ def connes_boundary(X: CocyclicModule, n) -> LinMap:
     σ_extra = σ_{n−1} ∘ τ_n and the norm N = Σ_{j<n} λ^j on degree n−1."""
     if n < 1 or n > X.max_degree:
         raise ValueError("connes boundary needs 1 ≤ n ≤ max degree")
-    lam_n = cyclic_eigenvalue_operator(X, n)
-    one_minus = identity(X.spaces[n]) - lam_n
-    extra = X.codegeneracy(n - 1, n - 1) @ X.tau(n)
-    lam_prev = cyclic_eigenvalue_operator(X, n - 1)
-    norm = identity(X.spaces[n - 1])
-    power = identity(X.spaces[n - 1])
-    for _ in range(1, n):
-        power = lam_prev @ power
-        norm = norm + power
-    return norm @ extra @ one_minus
+    key = ("B", n)
+    if key not in X._memo:
+        lam_n = cyclic_eigenvalue_operator(X, n)
+        one_minus = identity(X.spaces[n]) - lam_n
+        extra = X.codegeneracy(n - 1, n - 1) @ X.tau(n)
+        lam_prev = cyclic_eigenvalue_operator(X, n - 1)
+        norm = identity(X.spaces[n - 1])
+        power = identity(X.spaces[n - 1])
+        for _ in range(1, n):
+            power = lam_prev @ power
+            norm = norm + power
+        X._memo[key] = norm @ extra @ one_minus
+    return X._memo[key]
 
 
 @dataclass

@@ -370,6 +370,9 @@ class Chain:
     domain of ``f`` (row-major), producing ``out_legs`` in their place.
     ``nin=0`` inserts at position ``at`` (map from the ground field);
     ``out_legs=[]`` drops the output (map to the ground field).
+
+    The materialized entries are kept until the next ``apply`` or
+    ``permute``, so a pipeline shared by several contractions is walked once.
     """
 
     def __init__(self, source_legs, field=None):
@@ -380,6 +383,7 @@ class Chain:
             self.field = field if field is not None else QQ
         self.steps = []
         self.legs = list(self.source_legs)
+        self._entries = None
 
     def apply(self, f, at, nin, out_legs):
         dims = [s.dim for s in self.legs[at : at + nin]]
@@ -395,6 +399,7 @@ class Chain:
             )
         self.steps.append(("apply", f, at, dims, [s.dim for s in out_legs]))
         self.legs[at : at + nin] = out_legs
+        self._entries = None
         return self
 
     def permute(self, order):
@@ -402,6 +407,7 @@ class Chain:
             raise ValueError("order must be a permutation of current legs")
         self.steps.append(("perm", list(order)))
         self.legs = [self.legs[j] for j in order]
+        self._entries = None
         return self
 
     def rotate_last_to_front(self):
@@ -410,9 +416,15 @@ class Chain:
 
     def entries(self):
         """The composite's ``(row, col) -> scalar`` entries; no labeled spaces.
+        Callers only read them: the Chain keeps them for its next reader."""
+        if self._entries is None:
+            self._entries = self._materialize()
+        return self._entries
 
-        The state maps each flat row index over the current legs to its
-        ``{col: scalar}`` row, starting from the identity on the source legs."""
+    def _materialize(self):
+        """Move every domain column through each step at once.  The state
+        maps each flat row index over the current legs to its ``{col: scalar}``
+        row, starting from the identity on the source legs."""
         zero, one = self.field.zero, self.field.one
         dims = [s.dim for s in self.source_legs]
         state = {i: {i: one} for i in range(math.prod(dims))}
@@ -734,11 +746,12 @@ def maps_first_difference(f, g):
     """First domain column (ascending) where two maps disagree, or None."""
     if f.domain.dim != g.domain.dim or f.codomain.dim != g.codomain.dim:
         raise DimensionMismatch("comparing maps of different shapes")
-    cols = set(f.by_col()) | set(g.by_col())
-    for c in sorted(cols):
-        if dict(f.by_col().get(c, ())) != dict(g.by_col().get(c, ())):
-            return c
-    return None
+    fe, ge = f.entries, g.entries
+    if fe == ge:
+        return None
+    # no stored entry is zero, so a column differs iff one of its entries does
+    return min([c for (r, c), v in fe.items() if ge.get((r, c)) != v]
+               + [c for (r, c) in ge if (r, c) not in fe])
 
 
 def vector_to_linmap(vec, domain, codomain):

@@ -743,33 +743,44 @@ def check_sayd(M: ModuleComodule) -> CheckResult:
     return results.passed("sayd", detail=M.name)
 
 
-def _carrier_sayd_pipelines(A, M, n):
-    """The two sides of the carrier-relative AYD identity and the stability
-    map at degree n, each as a pipeline contracted with a colinear map φ."""
-    H, Hs, Ms, As = A.hopf, A.hopf.space, M.space, A.space
-    legs = [As] * (n + 1)
-    coact = A.left_coaction()
-    lhs = Contraction(
-        Chain(legs).apply(coact, 0, 1, [Hs, As]), 1, n + 1,
-        Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
-        .apply(M.coaction, 0, 1, [Hs, Ms]),
-    )
-    rhs = Contraction(
-        Chain(legs).apply(coact, 0, 1, [Hs, As]).apply(H.iterated_comult(2), 0, 1, [Hs] * 3),
-        3, n + 1,
-        Chain([Hs, Hs, Hs, Ms])
+def _acting_suffix(M):
+    """h⊗m ↦ m◁h on H⊗M, the pipeline that acts on a cochain's value."""
+    Hs, Ms = M.hopf.space, M.space
+    return Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
+
+
+def _carrier_sayd_suffixes(M):
+    """The coefficient sides of the carrier-relative AYD identity and of
+    stability, each a pipeline on H⊗M: h⊗m ↦ λ_M(m◁h),
+    h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾ and h⊗m ↦ m◁h.  They depend on
+    neither the degree nor the carrier."""
+    H, Hs, Ms = M.hopf, M.hopf.space, M.space
+    lhs = _acting_suffix(M).apply(M.coaction, 0, 1, [Hs, Ms])
+    rhs = (
+        Chain([Hs, Ms])
+        .apply(H.iterated_comult(2), 0, 1, [Hs] * 3)
         .apply(M.coaction, 3, 1, [Hs, Ms])
         .permute([2, 3, 0, 4, 1])
         .apply(H.antipode, 0, 1, [Hs])
         .apply(H.mult, 0, 2, [Hs])
         .apply(H.mult, 0, 2, [Hs])
-        .apply(M.action, 1, 2, [Ms]),
+        .apply(M.action, 1, 2, [Ms])
     )
-    stab = Contraction(
-        Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs), 1, n + 1,
-        Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms]),
-    )
-    return lhs, rhs, stab
+    return lhs, rhs, _acting_suffix(M)
+
+
+def _carrier_sayd_pipelines(A, suffixes, n):
+    """The two sides of the carrier-relative AYD identity and the stability
+    map at degree n, each as a pipeline contracted with a colinear map φ.
+    Both AYD sides share the prefix coaction ⊗ id; the ``suffixes`` of
+    ``_carrier_sayd_suffixes``, passed at every degree, are materialized once."""
+    Hs, As = A.hopf.space, A.space
+    lhs_s, rhs_s, stab_s = suffixes
+    legs = [As] * (n + 1)
+    coact = Chain(legs).apply(A.left_coaction(), 0, 1, [Hs, As])
+    diag = Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs)
+    return (Contraction(coact, 1, n + 1, lhs_s), Contraction(coact, 1, n + 1, rhs_s),
+            Contraction(diag, 1, n + 1, stab_s))
 
 
 def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> CheckResult:
@@ -779,11 +790,12 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     space: (i) the AYD identity after multiplying the first coaction leg into
     the value of φ, and (ii) stability φ(ã⟨0⟩)◁ã⟨−1⟩ = φ(ã)."""
     verdicts = []
+    suffixes = _carrier_sayd_suffixes(M)
     for n in range(n_max + 1):
         sub = _once(colinear_hom_space, A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
-            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, M, n)
+            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
         for k, phi in enumerate(sub.maps()):
             def at(col):
                 return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))

@@ -133,6 +133,34 @@ def test_cyclic_dims_names_the_escaping_image(trivial_ladder):
     assert not escaping.is_zero() and check.lhs_vector == escaping
 
 
+def test_b_and_B_are_built_once_per_degree(KZ2):
+    # b_n calls δ_0 of degree n+1 once and B_n calls σ_{n−1} of degree n−1
+    # once, so those calls count the builds
+    from collections import Counter
+
+    A = regular_comodule_algebra(KZ2)
+    X = build_comodule_algebra_complex(
+        A, scalar_coefficients(KZ2, counit_character(KZ2), unit_group_like(KZ2)), 3)
+    built = Counter()
+    coface, codegeneracy = X.coface, X.codegeneracy
+
+    def counted_coface(n, i):
+        if i == 0:
+            built["b", n - 1] += 1
+        return coface(n, i)
+
+    def counted_codegeneracy(n, i):
+        if i == n:
+            built["B", n + 1] += 1
+        return codegeneracy(n, i)
+
+    X.coface, X.codegeneracy = counted_coface, counted_codegeneracy
+    hochschild_dims(X)
+    cyclic_dims(X)
+    assert all(ok for _, ok in differential_identities(X))
+    assert built == Counter([("b", n) for n in range(3)] + [("B", n) for n in range(1, 4)])
+
+
 def test_table_rendering(trivial_ladder):
     table = cyclic_dims(trivial_ladder, 3)
     text = table.render()

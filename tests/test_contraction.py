@@ -10,11 +10,22 @@ from hopfcyc.corpus import (
     classical_sayd_coefficients,
     comodule_algebras_for,
     crossed_product_instances,
+    get_hopf,
 )
 from hopfcyc.cup import CrossedPairing
 from hopfcyc.fields import GF, QQ
 from hopfcyc.linalg import Chain, Contraction, DimensionMismatch, LinMap, Space, tensor_space
-from hopfcyc.symmetries import _carrier_sayd_pipelines, colinear_hom_space
+from hopfcyc.hopf import counit_character, unit_group_like
+from hopfcyc.symmetries import (
+    _carrier_sayd_pipelines,
+    _carrier_sayd_suffixes,
+    colinear_hom_space,
+    regular_action_trivial_coaction,
+    regular_coaction_trivial_action,
+    regular_comodule_algebra,
+    scalar_coefficients,
+    trivial_comodule_algebra,
+)
 
 import chain_oracle
 
@@ -134,25 +145,87 @@ def test_comodule_algebra_wrap_matches_oracle(name):
             assert X.tau(n).entries == tau, (label, N, n)
 
 
-@pytest.mark.parametrize("name", HOPF_NAMES)
-def test_carrier_sayd_sides_match_oracle(name):
-    for aname, A, mname, M in _pairs(name):
+def _assert_carrier_sides_match_oracle(pairs):
+    for aname, A, mname, M in pairs:
         # the oracle walks every column of three pipelines per cochain; with a
         # six-dimensional carrier and coefficient degree 2 costs about a
         # minute, so those pairs stop at degree 1 (the index arithmetic is
         # the same at every degree, and degree 2 is covered on the others)
         top = 1 if A.dim * M.dim > 16 else 2
+        suffixes = _carrier_sayd_suffixes(M)
         for n in range(top + 1):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:
                 continue
-            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, M, n)
+            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
             for phi in sub.maps():
                 lhs, rhs = chain_oracle.carrier_ayd_sides(A, M, phi, n)
                 assert lhs_p.contract(phi).entries == lhs.entries, (aname, mname, n)
                 assert rhs_p.contract(phi).entries == rhs.entries, (aname, mname, n)
                 stab = chain_oracle.stability_map(A, M, phi, n)
                 assert stab_p.contract(phi).entries == stab.entries, (aname, mname, n)
+
+
+@pytest.mark.parametrize("name", HOPF_NAMES)
+def test_carrier_sayd_sides_match_oracle(name):
+    _assert_carrier_sides_match_oracle(_pairs(name))
+
+
+@pytest.mark.parametrize("name", ["kS3", "sweedler-h4", "dualZ3"])
+def test_carrier_sayd_sides_match_oracle_over_gfp(name):
+    # the module-comodules of tests/test_coactions.py, SAYD or not: the two
+    # sides must agree with the oracle entry by entry either way
+    H = get_hopf(name, GF(32003))
+    carriers = [("regular", regular_comodule_algebra(H)),
+                ("trivial", trivial_comodule_algebra(H))]
+    coefficients = [regular_coaction_trivial_action(H), regular_action_trivial_coaction(H),
+                    scalar_coefficients(H, counit_character(H), unit_group_like(H))]
+    _assert_carrier_sides_match_oracle(
+        [(aname, A, M.name, M) for aname, A in carriers for M in coefficients])
+
+
+def _count_materializations(monkeypatch):
+    """Record every Chain that materializes its entries, once per walk."""
+    walked = []
+    materialize = Chain._materialize
+
+    def counting(self):
+        walked.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(Chain, "_materialize", counting)
+    return walked
+
+
+def _recording(monkeypatch, module, name, made):
+    build = getattr(module, name)
+
+    def recorded(*args):
+        out = build(*args)
+        made.extend(out if isinstance(out, tuple) else [out])
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_coefficient_suffixes_are_materialized_once(monkeypatch):
+    # the suffixes on H⊗M are shared by every degree of one check and by
+    # every wrap of one complex, and each is walked once
+    from hopfcyc import cocyclic, symmetries
+
+    H = get_hopf("kZ3")
+    A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
+    assert all(colinear_hom_space(A, M, n).dim for n in range(3))
+    made = []
+    _recording(monkeypatch, symmetries, "_carrier_sayd_suffixes", made)
+    _recording(monkeypatch, cocyclic, "_acting_suffix", made)
+    walked = _count_materializations(monkeypatch)
+    assert symmetries.check_sayd_over_algebra(A, M, n_max=2)
+    assert len(made) == 3
+    assert [sum(w is c for w in walked) for c in made] == [1, 1, 1]
+    del made[:]
+    build_comodule_algebra_complex(A, M, 3)
+    assert len(made) == 1 and sum(w is made[0] for w in walked) == 1
 
 
 def test_failing_witness_matches_oracle(H4, H4_eps, H4_one):

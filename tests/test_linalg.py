@@ -18,6 +18,7 @@ from hopfcyc.linalg import (
     inverse_map,
     kernel_basis,
     leg_permutation,
+    maps_first_difference,
     membership,
     rank,
     tensor_map,
@@ -262,6 +263,27 @@ class TestChain:
         expected = tensor_map(tensor_map(identity(a), f), identity(a))
         assert chain.entries == expected.entries
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_chains(), st.data())
+    def test_a_step_after_materializing_gives_the_new_composite(self, chain, data):
+        before = chain.entries()
+        assert chain.entries() is before  # kept for the next reader
+        n, field = len(chain.legs), chain.field
+        if n and data.draw(st.booleans()):
+            chain.permute(data.draw(st.permutations(range(n))))
+        else:
+            at = data.draw(st.integers(0, n))
+            nin = data.draw(st.integers(0, min(1, n - at)))
+            dom = chain.legs[at] if nin else unit_space(field)
+            out = space(2, "z", field)
+            values = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                                        min_size=2 * dom.dim, max_size=2 * dom.dim))
+            chain.apply(LinMap(dom, out, {(k // dom.dim, k % dom.dim): field.from_int(x)
+                                          for k, x in enumerate(values) if x}),
+                        at, nin, [out])
+        assert chain.entries() == chain_oracle.walk_entries(chain)
+        assert chain.to_map().entries == chain.entries()
+
     def test_insert_and_drop(self):
         a = space(2, "a")
         k = Space(("()",))
@@ -270,6 +292,56 @@ class TestChain:
         # insert then contract: a ↦ Σ coefficients
         chain = Chain([a]).apply(unit, 1, 0, [a]).apply(counit, 1, 1, []).to_map()
         assert chain == identity(a)
+
+
+def _first_difference_by_column(f, g):
+    """Reference: the first column, ascending, whose entries differ."""
+    for c in sorted(set(f.by_col()) | set(g.by_col())):
+        if dict(f.by_col().get(c, ())) != dict(g.by_col().get(c, ())):
+            return c
+    return None
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps of one shape over ℚ or GF(7): equal, differing in one
+    column, on disjoint column sets, or independent."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    dom, cod = space(cols, "c", field), space(rows, "r", field)
+    cells = st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]),
+                     min_size=rows * cols, max_size=rows * cols)
+    f_vals = draw(cells)
+    kind = draw(st.sampled_from(["equal", "one column", "disjoint", "independent"]))
+    if kind == "equal":
+        g_vals = list(f_vals)
+    elif kind == "one column":
+        c, g_vals = draw(st.integers(0, cols - 1)), list(f_vals)
+        for r in range(rows):
+            g_vals[r * cols + c] = draw(st.sampled_from([0, 1, -1, 2, 3]))
+    elif kind == "disjoint":
+        mask = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+        g_vals = draw(cells)
+        f_vals = [v if mask[k % cols] else 0 for k, v in enumerate(f_vals)]
+        g_vals = [0 if mask[k % cols] else v for k, v in enumerate(g_vals)]
+    else:
+        g_vals = draw(cells)
+
+    def build(values):
+        return LinMap(dom, cod, {(k // cols, k % cols): field.from_int(x)
+                                 for k, x in enumerate(values) if x})
+
+    return kind, build(f_vals), build(g_vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_pairs())
+def test_first_difference_matches_column_walk(pair):
+    kind, f, g = pair
+    assert maps_first_difference(f, g) == _first_difference_by_column(f, g)
+    assert maps_first_difference(g, f) == _first_difference_by_column(f, g)
+    if kind == "equal":
+        assert maps_first_difference(f, g) is None
 
 
 class TestGF:
