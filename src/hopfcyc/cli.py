@@ -200,14 +200,13 @@ def cmd_cup(args):
             entries[i] = field.parse(lit)
         return entries
 
-    from .linalg import SubspaceSolver, Vector as Vec
+    from .linalg import Vector as Vec
 
     phis = pairing.module_side.subspaces[p]
     psis = pairing.comodule_side.subspaces[q]
     phi_amb = Vec(phis.ambient, coords_from(phi_d, phis.ambient.dim, "phi"))
     psi_amb = Vec(psis.ambient, coords_from(psi_d, psis.ambient.dim, "psi"))
-    pc = SubspaceSolver(phis.basis).coords(phi_amb)
-    qc = SubspaceSolver(psis.basis).coords(psi_amb)
+    pc, qc = phis.coords(phi_amb), psis.coords(psi_amb)
     if pc is None or qc is None:
         print("error: cochain does not lie in its complex's degree-%d space"
               % (p if pc is None else q), file=sys.stderr)

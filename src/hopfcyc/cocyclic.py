@@ -5,8 +5,9 @@ materialized as exact matrices over the per-degree bases.  The three
 builders (comodule-algebra cochains, comodule-coalgebra cotensor chains,
 module-algebra functionals) share one assembly skeleton and differ only in
 their operator sets: each supplies the cofaces δ_i, codegeneracies σ_i and
-cyclic operators τ_n as maps from a source basis vector to the target's
-ambient space.  The skeleton expands every image over the target subspace;
+cyclic operators τ_n as maps from the source basis to its images in the
+target's ambient space.  The skeleton expands every image over the target
+subspace by reading its coordinates at the canonical basis' free columns;
 an image that escapes is a well-definedness failure (reported through
 check_hcc as a verdict, or raised as CocyclicConstructionError from the
 builders).
@@ -20,7 +21,6 @@ from .linalg import (
     LinMap,
     Space,
     Subspace,
-    SubspaceSolver,
     Vector,
     _null_vectors,
     dual_space,
@@ -34,6 +34,7 @@ from .symmetries import (
     ModuleAlgebra,
     ModuleComodule,
     _acting_suffix,
+    _check_size_cap,
     _once,
     colinear_hom_space,
     cotensor_space,
@@ -120,21 +121,26 @@ def _abstract_space(field, n, dim, prefix="b"):
     return Space(tuple("%s%d@%d" % (prefix, k, n) for k in range(dim)), field)
 
 
+def _top_first(N, subspace):
+    """[subspace(0), …, subspace(N)], built from the top degree down, so a
+    size cap trips before any lower degree is solved."""
+    return [subspace(n) for n in range(N, -1, -1)][::-1]
+
+
 def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
               keep_subspaces=True):
     """The loop shared by the three builders.  ``coface(n, i)``,
     ``codegeneracy(n, i)`` and ``cyclic(n)`` each return the operator as a
-    function from a basis vector of its source subspace to a vector of
-    ``subs[n].ambient``; every image is expanded over the basis of
-    ``subs[n]``, and one that escapes it raises the well-defined failure."""
-    solvers = [SubspaceSolver(s.basis) for s in subs]
+    function from the basis of its source subspace to the images, vectors of
+    ``subs[n].ambient`` in basis order; every image is expanded over the
+    basis of ``subs[n]``, and the first that escapes it raises the
+    well-defined failure."""
     spaces = [_abstract_space(field, n, s.dim, prefix) for n, s in enumerate(subs)]
 
     def matrix(op, src, n, name):
         entries = {}
-        for k, vec in enumerate(subs[src].basis):
-            image = op(vec)
-            coords = solvers[n].coords(image)
+        for k, image in enumerate(op(subs[src].basis)):
+            coords = subs[n].coords(image)
             if coords is None:
                 raise CocyclicConstructionError(results.failed(
                     "well-defined",
@@ -184,13 +190,18 @@ def _precompose(subs, n, src, chain):
     return op
 
 
+def _each(op):
+    """A per-cochain operator as a map from a basis to its images."""
+    return lambda basis: map(op, basis)
+
+
 def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
     """Degree-n space: colinear maps A^{⊗(n+1)} → M.  Inner cofaces multiply
     adjacent arguments; the last coface and the cyclic operator rotate the
     final argument to the front through its coaction and act on the value."""
     Hs, As = A.hopf.space, A.space
     coact = A.left_coaction()
-    subs = [_once(colinear_hom_space, A, M, n) for n in range(N + 1)]
+    subs = _top_first(N, lambda n: _once(colinear_hom_space, A, M, n))
     act = _acting_suffix(M)  # h⊗m ↦ m◁h, shared by every wrap
 
     def wrap(n, multiply_front):
@@ -201,19 +212,19 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
             pre.apply(A.mult, 1, 2, [As])
         src = n - 1 if multiply_front else n
         pipeline = Contraction(pre, 1, src + 1, act)
-        return lambda vec: subs[n].vector(pipeline.contract(subs[src].map(vec)))
+        return _each(lambda vec: subs[n].vector(pipeline.contract(subs[src].map(vec))))
 
     def coface(n, i):
         if i == n:
             return wrap(n, True)
         # A^{⊗(n+1)} → A^{⊗n}, multiply slots i, i+1
         chain = Chain([As] * (n + 1)).apply(A.mult, i, 2, [As])
-        return _precompose(subs, n, n - 1, chain)
+        return _each(_precompose(subs, n, n - 1, chain))
 
     def codegeneracy(n, i):
         # A^{⊗(n+1)} → A^{⊗(n+2)}, insert the unit after slot i
         chain = Chain([As] * (n + 1)).apply(A.unit_map(), i + 1, 0, [As])
-        return _precompose(subs, n, n + 1, chain)
+        return _each(_precompose(subs, n, n + 1, chain))
 
     return _assemble("comodule-algebra", As.field, N, subs, "φ", coface, codegeneracy,
                      lambda n: wrap(n, False))
@@ -222,33 +233,32 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
     """Degree-n space: C^{⊗(n+1)} □ M.  Inner cofaces insert the
     comultiplication; the last coface splits the first leg and acts on the
-    coefficient; the cyclic operator rotates the first leg to the back."""
+    coefficient; the cyclic operator rotates the first leg to the back.  Each
+    operator's Chain is walked once, from the columns of the source basis."""
     Hs, Ms, Cs = C.hopf.space, M.space, C.space
 
     def coface(n, i):
         chain = Chain([Cs] * n + [Ms])
         if i < n:
-            return chain.apply(C.comult, i, 1, [Cs, Cs]).to_map().apply
+            return chain.apply(C.comult, i, 1, [Cs, Cs]).images
         # c₀⊗…⊗c_{n−1}⊗m ↦ c₀⁽²⁾⊗c₁⊗…⊗c_{n−1}⊗c₀⁽¹⁾⟨0⟩⊗m◁c₀⁽¹⁾⟨1⟩
         chain.apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c01_0, c01_1, c02, c1..c_{n−1}, m
         order = [2] + list(range(3, n + 2)) + [0, n + 2, 1]
-        chain.permute(order).apply(M.action, n + 1, 2, [Ms])
-        return chain.to_map().apply
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
 
     def codegeneracy(n, i):
-        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).to_map().apply
+        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).images
 
     def cyclic(n):
         chain = Chain([Cs] * (n + 1) + [Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c0_0, c0_1, c1..cn, m
         order = list(range(2, n + 2)) + [0, n + 2, 1]
-        chain.permute(order).apply(M.action, n + 1, 2, [Ms])
-        return chain.to_map().apply
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
 
     # no caller reads the cotensor bases, so the complex does not keep them
     return _assemble("comodule-coalgebra", Cs.field, N,
-                     [cotensor_space(C, M, n) for n in range(N + 1)], "w",
+                     _top_first(N, lambda n: cotensor_space(C, M, n)), "w",
                      coface, codegeneracy, cyclic, keep_subspaces=False)
 
 
@@ -257,6 +267,7 @@ def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace
     diagonally with the antipode twist on the coefficient:
     h·(m⊗ã) = m◁S(h⁽¹⁾) ⊗ h⁽²⁾▷a₀ ⊗ … ⊗ h⁽ⁿ⁺²⁾▷aₙ."""
     H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
+    _check_size_cap(Ms.dim * As.dim ** (n + 1), "invariant functionals at degree %d" % n)
     legs = [Ms] + [As] * (n + 1)
     chain = Chain([Hs] + legs)
     chain.apply(H.iterated_comult(n + 1), 0, 1, [Hs] * (n + 2))
@@ -309,7 +320,7 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
     cochain complex of the algebra."""
     H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
     s_inv = H.antipode_inverse()
-    subs = [invariant_functionals(Aact, M, n) for n in range(N + 1)]
+    subs = _top_first(N, lambda n: invariant_functionals(Aact, M, n))
 
     def wrap(n, multiply_front):
         chain = Chain([Ms] + [As] * (n + 1)).apply(M.coaction, 0, 1, [Hs, Ms])
@@ -319,17 +330,17 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
         chain.permute(order).apply(Aact.action, 1, 2, [As])
         if multiply_front:
             chain.apply(Aact.mult, 1, 2, [As])
-        return _precompose(subs, n, n - 1 if multiply_front else n, chain)
+        return _each(_precompose(subs, n, n - 1 if multiply_front else n, chain))
 
     def coface(n, i):
         if i == n:
             return wrap(n, True)
         chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As])
-        return _precompose(subs, n, n - 1, chain)
+        return _each(_precompose(subs, n, n - 1, chain))
 
     def codegeneracy(n, i):
         chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.unit_map(), 2 + i, 0, [As])
-        return _precompose(subs, n, n + 1, chain)
+        return _each(_precompose(subs, n, n + 1, chain))
 
     return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
                      lambda n: wrap(n, False))

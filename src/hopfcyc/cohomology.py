@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fields import FieldError
-from .linalg import LinMap, SubspaceSolver, identity, kernel_basis, rank, span_dim
+from .linalg import LinMap, Subspace, identity, kernel_basis, rank, span_dim
 from .cocyclic import CocyclicConstructionError, CocyclicModule, _abstract_space
 from . import results
 
@@ -113,15 +113,14 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
     top = X.max_degree - 1 if top is None else top
     if top > X.max_degree - 1:
         raise ValueError("need the ladder one degree above the reported top")
-    bases = [cyclic_subcomplex_basis(X, n) for n in range(top + 2)]
-    solvers = [SubspaceSolver(b) for b in bases]
+    subs = [Subspace(X.spaces[n], cyclic_subcomplex_basis(X, n)) for n in range(top + 2)]
     ranks = []
     for n in range(top + 1):
         b = hochschild_coboundary(X, n)
         entries = {}
-        for col, vec in enumerate(bases[n]):
+        for col, vec in enumerate(subs[n].basis):
             img = b.apply(vec)
-            coords = solvers[n + 1].coords(img)
+            coords = subs[n + 1].coords(img)
             if coords is None:
                 raise CocyclicConstructionError(results.failed(
                     "cyclic-subcomplex-closed",
@@ -130,15 +129,15 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
                     detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
             for r, v in coords.items():
                 entries[(r, col)] = v
-        ranks.append(rank(LinMap(_abstract_space(X.field, n, len(bases[n]), "c"),
-                                 _abstract_space(X.field, n + 1, len(bases[n + 1]), "c"),
+        ranks.append(rank(LinMap(_abstract_space(X.field, n, subs[n].dim, "c"),
+                                 _abstract_space(X.field, n + 1, subs[n + 1].dim, "c"),
                                  entries)))
     dims, data = [], []
     for n in range(top + 1):
-        kdim = len(bases[n]) - ranks[n]
+        kdim = subs[n].dim - ranks[n]
         prev_rank = ranks[n - 1] if n >= 1 else 0
         dims.append(kdim - prev_rank)
-        data.append({"degree": n, "subcomplex_dim": len(bases[n]), "kernel": kdim,
+        data.append({"degree": n, "subcomplex_dim": subs[n].dim, "kernel": kdim,
                      "image_below": prev_rank})
     return CohomologyTable("cyclic", dims, top, data)
 

@@ -13,9 +13,12 @@ An operator on cochains, φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre, is a
 raw entries, never as a large labeled space), and each cochain is then
 contracted into the middle legs by index arithmetic.
 
-Every rank, kernel, solution and membership test runs through one
-elimination kernel, ``_eliminate``, which visits only the leads a row
+Every rank, kernel, solution and arbitrary-basis expansion runs through
+one elimination kernel, ``_eliminate``, which visits only the leads a row
 actually holds, so its cost follows the fill of the system, not its rank².
+A computed ``Subspace`` holds a canonical kernel basis, so its ``coords``
+read a vector's coefficients at the basis' free columns and check the
+recombination, with no elimination at all.
 
 All values are immutable after construction (by convention; nothing mutates
 a published object), so everything here is safe to share between threads.
@@ -371,8 +374,9 @@ class Chain:
     ``nin=0`` inserts at position ``at`` (map from the ground field);
     ``out_legs=[]`` drops the output (map to the ground field).
 
-    The materialized entries are kept until the next ``apply`` or
-    ``permute``, so a pipeline shared by several contractions is walked once.
+    The materialized entries, and their index by middle legs, are kept until
+    the next ``apply`` or ``permute``, so a pipeline shared by several
+    contractions is walked and indexed once.
     """
 
     def __init__(self, source_legs, field=None):
@@ -383,7 +387,7 @@ class Chain:
             self.field = field if field is not None else QQ
         self.steps = []
         self.legs = list(self.source_legs)
-        self._entries = None
+        self._entries, self._split = None, {}
 
     def apply(self, f, at, nin, out_legs):
         dims = [s.dim for s in self.legs[at : at + nin]]
@@ -399,7 +403,7 @@ class Chain:
             )
         self.steps.append(("apply", f, at, dims, [s.dim for s in out_legs]))
         self.legs[at : at + nin] = out_legs
-        self._entries = None
+        self._entries, self._split = None, {}
         return self
 
     def permute(self, order):
@@ -407,7 +411,7 @@ class Chain:
             raise ValueError("order must be a permutation of current legs")
         self.steps.append(("perm", list(order)))
         self.legs = [self.legs[j] for j in order]
-        self._entries = None
+        self._entries, self._split = None, {}
         return self
 
     def rotate_last_to_front(self):
@@ -421,13 +425,38 @@ class Chain:
             self._entries = self._materialize()
         return self._entries
 
-    def _materialize(self):
-        """Move every domain column through each step at once.  The state
-        maps each flat row index over the current legs to its ``{col: scalar}``
-        row, starting from the identity on the source legs."""
+    def split_entries(self, at, nin):
+        """The kept entries indexed by the middle index over legs
+        ``at .. at+nin-1``: x -> [(left index, right index, col, v)]."""
+        if (at, nin) not in self._split:
+            dims = [s.dim for s in self.legs]
+            self._split[(at, nin)] = _split_rows(
+                self.entries(), math.prod(dims[at:at + nin]), math.prod(dims[at + nin:]))
+        return self._split[(at, nin)]
+
+    def images(self, vectors):
+        """The composite applied to each of ``vectors``, in one walk that
+        starts from their columns instead of the identity; kept entries are
+        left as they are."""
+        start = {}
+        for k, vec in enumerate(vectors):
+            for i, v in vec.entries.items():
+                start.setdefault(i, {})[k] = v
+        cols = [{} for _ in vectors]
+        for (row, k), v in self._materialize(start).items():
+            cols[k][row] = v
+        space = _legs_space(self.legs, self.field)
+        return [Vector(space, c) for c in cols]
+
+    def _materialize(self, state=None):
+        """Move every column through each step at once.  The state maps each
+        flat row index over the current legs to its ``{col: scalar}`` row,
+        starting from ``state`` (rows over the source legs) or else from the
+        identity on the source legs."""
         zero, one = self.field.zero, self.field.one
         dims = [s.dim for s in self.source_legs]
-        state = {i: {i: one} for i in range(math.prod(dims))}
+        if state is None:
+            state = {i: {i: one} for i in range(math.prod(dims))}
         for step in self.steps:
             if step[0] == "perm":
                 order = step[1]
@@ -475,6 +504,17 @@ class Chain:
                       _legs_space(self.legs, self.field), self.entries())
 
 
+def _split_rows(entries, in_dim, right_dim):
+    """``(row, col) -> v`` entries by middle index x, where
+    row = (left·in_dim + x)·right_dim + right."""
+    out = {}
+    for (row, col), v in entries.items():
+        lx, r = divmod(row, right_dim)
+        l, x = divmod(lx, in_dim)
+        out.setdefault(x, []).append((l, r, col, v))
+    return out
+
+
 def _leg_table(dims, strides):
     """Σ index_i · stride_i for every row-major index over ``dims``."""
     table = [0]
@@ -506,11 +546,7 @@ class Contraction:
         self.out_dim = math.prod(s.dim for s in post.source_legs[at:at + nout])
         self.right_dim = math.prod(s.dim for s in right)
         self.domain = _legs_space(pre.source_legs, pre.field)
-        self._pre = {}  # middle index x -> [(left index, right index, col, v)]
-        for (row, col), v in pre.entries().items():
-            lx, r = divmod(row, self.right_dim)
-            l, x = divmod(lx, self.in_dim)
-            self._pre.setdefault(x, []).append((l, r, col, v))
+        self._pre = pre.split_entries(at, nin)
         self._post = post.to_map()
         self.codomain = self._post.codomain
 
@@ -668,19 +704,44 @@ class Subspace:
     """A computed basis of a subspace of ``ambient``.  When the ambient is a
     hom space (or a dual space, with the ground field as codomain), its
     vectors are the maps ``domain → codomain`` that ``map`` reads back and
-    ``vector`` writes; a subspace of a tensor space has neither."""
+    ``vector`` writes; a subspace of a tensor space has neither.
 
-    __slots__ = ("ambient", "basis", "domain", "codomain")
+    The basis is canonical, as ``_null_vectors`` and ``kernel_basis`` give
+    it: vector k is 1 at its last index j_k, and no other vector touches
+    j_k.  So ``coords`` reads coefficient k at column j_k."""
+
+    __slots__ = ("ambient", "basis", "domain", "codomain", "_free")
 
     def __init__(self, ambient, basis, domain=None, codomain=None):
         self.ambient = ambient
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
+        self._free = None  # j_k -> k, indexed on the first coords call
 
     @property
     def dim(self):
         return len(self.basis)
+
+    def coords(self, vec):
+        """Coefficients of vec over the basis, or None if not in the span:
+        coefficient k is vec's entry at j_k, and vec is in the span iff it
+        equals the combination they give."""
+        if vec.space.dim != self.ambient.dim:
+            raise DimensionMismatch("membership test across different spaces")
+        if self._free is None:
+            self._free = _free_columns(self.basis, self.ambient.field.one)
+        free, zero = self._free, self.ambient.field.zero
+        coords = {free[j]: c for j, c in vec.entries.items() if j in free}
+        rest = dict(vec.entries)
+        for k, c in coords.items():
+            for i, v in self.basis[k].entries.items():
+                w = rest.get(i, zero) - c * v
+                if w:
+                    rest[i] = w
+                else:
+                    del rest[i]
+        return None if rest else coords
 
     def map(self, vec):
         return vector_to_linmap(vec, self.domain, self.codomain)
@@ -690,6 +751,22 @@ class Subspace:
 
     def vector(self, f):
         return linmap_to_vector(f, self.ambient)
+
+
+def _free_columns(basis, one):
+    """{j_k: k} for a canonical basis; raises if the basis is not one."""
+    free = {}
+    for k, vec in enumerate(basis):
+        j = max(vec.entries)
+        if vec.entries[j] != one or j in free:
+            raise ValueError("basis vector %d is not canonical at its last index" % k)
+        free[j] = k
+    for k, vec in enumerate(basis):
+        for j in vec.entries:
+            if free.get(j, k) != k:
+                raise ValueError("basis vector %d touches the free column of vector %d"
+                                 % (k, free[j]))
+    return free
 
 
 def membership(vec, basis):

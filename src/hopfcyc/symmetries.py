@@ -28,7 +28,6 @@ from .linalg import (
     LinMap,
     Space,
     Subspace,
-    SubspaceSolver,
     Vector,
     _null_vectors,
     hom_space,
@@ -919,7 +918,7 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
     basis = kernel_basis(defect)
     labels = tuple(v.describe() for v in basis)
     B = Space(labels, As.field)
-    solver = SubspaceSolver(basis)
+    span = Subspace(As, basis)
     # multiplication restricted to the kernel
     from .linalg import tensor_vectors
 
@@ -928,7 +927,7 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
     for i in range(k):
         for j in range(k):
             prod = A.mult.apply(tensor_vectors(basis[i], basis[j]))
-            coords = solver.coords(prod)
+            coords = span.coords(prod)
             if coords is None:
                 raise StructureError(results.failed(
                     "subalgebra-closure",
@@ -938,7 +937,7 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
                 ))
             for r, v in coords.items():
                 mult_entries[(r, i * k + j)] = v
-    unit_coords = solver.coords(A.unit)
+    unit_coords = span.coords(A.unit)
     if unit_coords is None:
         raise StructureError(results.failed(
             "subalgebra-unit", "1", A.unit, "an element of the computed subspace"))
@@ -950,7 +949,7 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
             h, a = divmod(flat, As.dim)
             per_h.setdefault(h, {})[a] = v
         for h, comp in sorted(per_h.items()):
-            coords = solver.coords(Vector(As, comp))
+            coords = span.coords(Vector(As, comp))
             if coords is None:
                 raise StructureError(results.failed(
                     "subalgebra-coaction",

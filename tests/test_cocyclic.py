@@ -98,6 +98,14 @@ class TestComoduleCoalgebraComplex:
         assert not res.passed
         assert res.condition == "well-defined"
         assert res.witness.location == "coface δ_2 of basis element 4 at degree 2"
+        assert res.to_dict() == {
+            "passed": False, "condition": "well-defined",
+            "detail": "operator image escapes the subspace",
+            "witness": {
+                "location": "coface δ_2 of basis element 4 at degree 2",
+                "lhs": "1⊗x⊗x⊗m + 1⊗gx⊗x⊗m + g⊗x⊗gx⊗m + g⊗gx⊗gx⊗m + x⊗x⊗g⊗m"
+                       " + x⊗gx⊗g⊗m + gx⊗x⊗1⊗m + gx⊗gx⊗1⊗m",
+                "rhs": "an element of the computed subspace"}}
 
     def test_kz2_adjoint(self, KZ2):
         C = adjoint_comodule_coalgebra(KZ2)
@@ -145,6 +153,13 @@ class TestModuleAlgebraComplex:
             build_module_algebra_complex(A, M, 2)
         assert err.value.check.condition == "well-defined"
         assert err.value.check.witness.location == "coface δ_2 of basis element 4 at degree 2"
+        assert err.value.check.to_dict() == {
+            "passed": False, "condition": "well-defined",
+            "detail": "operator image escapes the subspace",
+            "witness": {
+                "location": "coface δ_2 of basis element 4 at degree 2",
+                "lhs": "m⊗1⊗x⊗x* + (-1)·m⊗g⊗x⊗gx* + m⊗x⊗x⊗1* + m⊗gx⊗x⊗g*",
+                "rhs": "an element of the computed subspace"}}
 
 
 class TestCheckHcc:
@@ -171,6 +186,13 @@ class TestCheckHcc:
         assert not res.passed
         assert res.condition == "well-defined"
         assert res.witness.location == "coface δ_1 of basis element 0 at degree 1"
+        assert res.to_dict() == {
+            "passed": False, "condition": "well-defined",
+            "detail": "operator image escapes the subspace",
+            "witness": {
+                "location": "coface δ_1 of basis element 0 at degree 1",
+                "lhs": "m←1⊗gx + (-1)·m←g⊗x + m←x⊗g + m←gx⊗1",
+                "rhs": "an element of the computed subspace"}}
 
     def test_unknown_flavor_rejected(self, H4, H4_eps, H4_g):
         with pytest.raises(ValueError):
@@ -186,3 +208,48 @@ def test_serialization_shape(KZ2):
     assert [deg["dim"] for deg in d["degrees"]] == X.dims()
     assert set(d["cofaces"]) == {"1", "2"}
     assert all(len(ops) == int(n) + 1 for n, ops in d["cofaces"].items())
+
+
+@pytest.mark.parametrize("kind", ["comodule-algebra", "comodule-coalgebra", "module-algebra"])
+def test_size_cap_trips_at_the_top_degree_before_any_work(kind, monkeypatch):
+    # over kZ2 with a 1-dim coefficient degree 17 has 2^18 = 262,144 unknowns,
+    # above the cap; degree 16 (131,072) is under it and must not be solved
+    from hopfcyc import cocyclic, symmetries
+    from hopfcyc.linalg import Chain
+    from hopfcyc.symmetries import DegreeCapError
+
+    H, Aact = translation_module_algebra(cyclic_group(2))
+    M = scalar_coefficients(H, counit_character(H), unit_group_like(H))
+    if kind == "module-algebra":
+        build, carrier, what = build_module_algebra_complex, Aact, "invariant functionals"
+    elif kind == "comodule-algebra":
+        build, carrier, what = (build_comodule_algebra_complex, regular_comodule_algebra(H),
+                                "colinear hom space")
+    else:
+        build, carrier, what = (build_comodule_coalgebra_complex,
+                                adjoint_comodule_coalgebra(H), "cotensor space")
+    if kind == "module-algebra":
+        H.antipode_inverse()  # built before any degree; not part of the count
+    walks = []
+    materialize = Chain._materialize
+    monkeypatch.setattr(Chain, "_materialize",
+                        lambda self, *args: walks.append(self) or materialize(self, *args))
+    for module in (cocyclic, symmetries):
+        monkeypatch.setattr(module, "_null_vectors",
+                            lambda *args: pytest.fail("a degree was solved"))
+    with pytest.raises(DegreeCapError) as err:
+        build(carrier, M, 17)
+    assert str(err.value) == (
+        "%s at degree 17 needs 262144 unknowns, above the configured cap 200000" % what)
+    assert walks == []
+
+
+def test_invariant_functionals_are_size_capped():
+    from hopfcyc.cocyclic import invariant_functionals
+    from hopfcyc.symmetries import DegreeCapError
+
+    H, Aact = translation_module_algebra(cyclic_group(2))
+    M = scalar_coefficients(H, counit_character(H), unit_group_like(H))
+    with pytest.raises(DegreeCapError, match="invariant functionals at degree 17 needs 262144"):
+        invariant_functionals(Aact, M, 17)
+    assert invariant_functionals(Aact, M, 2).dim == 4

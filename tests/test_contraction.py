@@ -98,6 +98,49 @@ class TestContraction:
             pipeline.contract(LinMap(Y, Y, {}))
 
 
+def test_prefix_index_is_dropped_with_the_entries():
+    # a step after indexing gives the index of the new composite
+    rng = random.Random(5)
+    X, Y = _space("x", 2, QQ), _space("y", 3, QQ)
+    g, h, f = (_random_map(rng, X, tensor_space(X, Y), QQ), _random_map(rng, X, Y, QQ),
+               _random_map(rng, Y, X, QQ))
+    pre = Chain([X, Y]).apply(g, 0, 1, [X, Y])
+    first = pre.split_entries(1, 1)
+    assert pre.split_entries(1, 1) is first
+    pre.apply(h, 0, 1, [Y])  # legs Y, Y, Y
+    fresh = Chain([X, Y]).apply(g, 0, 1, [X, Y]).apply(h, 0, 1, [Y])
+    assert pre.split_entries(1, 1) is not first
+    assert pre.split_entries(1, 1) == fresh.split_entries(1, 1)
+    assert (Contraction(pre, 1, 1, Chain([Y, X, Y])).contract(f).entries
+            == fresh.apply(f, 1, 1, [X]).to_map().entries)
+
+
+def test_shared_prefix_is_indexed_once_per_degree(monkeypatch):
+    # both AYD sides contract the one coaction prefix of their degree
+    from hopfcyc import linalg
+    from hopfcyc.symmetries import check_sayd_over_algebra
+
+    indexed = []
+    split = linalg._split_rows
+
+    def counting(entries, in_dim, right_dim):
+        indexed.append(entries)
+        return split(entries, in_dim, right_dim)
+
+    monkeypatch.setattr(linalg, "_split_rows", counting)
+    H = get_hopf("kZ3")
+    A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
+    suffixes = _carrier_sayd_suffixes(M)
+    for n in range(3):
+        del indexed[:]
+        lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
+        assert len(indexed) == 2  # the coaction prefix and the diagonal one
+        assert lhs_p._pre is rhs_p._pre and stab_p._pre is not lhs_p._pre
+    del indexed[:]
+    assert check_sayd_over_algebra(A, M, n_max=2)
+    assert len(indexed) == 6
+
+
 @pytest.mark.parametrize("instance", range(2))
 def test_psi_matrices_match_oracle(instance):
     _, A, B, M = crossed_product_instances()[instance]

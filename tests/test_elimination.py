@@ -5,7 +5,8 @@
 row-by-row elimination of ``rref_oracle`` gives, with exact scalars, on
 sparse systems whose structure stresses the lead bookkeeping: permuted
 block-diagonal matrices, duplicate rows, rows that cancel to zero, and empty
-or all-zero systems."""
+or all-zero systems.  On the same kernel bases, ``Subspace.coords`` (read
+off the free columns) must agree with ``SubspaceSolver.coords``."""
 
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hopfcyc.fields import GF, QQ, GFElement
 from hopfcyc.linalg import (
     LinMap,
     Space,
+    Subspace,
     SubspaceSolver,
     Vector,
     _rref,
@@ -164,3 +166,52 @@ def test_diagonal_system_under_permutation():
     assert len(expected) == n // 2
     f = matrix(QQ, rows, n)
     assert kernel_basis(f) == rref_oracle.null_vectors(rows, f.domain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_subspace_read_off_agrees_with_solver(system, data):
+    field, rows, ncols = system
+    f = matrix(field, rows, ncols)
+    kernel = kernel_basis(f)
+    sub, solver = Subspace(f.domain, kernel), SubspaceSolver(kernel)
+    coeffs = [to_field(field, c) for c in data.draw(
+        st.lists(raw_scalars, min_size=len(kernel), max_size=len(kernel)))]
+    combo = Vector(f.domain, {})
+    for vec, c in zip(kernel, coeffs):
+        combo = combo + vec.scaled(c)
+    got = sub.coords(combo)
+    assert got == solver.coords(combo) == {k: c for k, c in enumerate(coeffs) if c}
+    assert_exact(field, got.values())
+    # moved off the combination at one column: in the span iff f kills it
+    j = data.draw(st.integers(0, ncols - 1))
+    step = Vector(f.domain, {j: to_field(field, data.draw(st.sampled_from([1, -1, 2])))})
+    moved = combo + step
+    got = sub.coords(moved)
+    assert got == solver.coords(moved)
+    assert (got is None) == (not f.apply(step).is_zero())
+    # and any vector at all
+    values = data.draw(st.lists(raw_scalars, min_size=ncols, max_size=ncols))
+    anything = Vector(f.domain, sparse(field, dict(enumerate(values))))
+    got = sub.coords(anything)
+    assert got == solver.coords(anything)
+    assert (got is None) == (not f.apply(anything).is_zero())
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+def test_zero_dimensional_subspace_read_off(field):
+    f = matrix(field, [{0: field.one}, {1: field.one}], 2)
+    assert kernel_basis(f) == []
+    sub = Subspace(f.domain, [])
+    assert sub.coords(Vector(f.domain, {})) == SubspaceSolver([]).coords(Vector(f.domain, {})) == {}
+    e0 = Vector(f.domain, {0: field.one})
+    assert sub.coords(e0) is None and SubspaceSolver([]).coords(e0) is None
+
+
+def test_read_off_refuses_a_basis_that_is_not_canonical():
+    sp = matrix(QQ, [], 3).domain
+    with pytest.raises(ValueError, match="touches the free column"):
+        Subspace(sp, [Vector(sp, {0: 1, 1: 1}), Vector(sp, {1: 1, 2: 1})]).coords(
+            Vector(sp, {}))
+    with pytest.raises(ValueError, match="not canonical"):
+        Subspace(sp, [Vector(sp, {0: 1, 2: 2})]).coords(Vector(sp, {}))

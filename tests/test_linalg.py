@@ -1,6 +1,7 @@
 """Exact linear algebra: tensor maps, kernels, membership, wiring chains."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,30 @@ class TestChain:
                         at, nin, [out])
         assert chain.entries() == chain_oracle.walk_entries(chain)
         assert chain.to_map().entries == chain.entries()
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_chains(), st.data())
+    def test_images_match_the_map_and_keep_entries(self, chain, data):
+        field = chain.field
+        dim = math.prod(s.dim for s in chain.source_legs)
+        codim = math.prod(s.dim for s in chain.legs)
+        kept = chain.entries() if data.draw(st.booleans()) else None
+        copy = dict(kept or {})
+        vectors = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            values = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                                        min_size=dim, max_size=dim))
+            vectors.append(Vector(space(dim, "s", field),
+                                  {i: field.from_int(x) for i, x in enumerate(values)}))
+        images = chain.images(vectors)
+        if kept is None:  # walked from the vectors, never from the identity
+            assert chain._entries is None
+        else:
+            assert chain.entries() is kept and kept == copy
+        oracle = LinMap(space(dim, "s", field), space(codim, "t", field),
+                        chain_oracle.walk_entries(chain))
+        assert [v.entries for v in images] == [oracle.apply(v).entries for v in vectors]
+        assert images == [chain.to_map().apply(v) for v in vectors]
 
     def test_insert_and_drop(self):
         a = space(2, "a")

@@ -166,6 +166,24 @@ class TestCliExitCodes:
         assert data["kind"] == "comodule-algebra"
         assert [d["dim"] for d in data["degrees"]] == [1, 2, 4]
 
+    def test_complex_build_over_the_size_cap_exits_2(self, workdir, capsys):
+        # degree 17 of the kZ2 translation algebra has 2^18 unknowns; the
+        # cap trips there before degree 16 (2^17 unknowns) is solved
+        emit("kZ2.translation-module-algebra")
+        emit("kZ2.coeff-eps-unit")
+        capsys.readouterr()
+        code = main(["complex", "build", "--kind", "module-algebra",
+                     "--hopf", "kZ2.json",
+                     "--carrier", "kZ2.translation-module-algebra.json",
+                     "--coeff", "kZ2.coeff-eps-unit.json",
+                     "--max-degree", "17", "--out", "complex.json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: invariant functionals at degree 17 needs 262144 unknowns, "
+                "above the configured cap 200000") in captured.err
+        assert not (workdir / "complex.json").exists()
+
     def test_cohomology_tables(self, workdir, capsys):
         emit("trivial.regular-comodule-algebra")
         emit("trivial.coeff-eps-unit")
