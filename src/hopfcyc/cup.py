@@ -11,14 +11,13 @@ on the corpus instances, and the builders fail loudly if membership breaks.
 
 from __future__ import annotations
 
-from .hopf import StructureError, trivial_hopf
+from .hopf import StructureError, algebra_axioms, trivial_hopf
 from .linalg import (
     Chain,
     Contraction,
     LinMap,
     Space,
     Vector,
-    identity,
     tensor_map,
     tensor_space,
     tensor_vectors,
@@ -78,23 +77,10 @@ class CrossedProductAlgebra:
     def dim(self):
         return self.space.dim
 
-    def unit_map(self):
-        from .linalg import unit_space
-
-        k = unit_space(self.space.field)
-        return LinMap(k, self.space, {(i, 0): v for i, v in self.unit.entries.items()})
-
     def _verify(self):
-        P = self.space
-        lhs = Chain([P, P, P]).apply(self.mult, 0, 2, [P]).apply(self.mult, 0, 2, [P]).to_map()
-        rhs = Chain([P, P, P]).apply(self.mult, 1, 2, [P]).apply(self.mult, 0, 2, [P]).to_map()
-        checks = [compare("crossed-product-associativity", lhs, rhs,
-                          lambda col: tensor_space(P, P, P).labels[col])]
-        for name, at in (("left", 0), ("right", 1)):
-            unit = Chain([P]).apply(self.unit_map(), at, 0, [P]).apply(self.mult, 0, 2, [P])
-            checks.append(compare("crossed-product-%s-unit" % name, unit.to_map(),
-                                  identity(P), P.label))
-        return results.merge("crossed-product", checks)
+        return results.merge("crossed-product", algebra_axioms(self.space, self.mult, self.unit, (
+            "crossed-product-associativity", "crossed-product-left-unit",
+            "crossed-product-right-unit")))
 
     def as_module_algebra(self, over=None) -> ModuleAlgebra:
         """The underlying algebra as a module algebra over the trivial Hopf

@@ -22,6 +22,7 @@ from .linalg import (
     maps_first_difference,
     solve_linear,
     tensor_space,
+    tensor_vectors,
     unit_space,
 )
 from . import results
@@ -61,8 +62,7 @@ class HopfAlgebra:
 
     def unit_map(self):
         """The unit as a map k→H."""
-        k = unit_space(self.field)
-        return LinMap(k, self.space, {(i, 0): v for i, v in self.unit.entries.items()})
+        return unit_map(self.unit)
 
     def iterated_comult(self, k):
         """Δ^{k}: H → H^{⊗(k+1)}, Sweedler legs left to right; Δ^{0} = id."""
@@ -130,29 +130,69 @@ def _check_hopf_shapes(H):
         )
 
 
+def unit_map(unit):
+    """The unit vector of an algebra as a map k→A."""
+    A = unit.space
+    return LinMap(unit_space(A.field), A, {(i, 0): v for i, v in unit.entries.items()})
+
+
+def algebra_axioms(S, mult, unit, names):
+    """Associativity, then the left and the right unit law, of the algebra
+    (S, mult, unit), as verdicts under the three condition ``names``."""
+    eta = unit_map(unit)
+    assoc_l = Chain([S, S, S]).apply(mult, 0, 2, [S]).apply(mult, 0, 2, [S]).to_map()
+    assoc_r = Chain([S, S, S]).apply(mult, 1, 2, [S]).apply(mult, 0, 2, [S]).to_map()
+    checks = [compare(names[0], assoc_l, assoc_r, tensor_space(S, S, S).label)]
+    for name, at in zip(names[1:], (0, 1)):
+        unit_side = Chain([S]).apply(eta, at, 0, [S]).apply(mult, 0, 2, [S]).to_map()
+        checks.append(compare(name, unit_side, identity(S), S.label))
+    return checks
+
+
+def coalgebra_axioms(S, comult, counit, names):
+    """Coassociativity, then the left and the right counit law, of the
+    coalgebra (S, comult, counit), as verdicts under the three ``names``."""
+    co_l = Chain([S]).apply(comult, 0, 1, [S, S]).apply(comult, 0, 1, [S, S]).to_map()
+    co_r = Chain([S]).apply(comult, 0, 1, [S, S]).apply(comult, 1, 1, [S, S]).to_map()
+    checks = [compare(names[0], co_l, co_r, S.label)]
+    for name, at in zip(names[1:], (0, 1)):
+        counit_side = Chain([S]).apply(comult, 0, 1, [S, S]).apply(counit, at, 1, []).to_map()
+        checks.append(compare(name, counit_side, identity(S), S.label))
+    return checks
+
+
+def comodule_axioms(S, coaction, H, side):
+    """Coassociativity and counitality of an H-coaction S → H⊗S
+    (side="left") or S → S⊗H (side="right")."""
+    Hs = H.space
+    legs, h = ([Hs, S], 0) if side == "left" else ([S, Hs], 1)
+    co_l = Chain([S]).apply(coaction, 0, 1, legs).apply(coaction, 1 - h, 1, legs).to_map()
+    co_r = Chain([S]).apply(coaction, 0, 1, legs).apply(H.comult, h, 1, [Hs, Hs]).to_map()
+    counit_side = Chain([S]).apply(coaction, 0, 1, legs).apply(H.counit, h, 1, []).to_map()
+    return [compare("comodule-coassociativity", co_l, co_r, S.label),
+            compare("comodule-counit", counit_side, identity(S), S.label)]
+
+
+def module_axioms(S, action, H, side):
+    """Associativity and unitality of an H-action H⊗S → S (side="left") or
+    S⊗H → S (side="right"); the left side puts the product of H first."""
+    Hs = H.space
+    legs, h = ([Hs, Hs, S], 0) if side == "left" else ([S, Hs, Hs], 1)
+    by_product = Chain(legs).apply(H.mult, h, 2, [Hs]).apply(action, 0, 2, [S]).to_map()
+    twice = Chain(legs).apply(action, 1 - h, 2, [S]).apply(action, 0, 2, [S]).to_map()
+    lhs, rhs = (by_product, twice) if side == "left" else (twice, by_product)
+    unit_side = Chain([S]).apply(H.unit_map(), h, 0, [Hs]).apply(action, 0, 2, [S]).to_map()
+    return [compare("module-associativity", lhs, rhs, tensor_space(*legs).label),
+            compare("module-unit", unit_side, identity(S), S.label)]
+
+
 def bialgebra_checks(H):
     """The bialgebra part of the audit (no antipode); shared with verify_hopf."""
     Hs = H.space
     k = unit_space(H.field)
-    checks = []
-
-    assoc_l = Chain([Hs, Hs, Hs]).apply(H.mult, 0, 2, [Hs]).apply(H.mult, 0, 2, [Hs]).to_map()
-    assoc_r = Chain([Hs, Hs, Hs]).apply(H.mult, 1, 2, [Hs]).apply(H.mult, 0, 2, [Hs]).to_map()
-    checks.append(("associativity", assoc_l, assoc_r, tensor_space(Hs, Hs, Hs)))
-
-    unit_l = Chain([Hs]).apply(H.unit_map(), 0, 0, [Hs]).apply(H.mult, 0, 2, [Hs]).to_map()
-    unit_r = Chain([Hs]).apply(H.unit_map(), 1, 0, [Hs]).apply(H.mult, 0, 2, [Hs]).to_map()
-    checks.append(("left-unit", unit_l, identity(Hs), Hs))
-    checks.append(("right-unit", unit_r, identity(Hs), Hs))
-
-    coassoc_l = Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs]).apply(H.comult, 0, 1, [Hs, Hs]).to_map()
-    coassoc_r = Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs]).apply(H.comult, 1, 1, [Hs, Hs]).to_map()
-    checks.append(("coassociativity", coassoc_l, coassoc_r, Hs))
-
-    counit_l = Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs]).apply(H.counit, 0, 1, []).to_map()
-    counit_r = Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs]).apply(H.counit, 1, 1, []).to_map()
-    checks.append(("left-counit", counit_l, identity(Hs), Hs))
-    checks.append(("right-counit", counit_r, identity(Hs), Hs))
+    checks = algebra_axioms(Hs, H.mult, H.unit, ("associativity", "left-unit", "right-unit"))
+    checks += coalgebra_axioms(Hs, H.comult, H.counit,
+                               ("coassociativity", "left-counit", "right-counit"))
 
     # Δ is an algebra map
     dm_l = Chain([Hs, Hs]).apply(H.mult, 0, 2, [Hs]).apply(H.comult, 0, 1, [Hs, Hs]).to_map()
@@ -165,30 +205,28 @@ def bialgebra_checks(H):
         .apply(H.mult, 1, 2, [Hs])
         .to_map()
     )
-    checks.append(("comult-multiplicative", dm_l, dm_r, tensor_space(Hs, Hs)))
+    checks.append(compare("comult-multiplicative", dm_l, dm_r, tensor_space(Hs, Hs).label))
 
     em_l = Chain([Hs, Hs]).apply(H.mult, 0, 2, [Hs]).apply(H.counit, 0, 1, []).to_map()
     em_r = Chain([Hs, Hs]).apply(H.counit, 0, 1, []).apply(H.counit, 0, 1, []).to_map()
-    checks.append(("counit-multiplicative", em_l, em_r, tensor_space(Hs, Hs)))
-
-    results_list = [compare(name, lhs, rhs, dom.label) for name, lhs, rhs, dom in checks]
+    checks.append(compare("counit-multiplicative", em_l, em_r, tensor_space(Hs, Hs).label))
 
     unit_image = H.comult.apply(H.unit)
     unit_sq = Chain([k]).apply(H.unit_map(), 0, 0, [Hs]).apply(H.unit_map(), 1, 0, [Hs]).to_map()
     expected = unit_sq.column(0)
     if unit_image == expected:
-        results_list.append(results.passed("comult-unital"))
+        checks.append(results.passed("comult-unital"))
     else:
-        results_list.append(results.failed("comult-unital", "1", unit_image, expected))
+        checks.append(results.failed("comult-unital", "1", unit_image, expected))
 
     eps_unit = H.counit.apply(H.unit)
     if eps_unit.entries == {0: H.field.one}:
-        results_list.append(results.passed("counit-unital"))
+        checks.append(results.passed("counit-unital"))
     else:
-        results_list.append(
+        checks.append(
             results.failed("counit-unital", "1", eps_unit, Vector(unit_space(H.field), {0: H.field.one}))
         )
-    return results_list
+    return checks
 
 
 def verify_hopf(H) -> CheckResult:
@@ -293,7 +331,7 @@ class GroupLike:
         if _is_group_like(H, self.sigma):
             return results.passed("group-like-comult")
         lhs = H.comult.apply(self.sigma)
-        rhs = _tensor_vec(self.sigma, self.sigma)
+        rhs = tensor_vectors(self.sigma, self.sigma)
         if lhs != rhs:
             return results.failed("group-like-comult", self.name, lhs, rhs)
         eps = H.counit.apply(self.sigma)
@@ -344,12 +382,6 @@ def _is_group_like(H, sigma):
 
 def unit_group_like(H):
     return GroupLike(H, H.unit, H.unit, name="1")
-
-
-def _tensor_vec(v, w):
-    from .linalg import tensor_vectors
-
-    return tensor_vectors(v, w)
 
 
 def _left_multiplication(H, vec):

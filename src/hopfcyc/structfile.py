@@ -130,76 +130,32 @@ def _hopf_ref(hopf_dict):
     return {"name": hopf_dict.get("name", "H"), "sha256": content_hash(hopf_dict)}
 
 
-def comodule_algebra_to_dict(A: ComoduleAlgebra, name, hopf_dict):
-    f = A.space.field
-    return {
+# the tensors each carrier and coefficient kind writes
+_TENSORS = {
+    "comodule-algebra": ("mult", "unit", "coaction"),
+    "comodule-coalgebra": ("comult", "counit", "coaction"),
+    "module-algebra": ("mult", "unit", "action"),
+    "module-comodule": ("action", "coaction"),
+}
+
+
+def structure_to_dict(kind, X, name, hopf_dict):
+    """A carrier or coefficient file; comodule algebras also record their side."""
+    f = X.space.field
+    out = {
         "schema": SCHEMA,
-        "kind": "comodule-algebra",
+        "kind": kind,
         "name": name,
         "field": f.name,
-        "dim": A.dim,
-        "basis": list(A.space.labels),
-        "side": A.side,
+        "dim": X.dim,
+        "basis": list(X.space.labels),
         "hopf": _hopf_ref(hopf_dict),
-        "tensors": {
-            "mult": _map_entries(A.mult, f),
-            "unit": _vec_entries(A.unit, f),
-            "coaction": _map_entries(A.coaction, f),
-        },
+        "tensors": {t: (_vec_entries if t == "unit" else _map_entries)(getattr(X, t), f)
+                    for t in _TENSORS[kind]},
     }
-
-
-def comodule_coalgebra_to_dict(C: ComoduleCoalgebra, name, hopf_dict):
-    f = C.space.field
-    return {
-        "schema": SCHEMA,
-        "kind": "comodule-coalgebra",
-        "name": name,
-        "field": f.name,
-        "dim": C.dim,
-        "basis": list(C.space.labels),
-        "hopf": _hopf_ref(hopf_dict),
-        "tensors": {
-            "comult": _map_entries(C.comult, f),
-            "counit": _map_entries(C.counit, f),
-            "coaction": _map_entries(C.coaction, f),
-        },
-    }
-
-
-def module_algebra_to_dict(A: ModuleAlgebra, name, hopf_dict):
-    f = A.space.field
-    return {
-        "schema": SCHEMA,
-        "kind": "module-algebra",
-        "name": name,
-        "field": f.name,
-        "dim": A.dim,
-        "basis": list(A.space.labels),
-        "hopf": _hopf_ref(hopf_dict),
-        "tensors": {
-            "mult": _map_entries(A.mult, f),
-            "unit": _vec_entries(A.unit, f),
-            "action": _map_entries(A.action, f),
-        },
-    }
-
-
-def module_comodule_to_dict(M: ModuleComodule, name, hopf_dict):
-    f = M.space.field
-    return {
-        "schema": SCHEMA,
-        "kind": "module-comodule",
-        "name": name,
-        "field": f.name,
-        "dim": M.dim,
-        "basis": list(M.space.labels),
-        "hopf": _hopf_ref(hopf_dict),
-        "tensors": {
-            "action": _map_entries(M.action, f),
-            "coaction": _map_entries(M.coaction, f),
-        },
-    }
+    if kind == "comodule-algebra":
+        out["side"] = X.side
+    return out
 
 
 def cochain_to_dict(vec, name, degree, complex_kind, basis_labels, refs):
@@ -352,27 +308,27 @@ def build_example(name):
     hd = hopf_to_dict(H, hname)
     deps = [("%s.json" % hname, hd)]
     if rest == "regular-comodule-algebra":
-        return comodule_algebra_to_dict(regular_comodule_algebra(H), name, hd), deps
+        return structure_to_dict("comodule-algebra", regular_comodule_algebra(H), name, hd), deps
     if rest == "adjoint-comodule-coalgebra":
-        return comodule_coalgebra_to_dict(adjoint_comodule_coalgebra(H), name, hd), deps
+        return structure_to_dict("comodule-coalgebra", adjoint_comodule_coalgebra(H), name, hd), deps
     if rest == "coeff-eps-unit":
         M = scalar_coefficients(H, counit_character(H), unit_group_like(H))
-        return module_comodule_to_dict(M, name, hd), deps
+        return structure_to_dict("module-comodule", M, name, hd), deps
     if rest == "coeff-eps-g" and hname == "sweedler-h4":
         g = GroupLike(H, H.space.basis_vector(1), name="g")
         M = scalar_coefficients(H, counit_character(H), g)
-        return module_comodule_to_dict(M, name, hd), deps
+        return structure_to_dict("module-comodule", M, name, hd), deps
     if rest == "coeff-sgn-unit" and hname == "sweedler-h4":
         sgn = corpus.sweedler_sign_character(H)
         M = scalar_coefficients(H, sgn, unit_group_like(H))
-        return module_comodule_to_dict(M, name, hd), deps
+        return structure_to_dict("module-comodule", M, name, hd), deps
     if rest == "translation-module-algebra" and hname == "kZ2":
         _, A = translation_module_algebra(cyclic_group(2))
-        return module_algebra_to_dict(A, name, hd), deps
+        return structure_to_dict("module-algebra", A, name, hd), deps
     if rest == "function-comodule-algebra" and hname in corpus.bicrossed_names():
         A = bicrossed_function_comodule_algebra(corpus.get_bicrossed(hname))
-        return comodule_algebra_to_dict(A, name, hd), deps
+        return structure_to_dict("comodule-algebra", A, name, hd), deps
     if rest == "group-comodule-coalgebra" and hname in corpus.bicrossed_names():
         C = bicrossed_group_comodule_coalgebra(corpus.get_bicrossed(hname))
-        return comodule_coalgebra_to_dict(C, name, hd), deps
+        return structure_to_dict("comodule-coalgebra", C, name, hd), deps
     raise KeyError("unknown example %r" % name)

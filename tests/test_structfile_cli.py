@@ -243,9 +243,9 @@ class TestCupCli:
         name, A, B, M = crossed_product_instances()[0]
         hd = sf.hopf_to_dict(A.hopf, "trivial")
         sf.write_file("hopf.json", hd)
-        sf.write_file("action.json", sf.module_algebra_to_dict(A, "A", hd))
-        sf.write_file("comodule.json", sf.comodule_algebra_to_dict(B, "B", hd))
-        sf.write_file("coeff.json", sf.module_comodule_to_dict(M, "M", hd))
+        sf.write_file("action.json", sf.structure_to_dict("module-algebra", A, "A", hd))
+        sf.write_file("comodule.json", sf.structure_to_dict("comodule-algebra", B, "B", hd))
+        sf.write_file("coeff.json", sf.structure_to_dict("module-comodule", M, "M", hd))
         phis = invariant_functionals(A, M, 0)
         psis = colinear_hom_space(B, M, 0)
         sf.write_file("phi.json", sf.cochain_to_dict(
