@@ -23,7 +23,8 @@ from .linalg import (
     tensor_vectors,
     vector_to_functional,
 )
-from .symmetries import ComoduleAlgebra, ModuleAlgebra, ModuleComodule, scalar_coefficients
+from .symmetries import (ComoduleAlgebra, ModuleAlgebra, ModuleComodule,
+                         algebra_over_trivial_hopf, scalar_coefficients)
 from .cocyclic import CocyclicModule, build_module_algebra_complex
 from .cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
 from . import results
@@ -88,11 +89,7 @@ class CrossedProductAlgebra:
         H = over if over is not None else trivial_hopf(self.space.field)
         if H.dim != 1:
             raise ValueError("classical complex wants the trivial Hopf algebra")
-        act = LinMap(
-            tensor_space(H.space, self.space), self.space,
-            {(a, a): self.space.field.one for a in range(self.dim)},
-        )
-        return ModuleAlgebra(H, self.space, self.mult, self.unit, act, name=self.name)
+        return algebra_over_trivial_hopf(self.space, self.mult, self.unit, H, name=self.name)
 
     def __repr__(self):
         return "CrossedProductAlgebra(%s, dim=%d)" % (self.name, self.dim)

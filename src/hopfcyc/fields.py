@@ -2,14 +2,18 @@
 
 A scalar of ``QQ`` is a plain ``int`` while it is integral and a
 ``fractions.Fraction`` once a division makes it one; a scalar of ``GF(p)`` is
-a ``GFElement``.  Both support the arithmetic operators that the elimination
-routines use, so all higher modules are field-agnostic.  Every division goes
-through ``field.inv``, so an int/int quotient never becomes a float.  One
-computation never mixes fields.
+a plain ``int`` residue in [0, p).  Python's own ``+``, ``-`` and ``*`` serve
+both, so all higher modules are field-agnostic; over GF(p) a sum or product
+may leave [0, p), and the linear-algebra kernels reduce it by
+``field.modulus`` (None over ``QQ``) before they test it for zero, compare
+it or store it.  Every division goes through ``field.inv``, so an int/int
+quotient never becomes a float.  One computation never mixes fields: the
+linear-algebra constructors and operators refuse to.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -23,6 +27,7 @@ class RationalField:
 
     name = "Q"
     characteristic = 0
+    modulus = None
 
     zero = 0
     one = 1
@@ -77,104 +82,29 @@ def _is_prime(p):
     return True
 
 
-class GFElement:
-    """Element of GF(p).  Arithmetic with ints is allowed (for 0, +-1, signs)."""
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue, p):
-        self.residue = residue % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise FieldError("mixed prime fields GF(%d) and GF(%d)" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else GFElement(self.residue + o.residue, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else GFElement(self.residue - o.residue, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else GFElement(o.residue - self.residue, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else GFElement(self.residue * o.residue, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.residue == 0:
-            raise FieldError("division by zero in GF(%d)" % self.p)
-        return GFElement(self.residue * pow(o.residue, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o.__truediv__(self)
-
-    def __neg__(self):
-        return GFElement(-self.residue, self.p)
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __repr__(self):
-        return "GF(%d)(%d)" % (self.p, self.residue)
-
-
 class PrimeField:
-    """GF(p) for prime p, opted into by the caller; default field is QQ."""
+    """GF(p) for prime p, opted into by the caller; default field is QQ.
+    Its scalars are ints in [0, p).  Build it with ``GF(p)``."""
 
-    characteristic: int
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
             raise FieldError("GF(%r): modulus is not prime" % (p,))
-        self.p = p
-        self.characteristic = p
+        self.p = self.modulus = self.characteristic = p
         self.name = "GF(%d)" % p
 
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
-
     def from_int(self, n):
-        return GFElement(n, self.p)
+        return operator.index(n) % self.p
 
     def sign(self, n):
-        return GFElement(-1 if n % 2 else 1, self.p)
+        return self.p - 1 if n % 2 else 1
 
     def inv(self, x):
-        return self.one / x
+        if not x % self.p:
+            raise FieldError("division by zero in GF(%d)" % self.p)
+        return pow(x, -1, self.p)
 
     def parse(self, text):
         text = str(text).strip()
@@ -188,14 +118,14 @@ class PrimeField:
                 raise FieldError("division by zero in scalar literal %r" % text)
             if den % self.p == 0:
                 raise FieldError("denominator of %r not invertible in %s" % (text, self.name))
-            return GFElement(num, self.p) / GFElement(den, self.p)
+            return num * pow(den, -1, self.p) % self.p
         try:
-            return GFElement(int(text), self.p)
+            return int(text) % self.p
         except ValueError:
             raise FieldError("malformed scalar literal %r" % text)
 
     def format(self, value):
-        return str(value.residue)
+        return str(value)
 
     def __repr__(self):
         return self.name
@@ -207,7 +137,9 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
+@functools.cache
 def GF(p):
+    """GF(p), one instance per prime, so fields compare by identity."""
     return PrimeField(p)
 
 
@@ -218,7 +150,7 @@ def field_from_name(name):
         return QQ
     if name.startswith("GF(") and name.endswith(")"):
         try:
-            return PrimeField(int(name[3:-1]))
+            return GF(int(name[3:-1]))
         except ValueError:
             pass
     raise FieldError("unknown field tag %r" % name)

@@ -375,8 +375,10 @@ def _is_group_like(H, sigma):
     """ε(σ) = 1 and Δσ = σ⊗σ, compared on raw entries (no labeled H⊗H)."""
     if H.counit.apply(sigma).entries != {0: H.field.one}:
         return False
-    d, entries = H.dim, sigma.entries.items()
+    d, entries, p = H.dim, sigma.entries.items(), H.field.modulus
     square = {i * d + j: a * b for i, a in entries for j, b in entries}
+    if p is not None:  # a product of nonzero residues is nonzero
+        square = {k: v % p for k, v in square.items()}
     return H.comult.apply(sigma).entries == square
 
 
@@ -707,16 +709,16 @@ def enumerate_characters(H, max_dim_for_search=6):
 
 def _is_character(H, values):
     """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs, for the basis values of δ
-    compared on raw entries (no labeled witness)."""
-    field = H.field
-    zero, d, cols = field.zero, H.dim, H.mult.by_col()
-    if sum((v * values[i] for i, v in H.unit.entries.items()), zero) != field.one:
-        return False
-    return all(
-        sum((v * values[r] for r, v in cols.get(i * d + j, ())), zero) == a * b
-        for i, a in enumerate(values)
-        for j, b in enumerate(values)
-    )
+    compared on raw entries (no labeled witness), over GF(p) once reduced."""
+    p, d, cols = H.field.modulus, H.dim, H.mult.by_col()
+    unit = sum(v * values[i] for i, v in H.unit.entries.items())
+    if p is None:
+        return unit == 1 and all(
+            sum(v * values[r] for r, v in cols.get(i * d + j, ())) == a * b
+            for i, a in enumerate(values) for j, b in enumerate(values))
+    return unit % p == 1 and all(
+        (sum(v * values[r] for r, v in cols.get(i * d + j, ())) - a * b) % p == 0
+        for i, a in enumerate(values) for j, b in enumerate(values))
 
 
 def _char_name(H, combo):

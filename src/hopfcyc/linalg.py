@@ -20,6 +20,12 @@ A computed ``Subspace`` holds a canonical kernel basis, so its ``coords``
 read a vector's coefficients at the basis' free columns and check the
 recombination, with no elimination at all.
 
+Over GF(p) a scalar is a bare ``int``; each kernel accumulates unreduced
+ints and reduces once per step (the ``LinMap`` and ``Vector`` constructors,
+the end of each ``Chain`` apply step, each popped lead, and each row before
+its pivot choice or zero test).  Over ℚ ``field.modulus`` is None and no
+reduction runs.
+
 All values are immutable after construction (by convention; nothing mutates
 a published object), so everything here is safe to share between threads.
 """
@@ -30,11 +36,18 @@ import heapq
 import itertools
 import math
 
-from .fields import QQ
+from .fields import QQ, FieldError
 
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _mixed(a, b):
+    """Refuse to combine the scalars of two different fields; callers test
+    ``a is not b`` first, so equal fields cost one identity test."""
+    if a != b:
+        raise FieldError("mixed fields %s and %s" % (a.name, b.name))
 
 
 class Space:
@@ -116,8 +129,8 @@ def tensor_space(*spaces):
         raise ValueError("tensor_space needs at least one factor")
     field = spaces[0].field
     for s in spaces:
-        if s.field != field:
-            raise DimensionMismatch("tensor factors over different fields")
+        if s.field is not field:
+            _mixed(field, s.field)
     if len(spaces) == 1:
         return spaces[0]
     if all(s._labels is None or not any("⊗" in lab for lab in s._labels) for s in spaces):
@@ -138,14 +151,20 @@ class Vector:
 
     def __init__(self, space, entries=None):
         self.space = space
-        self.entries = {i: v for i, v in (entries or {}).items() if v}
+        p = space.field.modulus
+        if p is None:
+            self.entries = {i: v for i, v in (entries or {}).items() if v}
+        else:
+            self.entries = {i: r for i, v in (entries or {}).items() if (r := v % p)}
 
     def __add__(self, other):
         if other.space.dim != self.space.dim:
             raise DimensionMismatch("vector addition across different spaces")
+        if other.space.field is not self.space.field:
+            _mixed(self.space.field, other.space.field)
         out = dict(self.entries)
         for i, v in other.entries.items():
-            w = out.get(i, self.space.field.zero) + v
+            w = out.get(i, 0) + v
             if w:
                 out[i] = w
             else:
@@ -196,24 +215,29 @@ def tensor_vectors(*vectors):
     entries = {}
     for combo in itertools.product(*[v.entries.items() for v in vectors]):
         flat = 0
-        coeff = space.field.one
+        coeff = 1
         for (i, c), v in zip(combo, vectors):
             flat = flat * v.space.dim + i
             coeff = coeff * c
-        entries[flat] = entries.get(flat, space.field.zero) + coeff
+        entries[flat] = entries.get(flat, 0) + coeff
     return Vector(space, entries)
 
 
 class LinMap:
-    """Sparse linear map.  Composition (``@``) checks dimensions only;
-    labels are provenance, not identity."""
+    """Sparse linear map.  Composition (``@``) checks dimensions and fields
+    only; labels are provenance, not identity.  Over GF(p) the constructor
+    reduces every entry, so the operators accumulate unreduced ints."""
 
     __slots__ = ("domain", "codomain", "entries", "_by_col")
 
     def __init__(self, domain, codomain, entries=None):
         self.domain = domain
         self.codomain = codomain
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+        p = domain.field.modulus
+        if p is None:
+            self.entries = {k: v for k, v in (entries or {}).items() if v}
+        else:
+            self.entries = {k: r for k, v in (entries or {}).items() if (r := v % p)}
         self._by_col = None
 
     @property
@@ -237,12 +261,13 @@ class LinMap:
                 "map applied to vector of dim %d, expected %d"
                 % (vec.space.dim, self.domain.dim)
             )
+        if vec.space.field is not self.domain.field:
+            _mixed(self.domain.field, vec.space.field)
         out = {}
-        zero = self.field.zero
         cols = self.by_col()
         for c, coeff in vec.entries.items():
             for r, v in cols.get(c, ()):
-                w = out.get(r, zero) + coeff * v
+                w = out.get(r, 0) + coeff * v
                 if w:
                     out[r] = w
                 else:
@@ -256,13 +281,14 @@ class LinMap:
                 "composition: inner dims %d and %d differ"
                 % (other.codomain.dim, self.domain.dim)
             )
-        zero = self.field.zero
+        if other.domain.field is not self.domain.field:
+            _mixed(self.domain.field, other.domain.field)
         out = {}
         cols = self.by_col()
         for (k, c), v in other.entries.items():
             for r, w in cols.get(k, ()):
                 key = (r, c)
-                s = out.get(key, zero) + w * v
+                s = out.get(key, 0) + w * v
                 if s:
                     out[key] = s
                 else:
@@ -271,10 +297,11 @@ class LinMap:
 
     def __add__(self, other):
         self._check_same_shape(other)
+        if other.domain.field is not self.domain.field:
+            _mixed(self.domain.field, other.domain.field)
         out = dict(self.entries)
-        zero = self.field.zero
         for k, v in other.entries.items():
-            s = out.get(k, zero) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
@@ -390,6 +417,8 @@ class Chain:
         self._entries, self._split = None, {}
 
     def apply(self, f, at, nin, out_legs):
+        if f.domain.field is not self.field:
+            _mixed(self.field, f.domain.field)
         dims = [s.dim for s in self.legs[at : at + nin]]
         if f.domain.dim != math.prod(dims):
             raise DimensionMismatch(
@@ -452,8 +481,9 @@ class Chain:
         """Move every column through each step at once.  The state maps each
         flat row index over the current legs to its ``{col: scalar}`` row,
         starting from ``state`` (rows over the source legs) or else from the
-        identity on the source legs."""
-        zero, one = self.field.zero, self.field.one
+        identity on the source legs.  Over GF(p) each apply step accumulates
+        unreduced ints and reduces every row once at its end."""
+        p, one = self.field.modulus, self.field.one
         dims = [s.dim for s in self.source_legs]
         if state is None:
             state = {i: {i: one} for i in range(math.prod(dims))}
@@ -485,17 +515,21 @@ class Chain:
                     key = (base + y) * right_dim + r
                     acc = new_state.get(key)
                     if acc is None:
-                        # a unit entry (the int 1 over ℚ) copies the row as is
+                        # a unit entry (the int 1) copies the row as is
                         new_state[key] = dict(cols) if v is one else {
                             c: v * w for c, w in cols.items()}
                         continue
                     for c, w in cols.items():
-                        s = acc.get(c, zero) + v * w
+                        s = acc.get(c, 0) + v * w
                         if s:
                             acc[c] = s
                         else:
                             del acc[c]
-            state = {row: cols for row, cols in new_state.items() if cols}
+            if p is None:
+                state = {row: cols for row, cols in new_state.items() if cols}
+            else:
+                state = {row: red for row, cols in new_state.items()
+                         if (red := {c: r for c, w in cols.items() if (r := w % p)})}
             dims[at : at + len(in_dims)] = out_dims
         return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
 
@@ -555,33 +589,40 @@ class Contraction:
         if f.domain.dim != self.in_dim or f.codomain.dim != self.out_dim:
             raise DimensionMismatch("contraction: map is %d×%d, legs give %d×%d" % (
                 f.codomain.dim, f.domain.dim, self.out_dim, self.in_dim))
-        zero = self.field.zero
+        if f.domain.field is not self.field:
+            _mixed(self.field, f.domain.field)
         odim, rdim = self.out_dim, self.right_dim
         mid = {}
         for x, fcol in f.by_col().items():
             for l, r, col, v in self._pre.get(x, ()):
                 for y, w in fcol:
                     key = ((l * odim + y) * rdim + r, col)
-                    mid[key] = mid.get(key, zero) + v * w
+                    mid[key] = mid.get(key, 0) + v * w
         return self._post @ LinMap(self.domain, self._post.domain, mid)
 
 
-def _eliminate(row, echelon, zero):
+def _eliminate(row, echelon, p):
     """Subtract from ``row``, in place and in ascending order, the echelon
     row at every lead it meets.  An echelon row has no entry below its own
     lead, so a popped lead never returns; a lead is pushed only when
-    elimination newly creates it.  This is the one elimination kernel."""
+    elimination newly creates it.  This is the one elimination kernel.
+
+    Over GF(p) (``p`` is the modulus, None over ℚ) only the factor of each
+    popped lead is reduced: the row is left with unreduced ints, some of
+    them ≡ 0, for the caller to reduce with ``_reduced``."""
     heap = [c for c in row if c in echelon]
     heapq.heapify(heap)
     while heap:
         lead = heapq.heappop(heap)
         factor = row.get(lead)
+        if factor and p is not None:
+            factor %= p
         if not factor:
             continue
         for c, v in echelon[lead].items():
             old = row.get(c)
             if old is None:
-                row[c] = zero - factor * v
+                row[c] = -factor * v
                 if c in echelon:
                     heapq.heappush(heap, c)
                 continue
@@ -593,15 +634,26 @@ def _eliminate(row, echelon, zero):
     return row
 
 
+def _reduced(row, p):
+    """``row`` with its entries reduced mod p and the zeros dropped."""
+    return {c: r for c, v in row.items() if (r := v % p)}
+
+
 def _insert(row, echelon, field):
     """Reduce ``row`` by the echelon; if anything is left, normalize it at
     its lead, file it there and return the lead, else return None."""
-    row = _eliminate(row, echelon, field.zero)
+    p = field.modulus
+    row = _eliminate(row, echelon, p)
+    if p is not None:
+        row = _reduced(row, p)
     if not row:
         return None
     lead = min(row)
     inv = field.inv(row[lead])
-    echelon[lead] = {c: inv * v for c, v in row.items()}
+    if p is None:
+        echelon[lead] = {c: inv * v for c, v in row.items()}
+    else:
+        echelon[lead] = {c: inv * v % p for c, v in row.items()}
     return lead
 
 
@@ -626,9 +678,10 @@ def _rref(rows, field):
     free-column coefficients directly.
     """
     done = {}
-    zero = field.zero
+    p = field.modulus
     for lead, row in sorted(_echelon(rows, field).items(), reverse=True):
-        done[lead] = _eliminate(row, done, zero)
+        row = _eliminate(row, done, p)
+        done[lead] = row if p is None else _reduced(row, p)
     return sorted(done.items())
 
 
@@ -693,11 +746,12 @@ class SubspaceSolver:
             return {} if vec.is_zero() else None
         if vec.space.dim != self.space.dim:
             raise DimensionMismatch("membership test across different spaces")
-        dim = self.space.dim
-        row = _eliminate(dict(vec.entries), self.echelon, self.field.zero)
-        if row and min(row) < dim:
-            return None
-        return {c - dim: -v for c, v in row.items()}
+        dim, p = self.space.dim, self.field.modulus
+        row = _eliminate(dict(vec.entries), self.echelon, p)
+        if p is None:
+            return None if row and min(row) < dim else {c - dim: -v for c, v in row.items()}
+        row = _reduced(row, p)
+        return None if row and min(row) < dim else {c - dim: p - v for c, v in row.items()}
 
 
 class Subspace:
@@ -730,18 +784,19 @@ class Subspace:
         if vec.space.dim != self.ambient.dim:
             raise DimensionMismatch("membership test across different spaces")
         if self._free is None:
-            self._free = _free_columns(self.basis, self.ambient.field.one)
-        free, zero = self._free, self.ambient.field.zero
+            self._free = _free_columns(self.basis)
+        free = self._free
         coords = {free[j]: c for j, c in vec.entries.items() if j in free}
         rest = dict(vec.entries)
         for k, c in coords.items():
             for i, v in self.basis[k].entries.items():
-                w = rest.get(i, zero) - c * v
+                w = rest.get(i, 0) - c * v
                 if w:
                     rest[i] = w
                 else:
                     del rest[i]
-        return None if rest else coords
+        p = self.ambient.field.modulus
+        return None if (rest if p is None else _reduced(rest, p)) else coords
 
     def map(self, vec):
         return vector_to_linmap(vec, self.domain, self.codomain)
@@ -753,12 +808,12 @@ class Subspace:
         return linmap_to_vector(f, self.ambient)
 
 
-def _free_columns(basis, one):
+def _free_columns(basis):
     """{j_k: k} for a canonical basis; raises if the basis is not one."""
     free = {}
     for k, vec in enumerate(basis):
         j = max(vec.entries)
-        if vec.entries[j] != one or j in free:
+        if vec.entries[j] != 1 or j in free:
             raise ValueError("basis vector %d is not canonical at its last index" % k)
         free[j] = k
     for k, vec in enumerate(basis):

@@ -130,12 +130,19 @@ def _hopf_ref(hopf_dict):
     return {"name": hopf_dict.get("name", "H"), "sha256": content_hash(hopf_dict)}
 
 
-# the tensors each carrier and coefficient kind writes
-_TENSORS = {
-    "comodule-algebra": ("mult", "unit", "coaction"),
-    "comodule-coalgebra": ("comult", "counit", "coaction"),
-    "module-algebra": ("mult", "unit", "action"),
-    "module-comodule": ("action", "coaction"),
+# each carrier and coefficient kind: its class, its default name, and the
+# tensors it writes and parses, in order, with domain and codomain as legs of
+# its space X and of the Hopf algebra's space H ("" is the ground field; a
+# vector has no domain).  A comodule algebra also records its side; one that
+# is not left reverses its coaction's codomain legs.
+_KINDS = {
+    "comodule-algebra": (ComoduleAlgebra, "A", (
+        ("mult", "XX", "X"), ("unit", None, "X"), ("coaction", "X", "HX"))),
+    "comodule-coalgebra": (ComoduleCoalgebra, "C", (
+        ("comult", "X", "XX"), ("counit", "X", ""), ("coaction", "X", "XH"))),
+    "module-algebra": (ModuleAlgebra, "A", (
+        ("mult", "XX", "X"), ("unit", None, "X"), ("action", "HX", "X"))),
+    "module-comodule": (ModuleComodule, "M", (("action", "XH", "X"), ("coaction", "X", "HX"))),
 }
 
 
@@ -150,8 +157,8 @@ def structure_to_dict(kind, X, name, hopf_dict):
         "dim": X.dim,
         "basis": list(X.space.labels),
         "hopf": _hopf_ref(hopf_dict),
-        "tensors": {t: (_vec_entries if t == "unit" else _map_entries)(getattr(X, t), f)
-                    for t in _TENSORS[kind]},
+        "tensors": {t: (_map_entries if dom is not None else _vec_entries)(getattr(X, t), f)
+                    for t, dom, _ in _KINDS[kind][2]},
     }
     if kind == "comodule-algebra":
         out["side"] = X.side
@@ -201,38 +208,22 @@ def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     if len(labels) != d["dim"]:
         raise ParseError("dim %d does not match %d basis labels" % (d["dim"], len(labels)))
     X = Space(labels, field)
-    Hs = hopf.space
     t = d["tensors"]
-    if kind == "comodule-algebra":
-        side = d.get("side", "left")
-        cod = tensor_space(Hs, X) if side == "left" else tensor_space(X, Hs)
-        return ComoduleAlgebra(
-            hopf, X,
-            _map_from_entries(t["mult"], tensor_space(X, X), X, field, "mult"),
-            _vec_from_entries(t["unit"], X, field, "unit"),
-            _map_from_entries(t["coaction"], X, cod, field, "coaction"),
-            side=side, name=d.get("name", "A"), validate=validate)
-    if kind == "comodule-coalgebra":
-        return ComoduleCoalgebra(
-            hopf, X,
-            _map_from_entries(t["comult"], X, tensor_space(X, X), field, "comult"),
-            _map_from_entries(t["counit"], X, unit_space(field), field, "counit"),
-            _map_from_entries(t["coaction"], X, tensor_space(X, Hs), field, "coaction"),
-            name=d.get("name", "C"), validate=validate)
-    if kind == "module-algebra":
-        return ModuleAlgebra(
-            hopf, X,
-            _map_from_entries(t["mult"], tensor_space(X, X), X, field, "mult"),
-            _vec_from_entries(t["unit"], X, field, "unit"),
-            _map_from_entries(t["action"], tensor_space(Hs, X), X, field, "action"),
-            name=d.get("name", "A"), validate=validate)
-    if kind == "module-comodule":
-        return ModuleComodule(
-            hopf, X,
-            _map_from_entries(t["action"], tensor_space(X, Hs), X, field, "action"),
-            _map_from_entries(t["coaction"], X, tensor_space(Hs, X), field, "coaction"),
-            name=d.get("name", "M"), validate=validate)
-    raise ParseError("unknown kind %r" % kind)
+    if kind not in _KINDS:
+        raise ParseError("unknown kind %r" % kind)
+    cls, default_name, tensors = _KINDS[kind]
+    extra = {"side": d.get("side", "left")} if kind == "comodule-algebra" else {}
+
+    def space(legs):
+        if extra.get("side", "left") != "left" and legs == "HX":
+            legs = "XH"
+        spaces = [X if leg == "X" else hopf.space for leg in legs]
+        return tensor_space(*spaces) if spaces else unit_space(field)
+
+    parsed = [_vec_from_entries(t[name], space(cod), field, name) if dom is None
+              else _map_from_entries(t[name], space(dom), space(cod), field, name)
+              for name, dom, cod in tensors]
+    return cls(hopf, X, *parsed, name=d.get("name", default_name), validate=validate, **extra)
 
 
 def load_file(path):

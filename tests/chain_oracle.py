@@ -7,6 +7,7 @@ identical matrices from the fast path."""
 
 import itertools
 
+import gf_oracle
 from hopfcyc.cocyclic import invariant_functionals
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
@@ -40,8 +41,8 @@ def _unflatten(dims, flat):
 
 def walk_entries(chain):
     """``chain.entries()`` computed by walking each domain basis column alone
-    through every step, on index tuples."""
-    field = chain.field
+    through every step, on index tuples; over GF(p) in ``GFElement``s."""
+    library, field = chain.field, gf_oracle.oracle_field(chain.field)
     src_dims = [s.dim for s in chain.source_legs]
     out_dims = [s.dim for s in chain.legs]
     entries = {}
@@ -57,7 +58,7 @@ def walk_entries(chain):
             for t, coeff in state.items():
                 for r, v in f.by_col().get(_flatten(in_dims, t[at:at + nin]), ()):
                     nt = t[:at] + _unflatten(step_out, r) + t[at + nin:]
-                    w = new_state.get(nt, field.zero) + coeff * v
+                    w = new_state.get(nt, field.zero) + coeff * gf_oracle.lift(library, v)
                     if w:
                         new_state[nt] = w
                     else:
@@ -65,7 +66,7 @@ def walk_entries(chain):
             state = new_state
         col = _flatten(src_dims, tup)
         for t, v in state.items():
-            entries[(_flatten(out_dims, t), col)] = v
+            entries[(_flatten(out_dims, t), col)] = gf_oracle.lower(v)
     return entries
 
 

@@ -4,16 +4,20 @@ Each new row is reduced against a fully reduced echelon, and each new pivot
 is then back-eliminated from every echelon row, so the echelon stays in
 reduced form after every row.  It costs rank² even on diagonal systems, but
 it is short and plainly right, so a differential test can demand the same
-reduced rows, ranks, kernels and solutions from the lead-driven kernel."""
+reduced rows, ranks, kernels and solutions from the lead-driven kernel.
+Over GF(p) it computes with the ``GFElement`` scalars of ``gf_oracle``, so it
+accepts rows of unreduced residues and returns reduced ones."""
 
+import gf_oracle
 from hopfcyc.linalg import Vector
 
 
 def rref(rows, field):
     """Reduced row echelon form: [(pivot col, row dict)] sorted by col."""
+    library, field = field, gf_oracle.oracle_field(field)
     echelon = {}  # pivot col -> row dict (normalized, fully reduced)
     for row in rows:
-        row = dict(row)
+        row = gf_oracle.lift_row(library, row)
         # eliminate every existing pivot column from the new row; echelon rows
         # carry no foreign pivot columns, so one pass over a snapshot suffices
         for c in sorted(c for c in row if c in echelon):
@@ -43,7 +47,7 @@ def rref(rows, field):
                 else:
                     prow.pop(c, None)
         echelon[lead] = row
-    return sorted(echelon.items())
+    return [(lead, gf_oracle.lower_row(row)) for lead, row in sorted(echelon.items())]
 
 
 def null_vectors(rows, space):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chain_oracle
+import gf_oracle
 from hopfcyc.fields import GF, QQ, FieldError
 from hopfcyc.linalg import (
     Chain,
@@ -161,16 +162,18 @@ class TestMembership:
                 pass
         v = vector(vrow)
         ok, coords = membership(v, indep)
-        # oracle: rank comparison on stacked dense rows
+        # oracle: rank comparison on stacked dense rows, over GF(p) in GFElements
+        F = gf_oracle.oracle_field(field)
+
         def dense_rank(rows):
-            mat = [list(r) for r in rows]
+            mat = [[gf_oracle.lift(field, x) for x in r] for r in rows]
             r = 0
             for c in range(4):
                 piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
                 if piv is None:
                     continue
                 mat[r], mat[piv] = mat[piv], mat[r]
-                inv = field.inv(mat[r][c])
+                inv = F.inv(mat[r][c])
                 for i in range(len(mat)):
                     if i != r and mat[i][c]:
                         f = mat[i][c] * inv
@@ -200,12 +203,12 @@ class TestMembership:
 
 
 @st.composite
-def random_chains(draw):
+def random_chains(draw, fields=(QQ, GF(7))):
     """A Chain on 0-4 source legs of dim 1-3 (never more than 5 legs) with up
     to five steps: sparse maps with entries that cancel (±1, ±2, zero maps
     included), inserts (nin = 0), drops (no output legs), permutations and
-    rotations, over ℚ or GF(7)."""
-    field = draw(st.sampled_from([QQ, GF(7)]))
+    rotations, over ℚ or GF(7) unless ``fields`` says otherwise."""
+    field = draw(st.sampled_from(fields))
     names = iter("abcdefghijklmnopqrstuvwxyz")
     dims = st.integers(1, 3)
     legs = [space(d, next(names), field)
