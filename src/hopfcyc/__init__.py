@@ -15,7 +15,6 @@ from .linalg import (
     Chain,
     LinMap,
     Space,
-    SubspaceSolver,
     Vector,
     identity,
     kernel_basis,

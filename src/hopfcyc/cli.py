@@ -183,14 +183,15 @@ def cmd_cup(args):
     phi_d = structfile.load_file(args.phi)
     psi_d = structfile.load_file(args.psi)
     p, q = phi_d.get("degree", 0), psi_d.get("degree", 0)
+    for d in (phi_d, psi_d):  # coordinates are parsed in the Hopf algebra's field
+        structfile.field_of(d, H)
+    field = H.field
     from .cup import CrossedPairing
-    from .fields import field_from_name
 
     try:
         pairing = CrossedPairing(action_algebra, comodule_algebra, coeff, N=p + q)
     except StructureError as err:
         return _print_result(err.check, args.json)
-    field = field_from_name(phi_d["field"])
 
     def coords_from(d, dim, what):
         entries = {}

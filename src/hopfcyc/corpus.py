@@ -127,8 +127,9 @@ def modular_pairs(name, max_pairs=6):
     over {0, ±1}-patterned characters and group-likes."""
     H = get_hopf(name)
     pairs = []
+    sigmas = enumerate_group_likes(H)
     for delta in enumerate_characters(H):
-        for sigma in enumerate_group_likes(H):
+        for sigma in sigmas:
             if check_modular_pair(H, delta, sigma):
                 pairs.append((delta, sigma))
     return pairs[:max_pairs] if max_pairs else pairs
@@ -243,7 +244,7 @@ def scenario_commutative_coaction_algebra():
     B2 = get_bicrossed("bicrossed-s3-f2")
     Hcop = co_opposite(B2.hopf)
     F = as_left_comodule_algebra(bicrossed_function_comodule_algebra(B2), Hcop)
-    comm = check_commutative_coaction_algebra(F, n_max=2, strict=True)
+    comm = check_commutative_coaction_algebra(F, n_max=2)
     out.append(_named("bicrossed-s3-f2/F", comm))
     if comm:
         for mname, M in [("regular-coaction", regular_coaction_trivial_action(Hcop)),

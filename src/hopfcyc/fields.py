@@ -71,14 +71,28 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller–Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller–Rabin: write p − 1 = d·2^s with d odd; p is
+    prime iff, for every base b, b^d ≡ 1 or b^(d·2^r) ≡ −1 for some r < s."""
+    if p >= _MR_BOUND:
+        raise FieldError("GF(%d): primality is decided only below %d" % (p, _MR_BOUND))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+        x = pow(b, d, p)
+        if x != 1 and p - 1 not in {pow(x, 1 << r, p) for r in range(s)}:
             return False
-        d += 1
     return True
 
 
@@ -150,7 +164,9 @@ def field_from_name(name):
         return QQ
     if name.startswith("GF(") and name.endswith(")"):
         try:
-            return GF(int(name[3:-1]))
+            p = int(name[3:-1])
         except ValueError:
             pass
+        else:
+            return GF(p)
     raise FieldError("unknown field tag %r" % name)

@@ -307,19 +307,14 @@ def counit_character(H):
 
 
 class GroupLike:
-    """σ with Δσ = σ⊗σ, ε(σ)=1, and a verified two-sided inverse."""
+    """σ with Δσ = σ⊗σ, ε(σ)=1, and a verified two-sided inverse (S(σ) if none is given)."""
 
     def __init__(self, hopf, sigma, sigma_inverse=None, name="σ", validate=True):
         self.hopf = hopf
         self.sigma = sigma
         self.name = name
-        if validate:
-            # cheap comult/counit conditions before solving for an inverse
-            pre = self._verify_comult()
-            if not pre:
-                raise StructureError(pre)
         self.sigma_inverse = (
-            sigma_inverse if sigma_inverse is not None else self._solve_inverse()
+            sigma_inverse if sigma_inverse is not None else hopf.antipode.apply(sigma)
         )
         if validate:
             check = self.verify()
@@ -328,7 +323,8 @@ class GroupLike:
 
     def _verify_comult(self):
         H = self.hopf
-        if _is_group_like(H, self.sigma):
+        values = [self.sigma.entries.get(i, H.field.zero) for i in range(H.dim)]
+        if _is_character(H.field, *_dual_algebra(H), values):
             return results.passed("group-like-comult")
         lhs = H.comult.apply(self.sigma)
         rhs = tensor_vectors(self.sigma, self.sigma)
@@ -338,21 +334,6 @@ class GroupLike:
         if eps.entries != {0: H.field.one}:
             return results.failed("group-like-counit", self.name, eps, "1")
         return results.passed("group-like-comult")
-
-    def _solve_inverse(self):
-        H = self.hopf
-        # left multiplication by sigma as a matrix, then solve L x = 1
-        left = _left_multiplication(H, self.sigma)
-        rows = {}
-        for (r, c), v in left.entries.items():
-            rows.setdefault(r, {})[c] = v
-        rhs = [H.unit.entries.get(r, H.field.zero) for r in range(H.dim)]
-        sol = solve_linear([rows.get(r, {}) for r in range(H.dim)], rhs, H.dim, H.field)
-        if sol is None:
-            raise StructureError(
-                results.failed("group-like-invertible", self.name, self.sigma, "no inverse")
-            )
-        return Vector(H.space, sol)
 
     def verify(self):
         H = self.hopf
@@ -369,17 +350,6 @@ class GroupLike:
 
     def __repr__(self):
         return "GroupLike(%s in %s)" % (self.name, self.hopf.name)
-
-
-def _is_group_like(H, sigma):
-    """ε(σ) = 1 and Δσ = σ⊗σ, compared on raw entries (no labeled H⊗H)."""
-    if H.counit.apply(sigma).entries != {0: H.field.one}:
-        return False
-    d, entries, p = H.dim, sigma.entries.items(), H.field.modulus
-    square = {i * d + j: a * b for i, a in entries for j, b in entries}
-    if p is not None:  # a product of nonzero residues is nonzero
-        square = {k: v % p for k, v in square.items()}
-    return H.comult.apply(sigma).entries == square
 
 
 def unit_group_like(H):
@@ -690,34 +660,43 @@ def co_opposite(H):
     )
 
 
-def enumerate_characters(H, max_dim_for_search=6):
+# the {0, ±1} search tries 3^dim candidates
+SEARCH_DIM_CAP = 6
+
+
+def _search_characters(field, d, products, unit):
+    """Every character with basis values in {0, 1, -1}, in ``itertools.product``
+    order, of the d-dimensional algebra whose product sends basis pair (i, j)
+    to ``products[i·d + j]`` (pairs (r, v)) and whose unit has the entries
+    ``unit``.  Each value is drawn once, as −1 = 1 over GF(2)."""
+    if d > SEARCH_DIM_CAP:
+        raise ValueError("character search capped at dimension %d" % SEARCH_DIM_CAP)
+    values = dict.fromkeys((field.zero, field.one, field.from_int(-1)))
+    return [combo for combo in itertools.product(values, repeat=d)
+            if _is_character(field, products, unit, combo)]
+
+
+def enumerate_characters(H):
     """All characters of H whose basis values lie in {0, 1, -1}, by exhaustive
     search.  Over Q this captures every character of the zoo: group algebras
     have ±1-valued characters (one-dimensional rational representations),
     function algebras have 0/1-valued evaluations, and the bismash products
     mix the two."""
-    if H.dim > max_dim_for_search:
-        raise ValueError("character search capped at dimension %d" % max_dim_for_search)
-    field = H.field
-    values = (field.zero, field.one, field.from_int(-1))
-    found = []
-    for combo in itertools.product(values, repeat=H.dim):
-        if _is_character(H, combo):
-            found.append(Character.from_values(H, list(combo), name=_char_name(H, combo)))
-    return found
+    return [Character.from_values(H, list(combo), name=_char_name(H, combo))
+            for combo in _search_characters(H.field, H.dim, H.mult.by_col(), H.unit.entries)]
 
 
-def _is_character(H, values):
-    """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs, for the basis values of δ
-    compared on raw entries (no labeled witness), over GF(p) once reduced."""
-    p, d, cols = H.field.modulus, H.dim, H.mult.by_col()
-    unit = sum(v * values[i] for i, v in H.unit.entries.items())
+def _is_character(field, products, unit, values):
+    """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs of an algebra given as in
+    ``_search_characters``, on raw entries (no witness), over GF(p) reduced."""
+    p, d = field.modulus, len(values)
+    at_unit = sum(v * values[i] for i, v in unit.items())
     if p is None:
-        return unit == 1 and all(
-            sum(v * values[r] for r, v in cols.get(i * d + j, ())) == a * b
+        return at_unit == 1 and all(
+            sum(v * values[r] for r, v in products.get(i * d + j, ())) == a * b
             for i, a in enumerate(values) for j, b in enumerate(values))
-    return unit % p == 1 and all(
-        (sum(v * values[r] for r, v in cols.get(i * d + j, ())) - a * b) % p == 0
+    return at_unit % p == 1 and all(
+        (sum(v * values[r] for r, v in products.get(i * d + j, ())) - a * b) % p == 0
         for i, a in enumerate(values) for j, b in enumerate(values))
 
 
@@ -729,21 +708,21 @@ def _char_name(H, combo):
     return "ε" if not parts else "δ[%s]" % ",".join(parts)
 
 
-def enumerate_group_likes(H, max_dim_for_search=6):
-    """All group-likes with coefficients in {0, 1, -1}, by exhaustive search;
-    captures the group elements of k[G], the multiplicative characters inside
-    k^G, and the bismash group-likes."""
-    if H.dim > max_dim_for_search:
-        raise ValueError("group-like search capped at dimension %d" % max_dim_for_search)
-    field = H.field
-    values = (field.zero, field.one, field.from_int(-1))
+def _dual_algebra(H):
+    """The structure constants of the dual algebra H*: its product is Δᵀ and
+    its unit is ε, so its characters are the group-likes of H."""
+    products = {}
+    for (r, c), v in H.comult.entries.items():
+        products.setdefault(r, []).append((c, v))
+    return products, {c: v for (_, c), v in H.counit.entries.items()}
+
+
+def enumerate_group_likes(H):
+    """All group-likes with coefficients in {0, 1, -1}, found as the characters
+    of H*; captures the group elements of k[G], the multiplicative characters
+    inside k^G, and the bismash group-likes."""
     out = []
-    for combo in itertools.product(values, repeat=H.dim):
+    for combo in _search_characters(H.field, H.dim, *_dual_algebra(H)):
         vec = Vector(H.space, {i: v for i, v in enumerate(combo) if v})
-        if not _is_group_like(H, vec):
-            continue
-        try:
-            out.append(GroupLike(H, vec, name=vec.describe()))
-        except StructureError:
-            continue
+        out.append(GroupLike(H, vec, name=vec.describe()))
     return out

@@ -16,9 +16,11 @@ contracted into the middle legs by index arithmetic.
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
 actually holds, so its cost follows the fill of the system, not its rank².
-A computed ``Subspace`` holds a canonical kernel basis, so its ``coords``
-read a vector's coefficients at the basis' free columns and check the
-recombination, with no elimination at all.
+``solve_linear``, ``kernel_basis``, ``membership`` and ``inverse_map`` each
+read their answer off one ``_rref`` of an augmented or transposed system.
+``Subspace`` is the one subspace type.  It holds a canonical kernel basis,
+so its ``coords`` read a vector's coefficients at the basis' free columns
+and check the recombination, with no elimination at all.
 
 Over GF(p) a scalar is a bare ``int``; each kernel accumulates unreduced
 ints and reduces once per step (the ``LinMap`` and ``Vector`` constructors,
@@ -639,30 +641,22 @@ def _reduced(row, p):
     return {c: r for c, v in row.items() if (r := v % p)}
 
 
-def _insert(row, echelon, field):
-    """Reduce ``row`` by the echelon; if anything is left, normalize it at
-    its lead, file it there and return the lead, else return None."""
-    p = field.modulus
-    row = _eliminate(row, echelon, p)
-    if p is not None:
-        row = _reduced(row, p)
-    if not row:
-        return None
-    lead = min(row)
-    inv = field.inv(row[lead])
-    if p is None:
-        echelon[lead] = {c: inv * v for c, v in row.items()}
-    else:
-        echelon[lead] = {c: inv * v % p for c, v in row.items()}
-    return lead
-
-
 def _echelon(rows, field):
     """Forward elimination: lead col -> normalized row with no entry at any
     lead filed before it."""
-    echelon = {}
+    p, echelon = field.modulus, {}
     for row in rows:
-        _insert(dict(row), echelon, field)
+        row = _eliminate(dict(row), echelon, p)
+        if p is not None:
+            row = _reduced(row, p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = field.inv(row[lead])
+        if p is None:
+            echelon[lead] = {c: inv * v for c, v in row.items()}
+        else:
+            echelon[lead] = {c: inv * v % p for c, v in row.items()}
     return echelon
 
 
@@ -718,40 +712,6 @@ def _null_vectors(rows, space):
                 free.setdefault(j, {})[c] = -v
     return [Vector(space, {j: one, **free.get(j, {})})
             for j in range(space.dim) if j not in pivots]
-
-
-class SubspaceSolver:
-    """Expand vectors over a fixed independent basis (incremental elimination).
-
-    Basis vector j is reduced with the coordinate column ``dim + j`` appended,
-    so each echelon row carries its own expansion and one kernel serves both
-    the build and every ``coords`` call."""
-
-    def __init__(self, basis):
-        if not basis:
-            self.space = None
-        else:
-            self.space = basis[0].space
-        self.basis = list(basis)
-        self.field = self.space.field if self.space is not None else QQ
-        self.echelon = {}  # lead index -> row over ambient and coordinate columns
-        dim, one = self.space.dim if self.basis else 0, self.field.one
-        for j, vec in enumerate(self.basis):
-            if _insert({**vec.entries, dim + j: one}, self.echelon, self.field) >= dim:
-                raise ValueError("subspace basis is linearly dependent at index %d" % j)
-
-    def coords(self, vec):
-        """Coefficients of vec over the basis, or None if not in the span."""
-        if self.space is None:
-            return {} if vec.is_zero() else None
-        if vec.space.dim != self.space.dim:
-            raise DimensionMismatch("membership test across different spaces")
-        dim, p = self.space.dim, self.field.modulus
-        row = _eliminate(dict(vec.entries), self.echelon, p)
-        if p is None:
-            return None if row and min(row) < dim else {c - dim: -v for c, v in row.items()}
-        row = _reduced(row, p)
-        return None if row and min(row) < dim else {c - dim: p - v for c, v in row.items()}
 
 
 class Subspace:
@@ -825,11 +785,25 @@ def _free_columns(basis):
 
 
 def membership(vec, basis):
-    """True with exact expansion coefficients iff vec lies in span(basis)."""
-    coords = SubspaceSolver(basis).coords(vec)
-    if coords is None:
+    """True with exact expansion coefficients iff vec lies in span(basis).
+
+    One RREF of the transposed system [b_0 … b_{k−1} | v]: the basis is
+    independent iff columns 0 … k−1 are all pivots; then v is in the span iff
+    column k is not, and coefficient j is pivot row j's entry at column k."""
+    k = len(basis)
+    rows = {}
+    for j, b in enumerate([*basis, vec]):
+        for i, v in b.entries.items():
+            rows.setdefault(i, {})[j] = v
+    echelon = _rref(list(rows.values()), (basis[0] if basis else vec).space.field)
+    dependent = set(range(k)).difference(c for c, _ in echelon)
+    if dependent:
+        raise ValueError("subspace basis is linearly dependent at index %d" % min(dependent))
+    if basis and vec.space.dim != basis[0].space.dim:
+        raise DimensionMismatch("membership test across different spaces")
+    if echelon and echelon[-1][0] == k:
         return False, None
-    return True, coords
+    return True, {c: row[k] for c, row in echelon if k in row}
 
 
 def span_dim(vectors):
@@ -860,17 +834,21 @@ def solve_linear(rows, rhs, ncols, field):
 
 
 def inverse_map(f):
-    """Exact inverse of a square map; raises if singular."""
-    if f.domain.dim != f.codomain.dim:
+    """Exact inverse of a square map, read off one RREF of the rows [f | I];
+    raises if singular, which puts a pivot in the identity block."""
+    n = f.domain.dim
+    if n != f.codomain.dim:
         raise DimensionMismatch("inverse of a non-square map")
-    solver = SubspaceSolver([f.column(c) for c in range(f.domain.dim)])
+    rows = [{n + r: f.field.one} for r in range(n)]
+    for (r, c), v in f.entries.items():
+        rows[r][c] = v
     entries = {}
-    for j in range(f.codomain.dim):
-        coords = solver.coords(f.codomain.basis_vector(j))
-        if coords is None:
+    for c, row in _rref(rows, f.field):
+        if c >= n:
             raise ValueError("map is not invertible")
-        for r, v in coords.items():
-            entries[(r, j)] = v
+        for j, v in row.items():
+            if j >= n:
+                entries[(c, j - n)] = v
     return LinMap(f.codomain, f.domain, entries)
 
 

@@ -190,6 +190,15 @@ def _verify_hopf_ref(d, hopf_dict, what):
             % (what, str(want)[:12], have[:12]))
 
 
+def field_of(d, hopf):
+    """The field that file ``d`` names, which must be its Hopf algebra's."""
+    field = field_from_name(d["field"])
+    if field.name != hopf.field.name:
+        raise ParseError("field %s does not match the Hopf file's %s"
+                         % (field.name, hopf.field.name))
+    return field
+
+
 def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     """Parse any structure file.  Carrier/coefficient kinds need the Hopf
     file's dict (for the hash check) and the parsed HopfAlgebra."""
@@ -200,10 +209,7 @@ def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     if hopf_dict is None or hopf is None:
         raise ParseError("%s file needs its Hopf algebra file" % kind)
     _verify_hopf_ref(d, hopf_dict, kind)
-    field = field_from_name(d["field"])
-    if field.name != hopf.field.name:
-        raise ParseError("field %s does not match the Hopf file's %s"
-                         % (field.name, hopf.field.name))
+    field = field_of(d, hopf)
     labels = tuple(d["basis"])
     if len(labels) != d["dim"]:
         raise ParseError("dim %d does not match %d basis labels" % (d["dim"], len(labels)))

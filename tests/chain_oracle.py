@@ -8,13 +8,13 @@ identical matrices from the fast path."""
 import itertools
 
 import gf_oracle
+from rref_oracle import SubspaceSolver
 from hopfcyc.cocyclic import invariant_functionals
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
     LinMap,
     Subspace,
-    SubspaceSolver,
     kernel_basis,
     linmap_to_vector,
     tensor_space,

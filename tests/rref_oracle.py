@@ -6,10 +6,17 @@ reduced form after every row.  It costs rank² even on diagonal systems, but
 it is short and plainly right, so a differential test can demand the same
 reduced rows, ranks, kernels and solutions from the lead-driven kernel.
 Over GF(p) it computes with the ``GFElement`` scalars of ``gf_oracle``, so it
-accepts rows of unreduced residues and returns reduced ones."""
+accepts rows of unreduced residues and returns reduced ones.
+
+``SubspaceSolver`` and ``inverse_map`` are the incremental solver that
+``linalg.membership`` and ``linalg.inverse_map`` replace, kept as they were
+with the ``_insert`` step they filed rows with: each basis vector is reduced
+with its own coordinate column appended, one at a time, so a dependent basis
+is refused at its first dependent index."""
 
 import gf_oracle
-from hopfcyc.linalg import Vector
+from hopfcyc.fields import QQ
+from hopfcyc.linalg import DimensionMismatch, LinMap, Vector, _eliminate, _reduced
 
 
 def rref(rows, field):
@@ -82,3 +89,70 @@ def solve_linear(rows, rhs, ncols, field):
             return None
         solution[c] = row.get(ncols, field.zero)
     return {c: v for c, v in solution.items() if v}
+
+
+def _insert(row, echelon, field):
+    """Reduce ``row`` by the echelon; if anything is left, normalize it at
+    its lead, file it there and return the lead, else return None."""
+    p = field.modulus
+    row = _eliminate(row, echelon, p)
+    if p is not None:
+        row = _reduced(row, p)
+    if not row:
+        return None
+    lead = min(row)
+    inv = field.inv(row[lead])
+    if p is None:
+        echelon[lead] = {c: inv * v for c, v in row.items()}
+    else:
+        echelon[lead] = {c: inv * v % p for c, v in row.items()}
+    return lead
+
+
+class SubspaceSolver:
+    """Expand vectors over a fixed independent basis (incremental elimination).
+
+    Basis vector j is reduced with the coordinate column ``dim + j`` appended,
+    so each echelon row carries its own expansion and one kernel serves both
+    the build and every ``coords`` call."""
+
+    def __init__(self, basis):
+        if not basis:
+            self.space = None
+        else:
+            self.space = basis[0].space
+        self.basis = list(basis)
+        self.field = self.space.field if self.space is not None else QQ
+        self.echelon = {}  # lead index -> row over ambient and coordinate columns
+        dim, one = self.space.dim if self.basis else 0, self.field.one
+        for j, vec in enumerate(self.basis):
+            if _insert({**vec.entries, dim + j: one}, self.echelon, self.field) >= dim:
+                raise ValueError("subspace basis is linearly dependent at index %d" % j)
+
+    def coords(self, vec):
+        """Coefficients of vec over the basis, or None if not in the span."""
+        if self.space is None:
+            return {} if vec.is_zero() else None
+        if vec.space.dim != self.space.dim:
+            raise DimensionMismatch("membership test across different spaces")
+        dim, p = self.space.dim, self.field.modulus
+        row = _eliminate(dict(vec.entries), self.echelon, p)
+        if p is None:
+            return None if row and min(row) < dim else {c - dim: -v for c, v in row.items()}
+        row = _reduced(row, p)
+        return None if row and min(row) < dim else {c - dim: p - v for c, v in row.items()}
+
+
+def inverse_map(f):
+    """Exact inverse of a square map; raises if singular."""
+    if f.domain.dim != f.codomain.dim:
+        raise DimensionMismatch("inverse of a non-square map")
+    solver = SubspaceSolver([f.column(c) for c in range(f.domain.dim)])
+    entries = {}
+    for j in range(f.codomain.dim):
+        coords = solver.coords(f.codomain.basis_vector(j))
+        if coords is None:
+            raise ValueError("map is not invertible")
+        for r, v in coords.items():
+            entries[(r, j)] = v
+    return LinMap(f.codomain, f.domain, entries)

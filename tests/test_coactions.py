@@ -2,7 +2,9 @@
 cotensor constraints and coalgebra stability read from their entries, the
 row-indexed precomposition of the cochain complexes and the filtered character
 search: each against the whole-``Chain`` (or unfiltered) construction of
-``chain_oracle``, on every corpus carrier over ℚ and GF(32003)."""
+``chain_oracle``, on every corpus carrier over ℚ and GF(32003).  The
+group-like search, which runs as the character search of the dual algebra,
+against the separate search it replaced."""
 
 import itertools
 
@@ -17,13 +19,16 @@ from hopfcyc.corpus import bicrossed_names, get_bicrossed, get_hopf, hopf_names
 from hopfcyc.fields import GF, QQ
 from hopfcyc.hopf import (
     Character,
+    GroupLike,
     StructureError,
     _char_name,
+    _left_multiplication,
     counit_character,
     enumerate_characters,
+    enumerate_group_likes,
     unit_group_like,
 )
-from hopfcyc.linalg import Chain
+from hopfcyc.linalg import Chain, Vector, solve_linear
 from hopfcyc.symmetries import (
     _coalgebra_stability,
     adjoint_comodule_coalgebra,
@@ -191,3 +196,54 @@ def test_character_search_over_gfp():
     H = get_hopf("kZ3", GF(32003))
     assert [c.name for c in enumerate_characters(H)] == \
         [c.name for c in _unfiltered_characters(H)]
+
+
+def _old_is_group_like(H, sigma):
+    """ε(σ) = 1 and Δσ = σ⊗σ, compared on raw entries (no labeled H⊗H)."""
+    if H.counit.apply(sigma).entries != {0: H.field.one}:
+        return False
+    d, entries, p = H.dim, sigma.entries.items(), H.field.modulus
+    square = {i * d + j: a * b for i, a in entries for j, b in entries}
+    if p is not None:  # a product of nonzero residues is nonzero
+        square = {k: v % p for k, v in square.items()}
+    return H.comult.apply(sigma).entries == square
+
+
+def _old_solved_inverse(H, sigma):
+    """Left multiplication by σ as a matrix, then solve L x = 1."""
+    left = _left_multiplication(H, sigma)
+    rows = {}
+    for (r, c), v in left.entries.items():
+        rows.setdefault(r, {})[c] = v
+    rhs = [H.unit.entries.get(r, H.field.zero) for r in range(H.dim)]
+    sol = solve_linear([rows.get(r, {}) for r in range(H.dim)], rhs, H.dim, H.field)
+    return None if sol is None else Vector(H.space, sol)
+
+
+def _old_group_likes(H):
+    """The separate {0, ±1} group-like search with solved inverses."""
+    field = H.field
+    values = (field.zero, field.one, field.from_int(-1))
+    out = []
+    for combo in itertools.product(values, repeat=H.dim):
+        vec = Vector(H.space, {i: v for i, v in enumerate(combo) if v})
+        if not _old_is_group_like(H, vec):
+            continue
+        inverse = _old_solved_inverse(H, vec)
+        if inverse is None:
+            continue
+        try:
+            out.append(GroupLike(H, vec, inverse, name=vec.describe()))
+        except StructureError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("name,field", [(name, QQ) for name in hopf_names()] + [
+    (name, GF(32003)) for name in ("kS3", "sweedler-h4", "dualZ3")])
+def test_group_like_search_matches_old_search(name, field):
+    H = get_hopf(name, field)
+    new, old = enumerate_group_likes(H), _old_group_likes(H)
+    assert [(g.name, g.sigma.entries, g.sigma_inverse.entries) for g in new] == \
+        [(g.name, g.sigma.entries, g.sigma_inverse.entries) for g in old]
+    assert new  # the unit is always found

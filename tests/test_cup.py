@@ -20,7 +20,7 @@ from hopfcyc import (
     verify_cocyclic_identities,
 )
 from hopfcyc.cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
-from hopfcyc.linalg import SubspaceSolver, Vector, identity, kernel_basis
+from hopfcyc.linalg import Vector, identity, kernel_basis
 from hopfcyc.symmetries import (
     algebra_over_trivial_hopf,
     comodule_algebra_over_trivial_hopf,

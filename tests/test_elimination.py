@@ -6,23 +6,29 @@ row-by-row elimination of ``rref_oracle`` gives, with exact scalars, on
 sparse systems whose structure stresses the lead bookkeeping: permuted
 block-diagonal matrices, duplicate rows, rows that cancel to zero, and empty
 or all-zero systems.  On the same kernel bases, ``Subspace.coords`` (read
-off the free columns) must agree with ``SubspaceSolver.coords``."""
+off the free columns) must agree with ``SubspaceSolver.coords``.  On the
+rows of those systems taken as bases, ``membership`` must give what the
+incremental ``rref_oracle.SubspaceSolver`` gives, and ``inverse_map`` what
+``rref_oracle.inverse_map`` gives."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rref_oracle
+from rref_oracle import SubspaceSolver
 from hopfcyc.fields import GF, QQ
 from hopfcyc.linalg import (
     LinMap,
     Space,
     Subspace,
-    SubspaceSolver,
     Vector,
     _rref,
+    inverse_map,
     kernel_basis,
+    membership,
     rank,
     solve_linear,
     span_dim,
@@ -215,3 +221,72 @@ def test_read_off_refuses_a_basis_that_is_not_canonical():
             Vector(sp, {}))
     with pytest.raises(ValueError, match="not canonical"):
         Subspace(sp, [Vector(sp, {0: 1, 2: 2})]).coords(Vector(sp, {}))
+
+
+def oracle_membership(vec, basis):
+    """(True, coords), (False, None), or the ValueError text of the oracle."""
+    try:
+        coords = SubspaceSolver(basis).coords(vec)
+    except ValueError as err:
+        return str(err)
+    return coords is not None, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_membership_agrees_with_solver_oracle(system, data):
+    """The rows of a system as a basis (dependent at the duplicate, scaled,
+    cancelling and empty rows) and greedily thinned to an independent one:
+    the same coordinates, the same None, or the same dependent index."""
+    field, rows, ncols = system
+    sp = matrix(field, [], ncols).domain
+    basis = [Vector(sp, row) for row in rows]
+    independent = []
+    for b in basis:
+        if not isinstance(oracle_membership(b, independent + [b]), str):
+            independent.append(b)
+    coeffs = [to_field(field, c) for c in data.draw(
+        st.lists(raw_scalars, min_size=len(basis), max_size=len(basis)))]
+    values = data.draw(st.lists(raw_scalars, min_size=ncols, max_size=ncols))
+    j = data.draw(st.integers(0, ncols - 1))
+    for span in (basis, independent):
+        combo = Vector(sp, {})
+        for b, c in zip(span, coeffs):
+            combo = combo + b.scaled(c)
+        for vec in (combo, combo + Vector(sp, {j: field.one}),
+                    Vector(sp, sparse(field, dict(enumerate(values))))):
+            expected = oracle_membership(vec, span)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+                    membership(vec, span)
+                continue
+            got = membership(vec, span)
+            assert got == expected
+            assert_exact(field, (got[1] or {}).values())
+        if span is independent:
+            known = {k: c for k, c in enumerate(coeffs[:len(span)]) if c}
+            assert membership(combo, span) == (True, known)
+
+
+@st.composite
+def square_maps(draw):
+    """A square map over ℚ or GF(7) with small entries, often singular."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(raw_scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix(field, [sparse(field, dict(enumerate(row))) for row in rows], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_maps())
+def test_inverse_map_agrees_with_solver_oracle(f):
+    try:
+        expected = rref_oracle.inverse_map(f)
+    except ValueError:
+        with pytest.raises(ValueError, match="^map is not invertible$"):
+            inverse_map(f)
+        assert rank(f) < f.domain.dim
+        return
+    g = inverse_map(f)
+    assert g == expected
+    assert_exact(g.field, g.entries.values())

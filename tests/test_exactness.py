@@ -13,7 +13,6 @@ from hopfcyc.fields import GF, QQ, FieldError
 from hopfcyc.linalg import (
     LinMap,
     Space,
-    SubspaceSolver,
     Vector,
     _rref,
     identity,
@@ -22,6 +21,7 @@ from hopfcyc.linalg import (
     rank,
     solve_linear,
 )
+from rref_oracle import SubspaceSolver
 
 GF7 = GF(7)
 

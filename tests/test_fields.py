@@ -2,9 +2,11 @@
 instance per prime, and the linear-algebra operators refuse to mix fields
 where they are called, not deep inside a computation."""
 
+import time
+
 import pytest
 
-from hopfcyc.fields import GF, QQ, FieldError, field_from_name
+from hopfcyc.fields import _MR_BOUND, GF, QQ, FieldError, PrimeField, _is_prime, field_from_name
 from hopfcyc.linalg import Chain, Contraction, LinMap, Space, Vector, tensor_space
 
 
@@ -46,6 +48,32 @@ class TestResidues:
         assert field_from_name("Q") is QQ
         assert GF(7) is not GF(11) and GF(7) != GF(11)
         assert GF(7).modulus == 7 and QQ.modulus is None
+
+
+class TestPrimality:
+    def test_large_prime_is_accepted_quickly(self):
+        start = time.process_time()
+        F = PrimeField(100000000000031)
+        assert time.process_time() - start < 0.05
+        assert F.name == "GF(100000000000031)" and F.inv(2) * 2 % F.p == 1
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, 999999999989 * 3])
+    def test_carmichael_and_semiprime_moduli_are_refused(self, n):
+        with pytest.raises(FieldError, match=r"modulus is not prime"):
+            PrimeField(n)
+
+    def test_small_moduli_agree_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(-3, 2000) if _is_prime(n)] == \
+            [n for n in range(-3, 2000) if trial(n)]
+
+    def test_moduli_at_the_bound_are_refused_with_a_message(self):
+        assert not _is_prime(_MR_BOUND - 2)  # divisible by 17, and still decided
+        for n in (_MR_BOUND, _MR_BOUND + 2, 10 ** 30 + 57):
+            with pytest.raises(FieldError, match=r"primality is decided only below"):
+                field_from_name("GF(%d)" % n)
 
 
 FIELD_PAIRS = [(GF(7), GF(11)), (QQ, GF(7)), (GF(7), QQ)]

@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 import chain_oracle
 import gf_oracle
 from gf_oracle import lift, lift_map, lift_row, lift_vector, lower_row
+from rref_oracle import SubspaceSolver
 from hopfcyc.fields import GF
 from hopfcyc.linalg import (
     Subspace,
-    SubspaceSolver,
     Vector,
     _rref,
     kernel_basis,

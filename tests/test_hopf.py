@@ -4,6 +4,7 @@ import pytest
 
 from hopfcyc import (
     Character,
+    GF,
     GroupLike,
     HopfAlgebra,
     StructureError,
@@ -214,6 +215,16 @@ class TestCharactersAndGroupLikes:
         assert sorted(x.name for x in enumerate_group_likes(H4)) == ["1", "g"]
         dual = get_hopf("dualZ3")
         assert [x.sigma for x in enumerate_group_likes(dual)] == [dual.unit]
+
+    def test_search_over_gf2_lists_each_value_once(self):
+        # −1 = 1 in characteristic 2, so {0, 1, −1} holds two values
+        F = GF(2)
+        kZ2 = group_algebra(cyclic_group(2), F)
+        assert [c.name for c in enumerate_characters(kZ2)] == ["ε"]
+        assert [g.name for g in enumerate_group_likes(kZ2)] == ["t", "e"]
+        dual = function_hopf(cyclic_group(2), F)
+        assert [c.name for c in enumerate_characters(dual)] == ["δ[δe↦0]", "δ[δt↦0]"]
+        assert [g.sigma for g in enumerate_group_likes(dual)] == [dual.unit]
 
     def test_group_like_inverse(self, KZ3):
         t = GroupLike(KZ3, KZ3.space.basis_vector(1), name="t")

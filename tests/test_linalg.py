@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import chain_oracle
 import gf_oracle
+from rref_oracle import SubspaceSolver
 from hopfcyc.fields import GF, QQ, FieldError
 from hopfcyc.linalg import (
     Chain,
     LinMap,
     Space,
-    SubspaceSolver,
     Vector,
     identity,
     inverse_map,

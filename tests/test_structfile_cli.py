@@ -199,6 +199,17 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "1       0       0       0" in out
 
+    def test_modulus_too_large_to_decide_exits_2(self, workdir, capsys):
+        emit("kZ2")
+        with open("kZ2.json", encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["field"] = "GF(3317044064679887385961981)"
+        with open("kZ2.json", "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        capsys.readouterr()
+        assert main(["check", "hopf", "kZ2.json"]) == 2
+        assert "primality is decided only below" in capsys.readouterr().err
+
     def test_corpus_single_scenario(self, workdir, capsys):
         assert main(["corpus", "run", "stable-subalgebra"]) == 0
         out = capsys.readouterr().out
@@ -232,31 +243,54 @@ class TestCliExitCodes:
         assert first == second
 
 
+CUP_ARGS = ["cup", "--hopf", "hopf.json", "--action-algebra", "action.json",
+            "--comodule-algebra", "comodule.json", "--coeff", "coeff.json",
+            "--phi", "phi.json", "--psi", "psi.json"]
+
+
+def write_trivial_cup_files():
+    """The trivial-H crossed-product demo over ℚ, built by hand."""
+    from hopfcyc.corpus import crossed_product_instances
+    from hopfcyc import structfile as sf
+    from hopfcyc.cocyclic import invariant_functionals
+    from hopfcyc.symmetries import colinear_hom_space
+
+    name, A, B, M = crossed_product_instances()[0]
+    hd = sf.hopf_to_dict(A.hopf, "trivial")
+    sf.write_file("hopf.json", hd)
+    sf.write_file("action.json", sf.structure_to_dict("module-algebra", A, "A", hd))
+    sf.write_file("comodule.json", sf.structure_to_dict("comodule-algebra", B, "B", hd))
+    sf.write_file("coeff.json", sf.structure_to_dict("module-comodule", M, "M", hd))
+    phis = invariant_functionals(A, M, 0)
+    psis = colinear_hom_space(B, M, 0)
+    sf.write_file("phi.json", sf.cochain_to_dict(
+        phis.basis[0], "phi", 0, "module-algebra", phis.ambient.labels, {}))
+    sf.write_file("psi.json", sf.cochain_to_dict(
+        psis.basis[0], "psi", 0, "comodule-algebra", psis.ambient.labels, {}))
+
+
 class TestCupCli:
     def test_cup_of_traces(self, workdir, capsys):
-        # build the trivial-H crossed-product demo by hand
-        from hopfcyc.corpus import crossed_product_instances
-        from hopfcyc import structfile as sf
-        from hopfcyc.cocyclic import invariant_functionals
-        from hopfcyc.symmetries import colinear_hom_space
-
-        name, A, B, M = crossed_product_instances()[0]
-        hd = sf.hopf_to_dict(A.hopf, "trivial")
-        sf.write_file("hopf.json", hd)
-        sf.write_file("action.json", sf.structure_to_dict("module-algebra", A, "A", hd))
-        sf.write_file("comodule.json", sf.structure_to_dict("comodule-algebra", B, "B", hd))
-        sf.write_file("coeff.json", sf.structure_to_dict("module-comodule", M, "M", hd))
-        phis = invariant_functionals(A, M, 0)
-        psis = colinear_hom_space(B, M, 0)
-        sf.write_file("phi.json", sf.cochain_to_dict(
-            phis.basis[0], "phi", 0, "module-algebra", phis.ambient.labels, {}))
-        sf.write_file("psi.json", sf.cochain_to_dict(
-            psis.basis[0], "psi", 0, "comodule-algebra", psis.ambient.labels, {}))
-        code = main(["cup", "--hopf", "hopf.json",
-                     "--action-algebra", "action.json",
-                     "--comodule-algebra", "comodule.json",
-                     "--coeff", "coeff.json",
-                     "--phi", "phi.json", "--psi", "psi.json"])
+        write_trivial_cup_files()
+        code = main(CUP_ARGS)
         assert code == 0
         out = capsys.readouterr().out
         assert "cup cochain" in out and "PASS" in out
+
+    @pytest.mark.parametrize("cochain", ["phi", "psi"])
+    def test_cup_refuses_a_cochain_over_another_field(self, workdir, capsys, cochain):
+        # "4" would read as 1 in GF(3): the coordinates must not be parsed
+        # in a field other than the Hopf algebra's
+        write_trivial_cup_files()
+        path = "%s.json" % cochain
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["field"] = "GF(3)"
+        d["coordinates"] = [[i, "4"] for i, _ in d["coordinates"]]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        capsys.readouterr()
+        assert main(CUP_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field GF(3) does not match the Hopf file's Q\n"
