@@ -180,9 +180,9 @@ def cmd_cup(args):
     action_algebra, _ = _load_object(args.action_algebra, hopf_dict, H)
     comodule_algebra, _ = _load_object(args.comodule_algebra, hopf_dict, H)
     coeff, _ = _load_object(args.coeff, hopf_dict, H)
-    phi_d = structfile.load_file(args.phi)
-    psi_d = structfile.load_file(args.psi)
-    p, q = phi_d.get("degree", 0), psi_d.get("degree", 0)
+    phi_d = structfile.load_file(args.phi, "cochain")
+    psi_d = structfile.load_file(args.psi, "cochain")
+    p, q = phi_d["degree"], psi_d["degree"]
     for d in (phi_d, psi_d):  # coordinates are parsed in the Hopf algebra's field
         structfile.field_of(d, H)
     field = H.field
@@ -195,7 +195,7 @@ def cmd_cup(args):
 
     def coords_from(d, dim, what):
         entries = {}
-        for i, lit in d.get("coordinates", []):
+        for i, lit in d["coordinates"]:
             if not (0 <= i < dim):
                 raise structfile.ParseError("%s: index %d out of range" % (what, i))
             entries[i] = field.parse(lit)

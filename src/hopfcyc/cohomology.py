@@ -47,10 +47,9 @@ def connes_boundary(X: CocyclicModule, n) -> LinMap:
         one_minus = identity(X.spaces[n]) - lam_n
         extra = X.codegeneracy(n - 1, n - 1) @ X.tau(n)
         lam_prev = cyclic_eigenvalue_operator(X, n - 1)
-        norm = identity(X.spaces[n - 1])
-        power = identity(X.spaces[n - 1])
+        norm, power = identity(X.spaces[n - 1]), None
         for _ in range(1, n):
-            power = lam_prev @ power
+            power = lam_prev if power is None else lam_prev @ power
             norm = norm + power
         X._memo[key] = norm @ extra @ one_minus
     return X._memo[key]

@@ -73,7 +73,7 @@ class HopfAlgebra:
                 # expand the last leg
                 chain = Chain([self.space] * (i + 1))
                 chain.apply(self.comult, i, 1, [self.space, self.space])
-                out = chain.to_map() @ out
+                out = chain.to_map() if i == 0 else chain.to_map() @ out
             self._memo[key] = out
         return self._memo[key]
 

@@ -16,6 +16,8 @@ contracted into the middle legs by index arithmetic.
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
 actually holds, so its cost follows the fill of the system, not its rank².
+The forward pass files rows in descending order of their lead column, which
+keeps the filed rows short.
 ``solve_linear``, ``kernel_basis``, ``membership`` and ``inverse_map`` each
 read their answer off one ``_rref`` of an augmented or transposed system.
 ``Subspace`` is the one subspace type.  It holds a canonical kernel basis,
@@ -230,7 +232,7 @@ class LinMap:
     only; labels are provenance, not identity.  Over GF(p) the constructor
     reduces every entry, so the operators accumulate unreduced ints."""
 
-    __slots__ = ("domain", "codomain", "entries", "_by_col")
+    __slots__ = ("domain", "codomain", "entries", "_by_col", "_single")
 
     def __init__(self, domain, codomain, entries=None):
         self.domain = domain
@@ -240,7 +242,7 @@ class LinMap:
             self.entries = {k: v for k, v in (entries or {}).items() if v}
         else:
             self.entries = {k: r for k, v in (entries or {}).items() if (r := v % p)}
-        self._by_col = None
+        self._by_col = self._single = None
 
     @property
     def field(self):
@@ -253,6 +255,14 @@ class LinMap:
                 cols.setdefault(c, []).append((r, v))
             self._by_col = cols
         return self._by_col
+
+    def one_entry_per_col(self):
+        """True when no column holds two entries (a permutation, g ↦ g⊗g, a
+        group-algebra product, a unit insert); classified from ``by_col`` on
+        the first call and kept."""
+        if self._single is None:
+            self._single = all(len(e) == 1 for e in self.by_col().values())
+        return self._single
 
     def column(self, c):
         return Vector(self.codomain, dict(self.by_col().get(c, ())))
@@ -353,8 +363,10 @@ class LinMap:
     def power(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = identity(self.domain)
-        for _ in range(k):
+        if k == 0:
+            return identity(self.domain)
+        out = self
+        for _ in range(k - 1):
             out = self @ out
         return out
 
@@ -402,6 +414,11 @@ class Chain:
     domain of ``f`` (row-major), producing ``out_legs`` in their place.
     ``nin=0`` inserts at position ``at`` (map from the ground field);
     ``out_legs=[]`` drops the output (map to the ground field).
+
+    A step whose map holds at most one entry per column (a permutation,
+    g ↦ g⊗g, a group-algebra product, a unit insert) moves each row whole to
+    its one new index instead of entry by entry; only rows that land on one
+    index are added.
 
     The materialized entries, and their index by middle legs, are kept until
     the next ``apply`` or ``permute``, so a pipeline shared by several
@@ -482,9 +499,10 @@ class Chain:
     def _materialize(self, state=None):
         """Move every column through each step at once.  The state maps each
         flat row index over the current legs to its ``{col: scalar}`` row,
-        starting from ``state`` (rows over the source legs) or else from the
-        identity on the source legs.  Over GF(p) each apply step accumulates
-        unreduced ints and reduces every row once at its end."""
+        starting from ``state`` (rows over the source legs, in dicts that
+        this walk then owns) or else from the identity on the source legs.
+        Over GF(p) each apply step accumulates unreduced ints and reduces
+        every row it added to once at its end."""
         p, one = self.field.modulus, self.field.one
         dims = [s.dim for s in self.source_legs]
         if state is None:
@@ -507,8 +525,46 @@ class Chain:
             _, f, at, in_dims, out_dims = step
             in_dim, out_dim = math.prod(in_dims), math.prod(out_dims)
             right_dim = math.prod(dims[at + len(in_dims):])
+            dims[at : at + len(in_dims)] = out_dims
             by_col = f.by_col()
             new_state = {}
+            if f.one_entry_per_col():
+                # Each row moves whole to its one new index.  The old state is
+                # private to this walk and dropped after the step, and no two
+                # rows share a dict, so a row is taken over as it is (value 1)
+                # or scaled, never copied.  A nonzero multiple of a reduced
+                # nonzero row is nonzero, so only rows that land on one index
+                # are added, and only they need the zero filter or reduction.
+                merged = set()
+                for row, cols in state.items():
+                    lx, r = divmod(row, right_dim)
+                    l, x = divmod(lx, in_dim)
+                    entry = by_col.get(x)
+                    if entry is None:
+                        continue
+                    y, v = entry[0]
+                    if v != one:
+                        cols = ({c: v * w for c, w in cols.items()} if p is None
+                                else {c: v * w % p for c, w in cols.items()})
+                    key = (l * out_dim + y) * right_dim + r
+                    acc = new_state.setdefault(key, cols)
+                    if acc is cols:
+                        continue
+                    merged.add(key)
+                    for c, w in cols.items():
+                        s = acc.get(c, 0) + w
+                        if s:
+                            acc[c] = s
+                        else:
+                            del acc[c]
+                for key in merged:
+                    acc = new_state[key] if p is None else _reduced(new_state[key], p)
+                    if acc:
+                        new_state[key] = acc
+                    else:
+                        del new_state[key]
+                state = new_state
+                continue
             for row, cols in state.items():
                 lx, r = divmod(row, right_dim)
                 l, x = divmod(lx, in_dim)
@@ -532,7 +588,6 @@ class Chain:
             else:
                 state = {row: red for row, cols in new_state.items()
                          if (red := {c: r for c, w in cols.items() if (r := w % p)})}
-            dims[at : at + len(in_dims)] = out_dims
         return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
 
     def to_map(self):
@@ -643,9 +698,12 @@ def _reduced(row, p):
 
 def _echelon(rows, field):
     """Forward elimination: lead col -> normalized row with no entry at any
-    lead filed before it."""
+    lead filed before it.  The nonzero rows are filed in descending order of
+    their lead column, so each row's lead is at or left of every lead filed
+    before it: the filed rows stay short and the back pass of ``_rref`` has
+    little left to remove."""
     p, echelon = field.modulus, {}
-    for row in rows:
+    for row in sorted((r for r in rows if r), key=min, reverse=True):
         row = _eliminate(dict(row), echelon, p)
         if p is not None:
             row = _reduced(row, p)
@@ -665,11 +723,12 @@ def _rref(rows, field):
 
     Returns (pivot list [(col, rowdict)], sorted by col).  Exact arithmetic,
     pivot = first nonzero column; deterministic for any input order since the
-    RREF of a row space is unique.  Forward elimination, then one pass in
-    descending lead order in which each row subtracts only the reduced rows
-    whose leads it holds.  Invariant: every echelon row meets the pivot
-    columns only in its own pivot, so kernel extraction can read the
-    free-column coefficients directly.
+    RREF of a row space is unique.  Forward elimination (``_echelon``, rows
+    filed by descending lead), then one pass in descending lead order in
+    which each row subtracts only the reduced rows whose leads it holds; with
+    short filed rows that pass has little left to remove.  Invariant: every
+    echelon row meets the pivot columns only in its own pivot, so kernel
+    extraction can read the free-column coefficients directly.
     """
     done = {}
     p = field.modulus

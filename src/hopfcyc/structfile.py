@@ -119,11 +119,36 @@ def hopf_from_dict(d, validate=True) -> HopfAlgebra:
     )
 
 
-def _check_header(d, kind=None):
+_HOPF_TENSORS = ("mult", "unit", "comult", "counit", "antipode")
+
+
+def _required_keys(kind):
+    """The keys a file of ``kind`` must hold besides its schema and kind; a
+    tensor is named ``tensors.<name>``.  An unknown kind requires none."""
+    if kind == "cochain":
+        return ("field", "degree", "coordinates")
+    if kind == "hopf":
+        tensors = _HOPF_TENSORS
+    elif kind in _KINDS:
+        tensors = [t for t, _, _ in _KINDS[kind][2]]
+    else:
+        return ()
+    return ("field", "dim", "basis", "tensors") + tuple("tensors." + t for t in tensors)
+
+
+def _check_header(d, kind=None, what=None):
+    """The schema, the kind if one is expected, and every key the file's kind
+    requires, so a file that lacks one is refused by name, not by a KeyError;
+    ``what`` names the file in that message."""
     if d.get("schema") != SCHEMA:
         raise ParseError("unsupported schema %r (expected %r)" % (d.get("schema"), SCHEMA))
     if kind is not None and d.get("kind") != kind:
         raise ParseError("expected kind %r, found %r" % (kind, d.get("kind")))
+    for key in _required_keys(d.get("kind")):
+        top, _, tensor = key.partition(".")
+        holder = d.get(top) if tensor else d
+        if not isinstance(holder, dict) or (tensor or top) not in holder:
+            raise ParseError("%s: missing key %r" % (what or "%s file" % d.get("kind"), key))
 
 
 def _hopf_ref(hopf_dict):
@@ -191,7 +216,8 @@ def _verify_hopf_ref(d, hopf_dict, what):
 
 
 def field_of(d, hopf):
-    """The field that file ``d`` names, which must be its Hopf algebra's."""
+    """The field that file ``d`` names (its keys checked by ``_check_header``),
+    which must be its Hopf algebra's."""
     field = field_from_name(d["field"])
     if field.name != hopf.field.name:
         raise ParseError("field %s does not match the Hopf file's %s"
@@ -209,14 +235,14 @@ def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     if hopf_dict is None or hopf is None:
         raise ParseError("%s file needs its Hopf algebra file" % kind)
     _verify_hopf_ref(d, hopf_dict, kind)
+    if kind not in _KINDS:
+        raise ParseError("unknown kind %r" % kind)
     field = field_of(d, hopf)
     labels = tuple(d["basis"])
     if len(labels) != d["dim"]:
         raise ParseError("dim %d does not match %d basis labels" % (d["dim"], len(labels)))
     X = Space(labels, field)
     t = d["tensors"]
-    if kind not in _KINDS:
-        raise ParseError("unknown kind %r" % kind)
     cls, default_name, tensors = _KINDS[kind]
     extra = {"side": d.get("side", "left")} if kind == "comodule-algebra" else {}
 
@@ -232,7 +258,9 @@ def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     return cls(hopf, X, *parsed, name=d.get("name", default_name), validate=validate, **extra)
 
 
-def load_file(path):
+def load_file(path, kind=None):
+    """The parsed dict of a structure file whose schema, kind (if ``kind`` is
+    given) and required keys have been checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
@@ -242,7 +270,7 @@ def load_file(path):
         raise ParseError("%s is not valid JSON: %s" % (path, err))
     if not isinstance(d, dict):
         raise ParseError("%s: top level must be an object" % path)
-    _check_header(d)
+    _check_header(d, kind, path)
     return d
 
 

@@ -290,3 +290,75 @@ def test_inverse_map_agrees_with_solver_oracle(f):
     g = inverse_map(f)
     assert g == expected
     assert_exact(g.field, g.entries.values())
+
+
+def permuted_vector(vec, perm, sp):
+    return Vector(sp, {perm[i]: v for i, v in vec.entries.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_results_do_not_depend_on_row_order(system, data):
+    """Rows are filed by descending lead, whatever order they come in: every
+    answer read off the elimination is the same for each row permutation.
+    ``membership`` eliminates the transposed system, whose rows are the
+    ambient coordinates, so its rows are permuted by relabelling those."""
+    field, rows, ncols = system
+    order = data.draw(st.permutations(range(len(rows))))
+    permuted = [rows[i] for i in order]
+    rhs = [to_field(field, v) for v in data.draw(
+        st.lists(raw_scalars, min_size=len(rows), max_size=len(rows)))]
+    assert _rref(permuted, field) == _rref(rows, field)
+    f, g = matrix(field, rows, ncols), matrix(field, permuted, ncols)
+    assert rank(g) == rank(f)
+    kernel = kernel_basis(f)
+    assert kernel_basis(g) == kernel
+    assert [list(v.entries) for v in kernel_basis(g)] == [list(v.entries) for v in kernel]
+    assert solve_linear(permuted, [rhs[i] for i in order], ncols, field) == solve_linear(
+        rows, rhs, ncols, field)
+
+    sp = f.domain
+    perm = data.draw(st.permutations(range(ncols)))
+    basis = [Vector(sp, row) for row in rows]
+    values = data.draw(st.lists(raw_scalars, min_size=ncols, max_size=ncols))
+    for span in (basis, [b for b in basis if b.entries][:1], []):
+        for vec in (Vector(sp, sparse(field, dict(enumerate(values)))),
+                    sum(span, Vector(sp, {}))):
+            try:
+                expected = membership(vec, span)
+            except ValueError as err:
+                with pytest.raises(ValueError, match="^%s$" % re.escape(str(err))):
+                    membership(permuted_vector(vec, perm, sp),
+                               [permuted_vector(b, perm, sp) for b in span])
+                continue
+            assert membership(permuted_vector(vec, perm, sp),
+                              [permuted_vector(b, perm, sp) for b in span]) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+def test_sweedler_adjoint_cotensor_system_matches_oracle(monkeypatch, field):
+    """The largest system of the coalgebra benchmark: Sweedler's H4 acting
+    on its adjoint comodule coalgebra, cotensored at degree 4 with the scalar
+    (ε, g) coefficient (2,016 rows × 1,024 columns, rank 760)."""
+    from hopfcyc import corpus, symmetries
+    from hopfcyc.hopf import GroupLike, counit_character
+
+    H = corpus.get_hopf("sweedler-h4", field)
+    C = symmetries.adjoint_comodule_coalgebra(H)
+    M = symmetries.scalar_coefficients(
+        H, counit_character(H), GroupLike(H, H.space.basis_vector(1), name="g"))
+    systems_seen = []
+    null_vectors = symmetries._null_vectors
+
+    def record(rows, space):
+        systems_seen.append(list(rows))
+        return null_vectors(rows, space)
+
+    monkeypatch.setattr(symmetries, "_null_vectors", record)
+    cotensor = symmetries.cotensor_space(C, M, 4)
+    (rows,) = systems_seen
+    assert (len(rows), cotensor.ambient.dim) == (2016, 1024)
+    expected = rref_oracle.rref(rows, field)
+    assert _rref(rows, field) == expected
+    assert len(expected) == 760 and cotensor.dim == 1024 - 760
+    assert cotensor.basis == rref_oracle.null_vectors(rows, cotensor.ambient)

@@ -322,6 +322,106 @@ class TestChain:
         assert chain == identity(a)
 
 
+@st.composite
+def single_entry_chains(draw, fields=(QQ, GF(7), GF(2))):
+    """A Chain on 1-3 source legs of dim 1-3 with two to six steps, most of
+    them maps with at most one entry per column (moved whole): permutations,
+    many-to-one maps where rows land on one index, scaled and zero columns,
+    inserts (nin = 0) and drops (no output legs), mixed with general sparse
+    maps, permutations and rotations."""
+    field = draw(st.sampled_from(fields))
+    names = iter("abcdefghijklmnopqrstuvwxyz")
+    dims = st.integers(1, 3)
+    chain = Chain([space(d, next(names), field)
+                   for d in draw(st.lists(dims, min_size=1, max_size=3))], field)
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["single", "single", "single", "general", "permute",
+                                     "rotate"]))
+        n = len(chain.legs)
+        if kind == "permute" and n:
+            chain.permute(draw(st.permutations(range(n))))
+            continue
+        if kind == "rotate" and n:
+            chain.rotate_last_to_front()
+            continue
+        at = draw(st.integers(0, n))
+        nin = draw(st.integers(0, min(2, n - at)))
+        nout = draw(st.integers(0, min(2, 4 - n + nin)))  # at most 4 legs
+        out_legs = [space(d, next(names), field)
+                    for d in draw(st.lists(dims, min_size=nout, max_size=nout))]
+        dom, cod = (tensor_space(*ls) if ls else unit_space(field)
+                    for ls in (chain.legs[at:at + nin], out_legs))
+        if kind == "general":
+            values = draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                                   min_size=dom.dim * cod.dim, max_size=dom.dim * cod.dim))
+            entries = {(k // dom.dim, k % dom.dim): x for k, x in enumerate(values) if x}
+        else:  # rows drawn from a small range, so columns often share one
+            entries = {}
+            for c in range(dom.dim):
+                x = draw(st.sampled_from([0, 1, 1, 1, -1, 2]))
+                if x:
+                    entries[(draw(st.integers(0, min(1, cod.dim - 1))), c)] = x
+        f = LinMap(dom, cod, {k: field.from_int(x) for k, x in entries.items()})
+        if kind != "general":
+            assert f.one_entry_per_col()
+        chain.apply(f, at, nin, out_legs)
+    return chain
+
+
+class TestWholeRowMoves:
+    """Steps whose map holds at most one entry per column move each row
+    whole; they must give the column walk's entries exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_entry_chains())
+    def test_entries_match_column_walk(self, chain):
+        assert chain.entries() == chain_oracle.walk_entries(chain)
+
+    @pytest.mark.parametrize("field, minus", [(QQ, -1), (GF(7), -1), (GF(2), 1)],
+                             ids=["QQ", "GF7", "GF2"])
+    def test_rows_landing_on_one_index_cancel(self, field, minus):
+        """Two copies of a row meet at one index with coefficients 1 and −1
+        (over GF(2), 1 and 1): the row cancels and is dropped."""
+        a, k = space(2, "a", field), unit_space(field)
+        copy = LinMap(a, a, {(0, 0): 1, (1, 0): 1})
+        fold = LinMap(a, k, {(0, 0): 1, (0, 1): field.from_int(minus)})
+        assert fold.one_entry_per_col() and not copy.one_entry_per_col()
+        chain = Chain([a]).apply(copy, 0, 1, [a]).apply(fold, 0, 1, [])
+        assert chain.entries() == {} == chain_oracle.walk_entries(chain)
+        keep = LinMap(a, k, {(0, 0): 1, (0, 1): 1})
+        chain = Chain([a]).apply(copy, 0, 1, [a]).apply(keep, 0, 1, [])
+        expected = {} if field is GF(2) else {(0, 0): 2}
+        assert chain.entries() == expected == chain_oracle.walk_entries(chain)
+
+    def test_one_entry_per_column_classification(self):
+        a, b, k = space(2, "a"), space(3, "b"), unit_space()
+        assert LinMap(a, b, {(2, 0): 1, (2, 1): 3}).one_entry_per_col()
+        assert LinMap(a, b, {(0, 1): 1}).one_entry_per_col()
+        assert not LinMap(k, a, {(0, 0): 1, (1, 0): 1}).one_entry_per_col()
+        assert zero_map(a, b).one_entry_per_col()
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_entry_chains(), st.data())
+    def test_images_leave_their_inputs_and_earlier_results_alone(self, chain, data):
+        field = chain.field
+        dim = math.prod(s.dim for s in chain.source_legs)
+        vectors = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            values = data.draw(st.lists(st.sampled_from([0, 1, 1, -1, 2]),
+                                        min_size=dim, max_size=dim))
+            vectors.append(Vector(space(dim, "s", field),
+                                  {i: field.from_int(x) for i, x in enumerate(values)}))
+        inputs = [dict(v.entries) for v in vectors]
+        first = chain.images(vectors)
+        results = [dict(v.entries) for v in first]
+        second = chain.images(vectors)
+        assert [v.entries for v in vectors] == inputs
+        assert [v.entries for v in first] == results
+        assert second == first
+        oracle = LinMap(vectors[0].space, first[0].space, chain_oracle.walk_entries(chain))
+        assert results == [oracle.apply(v).entries for v in vectors]
+
+
 def _first_difference_by_column(f, g):
     """Reference: the first column, ascending, whose entries differ."""
     for c in sorted(set(f.by_col()) | set(g.by_col())):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -294,3 +296,106 @@ class TestCupCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: field GF(3) does not match the Hopf file's Q\n"
+
+
+# one emitted example of each kind, the hcc invocation that reads it (FILE is
+# the broken copy), and every key that kind of file must hold
+MISSING_KEY_CASES = {
+    "kZ2": ("hopf", ["check", "hopf", "FILE"]),
+    "kZ2.coeff-eps-unit": ("module-comodule", [
+        "check", "coefficient", "--flavor", "sayd", "--hopf", "kZ2.json", "--coeff", "FILE"]),
+    "kZ2.regular-comodule-algebra": ("comodule-algebra", [
+        "check", "coefficient", "--flavor", "ah-sayd", "--hopf", "kZ2.json",
+        "--carrier", "FILE", "--coeff", "kZ2.coeff-eps-unit.json", "--max-degree", "1"]),
+    "kZ2.adjoint-comodule-coalgebra": ("comodule-coalgebra", [
+        "check", "coefficient", "--flavor", "hc-sayd", "--hopf", "kZ2.json",
+        "--carrier", "FILE", "--coeff", "kZ2.coeff-eps-unit.json", "--max-degree", "1"]),
+    "kZ2.translation-module-algebra": ("module-algebra", [
+        "complex", "build", "--kind", "module-algebra", "--hopf", "kZ2.json",
+        "--carrier", "FILE", "--coeff", "kZ2.coeff-eps-unit.json", "--max-degree", "1"]),
+}
+REQUIRED_KEYS = {
+    "hopf": ["field", "dim", "basis", "tensors", "tensors.mult", "tensors.unit",
+             "tensors.comult", "tensors.counit", "tensors.antipode"],
+    "module-comodule": ["field", "dim", "basis", "tensors", "tensors.action",
+                        "tensors.coaction"],
+    "comodule-algebra": ["field", "dim", "basis", "tensors", "tensors.mult", "tensors.unit",
+                         "tensors.coaction"],
+    "comodule-coalgebra": ["field", "dim", "basis", "tensors", "tensors.comult",
+                           "tensors.counit", "tensors.coaction"],
+    "module-algebra": ["field", "dim", "basis", "tensors", "tensors.mult", "tensors.unit",
+                       "tensors.action"],
+}
+
+
+def without_key(src, dst, key):
+    """Copy structure file ``src`` to ``dst`` without ``key`` (a top-level
+    key, or ``tensors.<name>``)."""
+    with open(src, encoding="utf-8") as fh:
+        d = json.load(fh)
+    top, _, tensor = key.partition(".")
+    del (d[top] if tensor else d)[tensor or top]
+    with open(dst, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+
+
+class TestMissingKeys:
+    """A file without a key its kind needs exits 2 and names the file and the
+    key; it never reaches a ``KeyError``."""
+
+    @pytest.mark.parametrize("example", sorted(MISSING_KEY_CASES))
+    def test_structure_file_without_a_required_key(self, workdir, capsys, example):
+        kind, argv = MISSING_KEY_CASES[example]
+        for name in ("kZ2.coeff-eps-unit", example):
+            emit(name)
+        assert structfile.load_file("%s.json" % example)["kind"] == kind
+        for key in REQUIRED_KEYS[kind]:
+            without_key("%s.json" % example, "broken.json", key)
+            capsys.readouterr()
+            assert main([a if a != "FILE" else "broken.json" for a in argv]) == 2, key
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: broken.json: missing key '%s'\n" % key
+
+    def test_tensors_that_are_not_an_object_hold_no_tensor(self, workdir, capsys):
+        emit("kZ2.coeff-eps-unit")
+        d = structfile.load_file("kZ2.coeff-eps-unit.json")
+        d["tensors"] = None
+        structfile.write_file("broken.json", d)
+        capsys.readouterr()
+        argv = MISSING_KEY_CASES["kZ2.coeff-eps-unit"][1]
+        assert main([a if a != "FILE" else "broken.json" for a in argv]) == 2
+        assert capsys.readouterr().err == "error: broken.json: missing key 'tensors.action'\n"
+
+    @pytest.mark.parametrize("cochain", ["phi", "psi"])
+    @pytest.mark.parametrize("key", ["field", "degree", "coordinates"])
+    def test_cochain_file_without_a_required_key(self, workdir, capsys, cochain, key):
+        write_trivial_cup_files()
+        without_key("%s.json" % cochain, "%s.json" % cochain, key)
+        capsys.readouterr()
+        assert main(CUP_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s.json: missing key '%s'\n" % (cochain, key)
+
+    def test_cup_refuses_a_file_that_is_not_a_cochain(self, workdir, capsys):
+        write_trivial_cup_files()
+        capsys.readouterr()
+        assert main(CUP_ARGS[:-1] + ["coeff.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: expected kind 'cochain', found 'module-comodule'\n")
+
+    def test_hcc_prints_no_traceback(self, workdir):
+        """The installed entry point, in its own process: exit 2, one line."""
+        emit("kZ2.coeff-eps-unit")
+        without_key("kZ2.coeff-eps-unit.json", "broken.json", "basis")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfcyc.cli", "check", "coefficient", "--flavor", "sayd",
+             "--hopf", "kZ2.json", "--coeff", "broken.json"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: broken.json: missing key 'basis'\n"
