@@ -193,20 +193,12 @@ def cmd_cup(args):
     except StructureError as err:
         return _print_result(err.check, args.json)
 
-    def coords_from(d, dim, what):
-        entries = {}
-        for i, lit in d["coordinates"]:
-            if not (0 <= i < dim):
-                raise structfile.ParseError("%s: index %d out of range" % (what, i))
-            entries[i] = field.parse(lit)
-        return entries
-
     from .linalg import Vector as Vec
 
     phis = pairing.module_side.subspaces[p]
     psis = pairing.comodule_side.subspaces[q]
-    phi_amb = Vec(phis.ambient, coords_from(phi_d, phis.ambient.dim, "phi"))
-    psi_amb = Vec(psis.ambient, coords_from(psi_d, psis.ambient.dim, "psi"))
+    phi_amb = structfile._vec_from_entries(phi_d["coordinates"], phis.ambient, field, "phi")
+    psi_amb = structfile._vec_from_entries(psi_d["coordinates"], psis.ambient, field, "psi")
     pc, qc = phis.coords(phi_amb), psis.coords(psi_amb)
     if pc is None or qc is None:
         print("error: cochain does not lie in its complex's degree-%d space"

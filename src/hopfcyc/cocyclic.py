@@ -1,6 +1,7 @@
 """Cocyclic modules: the three complex builders and the identity verifier.
 
-A CocyclicModule is a finite ladder of computed subspaces with all operators
+A CocyclicModule is a finite ladder of computed subspaces, each the
+equalizer of two stated maps (``symmetries._equalizer``), with all operators
 materialized as exact matrices over the per-degree bases.  The three
 builders (comodule-algebra cochains, comodule-coalgebra cotensor chains,
 module-algebra functionals) share one assembly skeleton and differ only in
@@ -22,7 +23,6 @@ from .linalg import (
     Space,
     Subspace,
     Vector,
-    _null_vectors,
     dual_space,
     identity,
     tensor_space,
@@ -34,6 +34,7 @@ from .symmetries import (
     ModuleAlgebra,
     ModuleComodule,
     _acting_suffix,
+    _equalizer,
     _check_size_cap,
     _once,
     colinear_hom_space,
@@ -279,37 +280,12 @@ def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace
     chain.apply(M.action, 0, 2, [Ms])
     for i in range(n + 1):
         chain.apply(Aact.action, 1 + i, 2, [As])
-    alpha = chain.to_map()
-
+    # α = f ↦ f∘(h·) and β = f ↦ ε(h)f, both at row h·dim X + x
     X = tensor_space(*legs)
-    field = As.field
-    rows_by_hx = {}
-    for (y, col), v in alpha.entries.items():
-        h, x = divmod(col, X.dim)
-        rows_by_hx.setdefault((h, x), {})[y] = v
-    eps = {c: v for (_, c), v in H.counit.entries.items()}
-    rows = []
-    zero = field.zero
-    keys = set(rows_by_hx)
-    for h in range(Hs.dim):
-        e = eps.get(h, zero)
-        if not e:
-            continue
-        for x in range(X.dim):
-            keys.add((h, x))
-    for (h, x) in sorted(keys):
-        row = dict(rows_by_hx.get((h, x), {}))
-        e = eps.get(h, zero)
-        if e:
-            w = row.get(x, zero) - e
-            if w:
-                row[x] = w
-            else:
-                row.pop(x, None)
-        if row:
-            rows.append(row)
+    alpha = ((col, y, v) for (y, col), v in chain.entries().items())
+    beta = ((h * X.dim + x, x, e) for (_, h), e in H.counit.entries.items() for x in range(X.dim))
     dual = dual_space(X)
-    return Subspace(dual, _null_vectors(rows, dual), X, unit_space(field))
+    return Subspace(dual, _equalizer(dual, alpha, beta), X, unit_space(As.field))
 
 
 def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> CocyclicModule:

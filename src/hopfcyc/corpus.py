@@ -136,10 +136,7 @@ def modular_pairs(name, max_pairs=6):
 
 
 # carriers small enough for degree-2 colinear computations
-_ALGEBRA_SIDE_NAMES = [
-    "kZ2", "kZ3", "kS3", "dualZ3", "sweedler-h4", "bicrossed-s3-f3", "bicrossed-s3-f2",
-]
-_COALGEBRA_SIDE_NAMES = [
+_SIDE_NAMES = [
     "kZ2", "kZ3", "kS3", "dualZ3", "sweedler-h4", "bicrossed-s3-f3", "bicrossed-s3-f2",
 ]
 
@@ -188,22 +185,60 @@ def _named(name, check):
 # ---------------------------------------------------------------------------
 
 
-def scenario_scalar_involution_algebra():
-    """Modular pair + involution over the coaction legs of A forces the
-    one-dimensional twisted coefficient to pass the algebra-side SAYD test."""
+# each carrier side: its carriers over a corpus Hopf algebra, its involution
+# check, its carrier-SAYD check and its hcc flavor
+_SIDES = {
+    "algebra": (comodule_algebras_for, check_involution_over_algebra,
+                check_sayd_over_algebra, "comodule-algebra"),
+    "coalgebra": (comodule_coalgebras_for, check_involution_over_coalgebra,
+                  check_sayd_over_coalgebra, "comodule-coalgebra"),
+}
+
+
+def _scalar_involution(side):
+    carriers, involution, carrier_sayd, _ = _SIDES[side]
     out = []
     for name in ["kZ2", "kZ3", "sweedler-h4", "bicrossed-s3-f2"]:
         for delta, sigma in modular_pairs(name):
-            for aname, A in comodule_algebras_for(name):
-                tag = "%s/%s/(%s,%s)" % (name, aname, delta.name, sigma.name)
-                inv = check_involution_over_algebra(A, delta, sigma)
-                if not inv.passed:
+            for cname, X in carriers(name):
+                tag = "%s/%s/(%s,%s)" % (name, cname, delta.name, sigma.name)
+                if not involution(X, delta, sigma).passed:
                     out.append(results.passed(
                         tag, detail="involution premise fails; implication vacuous"))
                     continue
-                M = scalar_coefficients(A.hopf, delta, sigma)
-                out.append(_named(tag, check_sayd_over_algebra(A, M, n_max=2)))
+                M = scalar_coefficients(X.hopf, delta, sigma)
+                out.append(_named(tag, carrier_sayd(X, M, n_max=2)))
     return out
+
+
+def _sayd_lands_in_carrier_sayd(side):
+    carriers, _, carrier_sayd, _ = _SIDES[side]
+    out = []
+    for name in _SIDE_NAMES:
+        for mname, M in classical_sayd_coefficients(name):
+            for cname, X in carriers(name):
+                tag = "%s/%s/%s" % (name, cname, mname)
+                out.append(_named(tag, carrier_sayd(X, M, n_max=2)))
+    return out
+
+
+def _carrier_sayd_gives_cocyclic(side):
+    carriers, _, carrier_sayd, flavor = _SIDES[side]
+    out = []
+    for name in ["kZ2", "kZ3", "sweedler-h4", "bicrossed-s3-f2"]:
+        for mname, M in classical_sayd_coefficients(name):
+            for cname, X in carriers(name):
+                if not carrier_sayd(X, M, n_max=2):
+                    continue
+                tag = "%s/%s/%s" % (name, cname, mname)
+                out.append(_named(tag, check_hcc(flavor, X, M, N=2)))
+    return out
+
+
+def scenario_scalar_involution_algebra():
+    """Modular pair + involution over the coaction legs of A forces the
+    one-dimensional twisted coefficient to pass the algebra-side SAYD test."""
+    return _scalar_involution("algebra")
 
 
 def scenario_stable_subalgebra():
@@ -309,45 +344,19 @@ def scenario_cocommutative_coaction_algebra():
 def scenario_sayd_lands_in_carrier_sayd_algebra():
     """Classical SAYD coefficients pass the algebra-side carrier test for
     every carrier in the corpus."""
-    out = []
-    for name in _ALGEBRA_SIDE_NAMES:
-        for mname, M in classical_sayd_coefficients(name):
-            for aname, A in comodule_algebras_for(name):
-                tag = "%s/%s/%s" % (name, aname, mname)
-                out.append(_named(tag, check_sayd_over_algebra(A, M, n_max=2)))
-    return out
+    return _sayd_lands_in_carrier_sayd("algebra")
 
 
 def scenario_carrier_sayd_gives_cocyclic_algebra():
     """Carrier-SAYD coefficients make the algebra-side operators well-defined
     and cocyclic (membership plus all identities)."""
-    out = []
-    for name in ["kZ2", "kZ3", "sweedler-h4", "bicrossed-s3-f2"]:
-        for mname, M in classical_sayd_coefficients(name):
-            for aname, A in comodule_algebras_for(name):
-                if not check_sayd_over_algebra(A, M, n_max=2):
-                    continue
-                tag = "%s/%s/%s" % (name, aname, mname)
-                out.append(_named(tag, check_hcc("comodule-algebra", A, M, N=2)))
-    return out
+    return _carrier_sayd_gives_cocyclic("algebra")
 
 
 def scenario_scalar_involution_coalgebra():
     """Modular pair + involution over the coaction legs of C forces the
     one-dimensional twisted coefficient to pass the coalgebra-side SAYD test."""
-    out = []
-    for name in ["kZ2", "kZ3", "sweedler-h4", "bicrossed-s3-f2"]:
-        for delta, sigma in modular_pairs(name):
-            for cname, C in comodule_coalgebras_for(name):
-                tag = "%s/%s/(%s,%s)" % (name, cname, delta.name, sigma.name)
-                inv = check_involution_over_coalgebra(C, delta, sigma)
-                if not inv.passed:
-                    out.append(results.passed(
-                        tag, detail="involution premise fails; implication vacuous"))
-                    continue
-                M = scalar_coefficients(C.hopf, delta, sigma)
-                out.append(_named(tag, check_sayd_over_coalgebra(C, M, n_max=2)))
-    return out
+    return _scalar_involution("coalgebra")
 
 
 def scenario_commutative_coaction_coalgebra():
@@ -411,27 +420,13 @@ def scenario_cocommutative_coaction_coalgebra():
 def scenario_sayd_lands_in_carrier_sayd_coalgebra():
     """Classical SAYD coefficients pass the coalgebra-side carrier test for
     every carrier in the corpus."""
-    out = []
-    for name in _COALGEBRA_SIDE_NAMES:
-        for mname, M in classical_sayd_coefficients(name):
-            for cname, C in comodule_coalgebras_for(name):
-                tag = "%s/%s/%s" % (name, cname, mname)
-                out.append(_named(tag, check_sayd_over_coalgebra(C, M, n_max=2)))
-    return out
+    return _sayd_lands_in_carrier_sayd("coalgebra")
 
 
 def scenario_carrier_sayd_gives_cocyclic_coalgebra():
     """Carrier-SAYD coefficients make the cotensor-side operators well-defined
     and cocyclic (membership plus all identities)."""
-    out = []
-    for name in ["kZ2", "kZ3", "sweedler-h4", "bicrossed-s3-f2"]:
-        for mname, M in classical_sayd_coefficients(name):
-            for cname, C in comodule_coalgebras_for(name):
-                if not check_sayd_over_coalgebra(C, M, n_max=2):
-                    continue
-                tag = "%s/%s/%s" % (name, cname, mname)
-                out.append(_named(tag, check_hcc("comodule-coalgebra", C, M, N=2)))
-    return out
+    return _carrier_sayd_gives_cocyclic("coalgebra")
 
 
 def crossed_product_instances():

@@ -46,11 +46,20 @@ def _vec_entries(v, field):
     return [[i, field.format(x)] for i, x in sorted(v.entries.items())]
 
 
+def _entry_lists(entries, n, what):
+    """``entries``, which must be a list of ``n``-item lists."""
+    if not isinstance(entries, list):
+        raise ParseError("%s: entries must be a list, found %s" % (
+            what, json.dumps(entries, ensure_ascii=False)))
+    for item in entries:
+        if not isinstance(item, list) or len(item) != n:
+            raise ParseError("%s: malformed entry %r" % (what, item))
+    return entries
+
+
 def _map_from_entries(entries, domain, codomain, field, what):
     out = {}
-    for item in entries:
-        if len(item) != 3:
-            raise ParseError("%s: malformed entry %r" % (what, item))
+    for item in _entry_lists(entries, 3, what):
         r, c, lit = item
         if not (isinstance(r, int) and isinstance(c, int)):
             raise ParseError("%s: non-integer index in %r" % (what, item))
@@ -65,9 +74,7 @@ def _map_from_entries(entries, domain, codomain, field, what):
 
 def _vec_from_entries(entries, space, field, what):
     out = {}
-    for item in entries:
-        if len(item) != 2:
-            raise ParseError("%s: malformed entry %r" % (what, item))
+    for item in _entry_lists(entries, 2, what):
         i, lit = item
         if not isinstance(i, int) or not (0 <= i < space.dim):
             raise ParseError("%s: index out of range in %r" % (what, item))
@@ -97,13 +104,19 @@ def hopf_to_dict(H: HopfAlgebra, name):
     }
 
 
-def hopf_from_dict(d, validate=True) -> HopfAlgebra:
-    _check_header(d, "hopf")
-    field = field_from_name(d["field"])
+def _basis_space(d, field):
+    """The space that file ``d`` labels; ``_check_header`` has checked that
+    its ``dim`` is an integer and its ``basis`` a list of strings."""
     labels = tuple(d["basis"])
     if len(labels) != d["dim"]:
         raise ParseError("dim %d does not match %d basis labels" % (d["dim"], len(labels)))
-    H = Space(labels, field)
+    return Space(labels, field)
+
+
+def hopf_from_dict(d, validate=True) -> HopfAlgebra:
+    _check_header(d, "hopf")
+    field = field_from_name(d["field"])
+    H = _basis_space(d, field)
     HH = tensor_space(H, H)
     k = unit_space(field)
     t = d["tensors"]
@@ -136,19 +149,35 @@ def _required_keys(kind):
     return ("field", "dim", "basis", "tensors") + tuple("tensors." + t for t in tensors)
 
 
+# the required keys whose values must have one type: the test and its name
+_KEY_TYPES = {
+    "field": (lambda v: isinstance(v, str), "a string"),
+    "dim": (lambda v: type(v) is int, "an integer"),
+    "degree": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "basis": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+              "a list of strings"),
+}
+
+
 def _check_header(d, kind=None, what=None):
     """The schema, the kind if one is expected, and every key the file's kind
-    requires, so a file that lacks one is refused by name, not by a KeyError;
-    ``what`` names the file in that message."""
+    requires, with the type of its field, dim, basis or degree, so a file that lacks
+    one or gives it another type is refused by name, not by a KeyError or a
+    TypeError; ``what`` names the file in that message."""
     if d.get("schema") != SCHEMA:
         raise ParseError("unsupported schema %r (expected %r)" % (d.get("schema"), SCHEMA))
     if kind is not None and d.get("kind") != kind:
         raise ParseError("expected kind %r, found %r" % (kind, d.get("kind")))
+    what = what or "%s file" % d.get("kind")
     for key in _required_keys(d.get("kind")):
         top, _, tensor = key.partition(".")
         holder = d.get(top) if tensor else d
         if not isinstance(holder, dict) or (tensor or top) not in holder:
-            raise ParseError("%s: missing key %r" % (what or "%s file" % d.get("kind"), key))
+            raise ParseError("%s: missing key %r" % (what, key))
+        test, want = _KEY_TYPES.get(key, (None, None))
+        if test is not None and not test(d[key]):
+            raise ParseError("%s: %r must be %s, found %s" % (
+                what, key, want, json.dumps(d[key], ensure_ascii=False)))
 
 
 def _hopf_ref(hopf_dict):
@@ -238,10 +267,7 @@ def object_from_dict(d, hopf_dict=None, hopf=None, validate=True):
     if kind not in _KINDS:
         raise ParseError("unknown kind %r" % kind)
     field = field_of(d, hopf)
-    labels = tuple(d["basis"])
-    if len(labels) != d["dim"]:
-        raise ParseError("dim %d does not match %d basis labels" % (d["dim"], len(labels)))
-    X = Space(labels, field)
+    X = _basis_space(d, field)
     t = d["tensors"]
     cls, default_name, tensors = _KINDS[kind]
     extra = {"side": d.get("side", "left")} if kind == "comodule-algebra" else {}

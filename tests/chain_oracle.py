@@ -3,7 +3,11 @@ replaces, the per-cochain ``Chain`` walks that the library's pipeline
 contractions replace, and the whole-``Chain`` diagonal coactions, cotensor
 spaces and coalgebra stability maps that the library reads from entries.  Each function rebuilds the whole computation the slow
 way, exactly as it is written down, so a differential test can demand
-identical matrices from the fast path."""
+identical matrices from the fast path.
+
+The ``*_by_rows`` builders are the three hand-indexed constraint-row
+builders that the library's one equalizer replaced, kept as they were
+(without the size cap) over this module's diagonal coactions."""
 
 import itertools
 
@@ -15,9 +19,14 @@ from hopfcyc.linalg import (
     Chain,
     LinMap,
     Subspace,
+    _null_vectors,
+    dual_space,
+    hom_space,
     kernel_basis,
     linmap_to_vector,
+    tensor_power,
     tensor_space,
+    unit_space,
     vector_to_functional,
     vector_to_linmap,
 )
@@ -256,3 +265,122 @@ def coalgebra_stability_map(C, M, k, rho):
         .apply(M.action, k, 2, [Ms])
         .to_map()
     )
+
+
+def colinear_hom_space_by_rows(A, M, n):
+    """The left-colinear maps A^{⊗(n+1)} → M, one constraint row per input
+    a, H leg h and coefficient index m, written out from the two
+    coactions."""
+    if A.side != "left":
+        raise ValueError("colinear hom spaces need a left comodule algebra")
+    field = A.space.field
+    dom = tensor_power(A.space, n + 1)
+    Mdim = M.dim
+    Adim = dom.dim
+    lam_diag = diag_left_coaction(A, n + 1)
+    # organize the two coactions
+    lm_by_hm = {}
+    for (r, c), v in M.coaction.entries.items():
+        h, mo = divmod(r, Mdim)
+        lm_by_hm.setdefault((h, mo), []).append((c, v))
+    ld_by_col = {}
+    for (r, c), v in lam_diag.entries.items():
+        h, b = divmod(r, Adim)
+        ld_by_col.setdefault(c, {}).setdefault(h, []).append((b, v))
+    rows = []
+    zero = field.zero
+    for a in range(Adim):
+        ld_a = ld_by_col.get(a, {})
+        hs = set(ld_a)
+        hs.update(h for (h, _) in lm_by_hm)
+        for h in sorted(hs):
+            for mo in range(Mdim):
+                row = {}
+                for (mp, v) in lm_by_hm.get((h, mo), ()):
+                    key = mp * Adim + a
+                    row[key] = row.get(key, zero) + v
+                for (b, v) in ld_a.get(h, ()):
+                    key = mo * Adim + b
+                    w = row.get(key, zero) - v
+                    if w:
+                        row[key] = w
+                    else:
+                        row.pop(key, None)
+                if row:
+                    rows.append(row)
+    ambient = hom_space(dom, M.space)
+    return Subspace(ambient, _null_vectors(rows, ambient), dom, M.space)
+
+
+def cotensor_space_by_rows(C, M, n):
+    """C^{⊗(n+1)} □_H M, one constraint row per index of C^{⊗(n+1)}⊗H⊗M,
+    written out from the two coactions."""
+    Cs, Hs, Ms = C.space, C.hopf.space, M.space
+    k = n + 1
+    Hdim, Mdim, Cdim = Hs.dim, Ms.dim, Cs.dim ** k
+    zero = Cs.field.zero
+    # row (c'·dim H + h)·dim M + m' of the column c·dim M + m
+    rows = {}
+    for (r, c), v in diag_right_coaction(C, k).entries.items():
+        for m in range(Mdim):
+            rows.setdefault(r * Mdim + m, {})[c * Mdim + m] = v
+    for (r, m), v in M.coaction.entries.items():
+        h, mp = divmod(r, Mdim)
+        for c in range(Cdim):
+            row = rows.setdefault((c * Hdim + h) * Mdim + mp, {})
+            key = c * Mdim + m
+            w = row.get(key, zero) - v
+            if w:
+                row[key] = w
+            else:
+                del row[key]
+    ambient = tensor_space(*([Cs] * k + [Ms]))
+    return Subspace(ambient, _null_vectors([rows[r] for r in sorted(rows) if rows[r]], ambient))
+
+
+def invariant_functionals_by_rows(Aact, M, n):
+    """The H-linear functionals on M⊗A^{⊗(n+1)}, one constraint row per
+    (h, x), written out from the materialized action and the counit."""
+    H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
+    legs = [Ms] + [As] * (n + 1)
+    chain = Chain([Hs] + legs)
+    chain.apply(H.iterated_comult(n + 1), 0, 1, [Hs] * (n + 2))
+    chain.apply(H.antipode, 0, 1, [Hs])
+    order = [n + 2, 0]
+    for i in range(n + 1):
+        order += [1 + i, n + 3 + i]
+    chain.permute(order)
+    chain.apply(M.action, 0, 2, [Ms])
+    for i in range(n + 1):
+        chain.apply(Aact.action, 1 + i, 2, [As])
+    alpha = chain.to_map()
+
+    X = tensor_space(*legs)
+    field = As.field
+    rows_by_hx = {}
+    for (y, col), v in alpha.entries.items():
+        h, x = divmod(col, X.dim)
+        rows_by_hx.setdefault((h, x), {})[y] = v
+    eps = {c: v for (_, c), v in H.counit.entries.items()}
+    rows = []
+    zero = field.zero
+    keys = set(rows_by_hx)
+    for h in range(Hs.dim):
+        e = eps.get(h, zero)
+        if not e:
+            continue
+        for x in range(X.dim):
+            keys.add((h, x))
+    for (h, x) in sorted(keys):
+        row = dict(rows_by_hx.get((h, x), {}))
+        e = eps.get(h, zero)
+        if e:
+            w = row.get(x, zero) - e
+            if w:
+                row[x] = w
+            else:
+                row.pop(x, None)
+        if row:
+            rows.append(row)
+    dual = dual_space(X)
+    return Subspace(dual, _null_vectors(rows, dual), X, unit_space(field))

@@ -5,6 +5,10 @@ builds its maps exactly as written down, in the same order of checks, so a
 differential test can demand identical verdicts, witnesses and witness
 vectors from the library.
 
+The four coaction (co)commutativity checkers are written out the same way,
+each with both sides spelled in full, as they were before they shared one
+two-pipeline helper.
+
 The one deliberate difference from those bodies: ``verify_module_algebra``
 also checks the right unit law (``algebra-right-unit``), right after the
 left one; without it an algebra with only a left unit passed."""
@@ -12,7 +16,12 @@ left one; without it an algebra with only a left unit passed."""
 from hopfcyc import results
 from hopfcyc.linalg import Chain, LinMap, Vector, identity, tensor_space, unit_space
 from hopfcyc.results import compare
-from hopfcyc.symmetries import _coalgebra_stability, cotensor_space
+from hopfcyc.symmetries import (
+    _coalgebra_stability,
+    cotensor_space,
+    diag_left_coaction,
+    diag_right_coaction,
+)
 
 
 def _unit_map(space, unit):
@@ -355,3 +364,130 @@ def check_sayd_over_coalgebra(C, M, n_max=2):
                     w,
                 )
     return results.passed("sayd-over-coalgebra", detail="; ".join(dims_notes))
+
+
+def check_commutative_coaction_algebra(A, n_max=0):
+    """Coaction legs commute with every element of H, on A^{⊗(n+1)} under the
+    diagonal coaction for 0 ≤ n ≤ n_max.  The elementwise (n=0) identity
+    propagates leg-by-leg, so n ≥ 1 only re-verifies what n = 0 implies."""
+    H, Hs, As = A.hopf, A.hopf.space, A.space
+    for n in range(n_max + 1):
+        lam = diag_left_coaction(A, n + 1)
+        legs = [As] * (n + 1) + [Hs]
+        lhs_n = (
+            Chain(legs)
+            .apply(lam, 0, n + 1, [Hs] + [As] * (n + 1))
+            .permute([0, n + 2] + list(range(1, n + 2)))
+            .apply(H.mult, 0, 2, [Hs])
+            .to_map()
+        )
+        rhs_n = (
+            Chain(legs)
+            .apply(lam, 0, n + 1, [Hs] + [As] * (n + 1))
+            .permute([n + 2, 0] + list(range(1, n + 2)))
+            .apply(H.mult, 0, 2, [Hs])
+            .to_map()
+        )
+        res_n = compare(
+            "commutative-coaction-algebra" + ("(n=%d)" % n if n else ""), lhs_n, rhs_n,
+            tensor_space(*legs).label
+        )
+        if not res_n:
+            return res_n
+    return results.passed("commutative-coaction-algebra", detail=A.name)
+
+
+def check_cocommutative_coaction_algebra(A, n_max=2):
+    """b̃⟨−1⟩a⟨−1⟩⁽¹⁾ ⊗ a⟨−1⟩⁽²⁾ ⊗ a⟨0⟩ ⊗ b̃⟨0⟩ =
+    a⟨−1⟩⁽²⁾b̃⟨−1⟩ ⊗ a⟨−1⟩⁽¹⁾ ⊗ a⟨0⟩ ⊗ b̃⟨0⟩ for a ∈ A, b̃ ∈ A^{⊗n}, 1 ≤ n ≤ n_max."""
+    H, Hs, As = A.hopf, A.hopf.space, A.space
+    coact = A.left_coaction()
+    for n in range(1, n_max + 1):
+        lam_n = diag_left_coaction(A, n)
+        legs = [As] * (n + 1)
+
+        def base(chain):
+            chain.apply(coact, 0, 1, [Hs, As])
+            chain.apply(lam_n, 2, n, [Hs] + [As] * n)
+            chain.apply(H.comult, 0, 1, [Hs, Hs])
+            # legs now: ha1 ha2 a0 hb b1..bn
+            return chain
+
+        lhs = (
+            base(Chain(legs))
+            .permute([3, 0, 1, 2] + list(range(4, n + 4)))
+            .apply(H.mult, 0, 2, [Hs])
+            .to_map()
+        )
+        rhs = (
+            base(Chain(legs))
+            .permute([1, 3, 0, 2] + list(range(4, n + 4)))
+            .apply(H.mult, 0, 2, [Hs])
+            .to_map()
+        )
+        res = compare(
+            "cocommutative-coaction-algebra(n=%d)" % n, lhs, rhs, tensor_space(*legs).label
+        )
+        if not res:
+            return res
+    return results.passed("cocommutative-coaction-algebra", detail=A.name)
+
+
+def check_commutative_coaction_coalgebra(C):
+    """c⟨0⟩ ⊗ h·c⟨1⟩ = c⟨0⟩ ⊗ c⟨1⟩·h for all basis c ∈ C, h ∈ H."""
+    H, Hs, Cs = C.hopf, C.hopf.space, C.space
+    lhs = (
+        Chain([Cs, Hs])
+        .apply(C.coaction, 0, 1, [Cs, Hs])
+        .permute([0, 2, 1])
+        .apply(H.mult, 1, 2, [Hs])
+        .to_map()
+    )
+    rhs = (
+        Chain([Cs, Hs])
+        .apply(C.coaction, 0, 1, [Cs, Hs])
+        .apply(H.mult, 1, 2, [Hs])
+        .to_map()
+    )
+    res = compare("commutative-coaction-coalgebra", lhs, rhs, tensor_space(Cs, Hs).label)
+    if res:
+        return results.passed("commutative-coaction-coalgebra", detail=C.name)
+    return res
+
+
+def check_cocommutative_coaction_coalgebra(C, n_max=2):
+    """c̃⟨0⟩ ⊗ d⟨0⟩ ⊗ c̃⟨1⟩d⟨1⟩⁽¹⁾ ⊗ d⟨1⟩⁽²⁾ =
+    c̃⟨0⟩ ⊗ d⟨0⟩ ⊗ d⟨1⟩⁽²⁾c̃⟨1⟩ ⊗ d⟨1⟩⁽¹⁾ for d ∈ C, c̃ ∈ C^{⊗n}, 0 ≤ n ≤ n_max."""
+    H, Hs, Cs = C.hopf, C.hopf.space, C.space
+    for n in range(n_max + 1):
+        rho_n = diag_right_coaction(C, n)
+        legs = [Cs] * n + [Cs]
+
+        def base(chain):
+            if n:
+                chain.apply(rho_n, 0, n, [Cs] * n + [Hs])
+            else:
+                chain.apply(rho_n, 0, 0, [Hs])
+            chain.apply(C.coaction, n + 1, 1, [Cs, Hs])
+            chain.apply(H.comult, n + 2, 1, [Hs, Hs])
+            # legs: c̃(n) hc d0 hd1 hd2
+            return chain
+
+        lhs = (
+            base(Chain(legs))
+            .permute(list(range(n)) + [n + 1, n, n + 2, n + 3])
+            .apply(H.mult, n + 1, 2, [Hs])
+            .to_map()
+        )
+        rhs = (
+            base(Chain(legs))
+            .permute(list(range(n)) + [n + 1, n + 3, n, n + 2])
+            .apply(H.mult, n + 1, 2, [Hs])
+            .to_map()
+        )
+        res = compare(
+            "cocommutative-coaction-coalgebra(n=%d)" % n, lhs, rhs, tensor_space(*legs).label
+        )
+        if not res:
+            return res
+    return results.passed("cocommutative-coaction-coalgebra", detail=C.name)

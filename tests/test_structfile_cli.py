@@ -399,3 +399,95 @@ class TestMissingKeys:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: broken.json: missing key 'basis'\n"
+
+
+def with_value(src, dst, key, value):
+    """Copy structure file ``src`` to ``dst`` with ``key`` (a top-level key,
+    or ``tensors.<name>``) set to ``value``."""
+    with open(src, encoding="utf-8") as fh:
+        d = json.load(fh)
+    top, _, tensor = key.partition(".")
+    (d[top] if tensor else d)[tensor or top] = value
+    with open(dst, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+
+
+# a value of the wrong type for each typed key, and how the message shows it
+WRONG_TYPES = [
+    ("field", 5, "5", "a string"),
+    ("dim", "1", '"1"', "an integer"),
+    ("dim", 1.0, "1.0", "an integer"),
+    ("dim", None, "null", "an integer"),
+    ("basis", 5, "5", "a list of strings"),
+    ("basis", "ab", '"ab"', "a list of strings"),
+    ("basis", [0, 1], "[0, 1]", "a list of strings"),
+]
+
+
+class TestWrongTypes:
+    """A file whose field, dim, basis or degree has the wrong type, or whose tensor
+    entries are not lists, exits 2 with one line that names the file and the
+    key; it never reaches a ``TypeError``."""
+
+    @pytest.mark.parametrize("example", sorted(MISSING_KEY_CASES))
+    def test_structure_file_with_a_wrong_type(self, workdir, capsys, example):
+        kind, argv = MISSING_KEY_CASES[example]
+        for name in ("kZ2.coeff-eps-unit", example):
+            emit(name)
+        for key, value, shown, want in WRONG_TYPES:
+            with_value("%s.json" % example, "broken.json", key, value)
+            capsys.readouterr()
+            assert main([a if a != "FILE" else "broken.json" for a in argv]) == 2, (key, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: broken.json: '%s' must be %s, found %s\n" % (
+                key, want, shown)
+
+    @pytest.mark.parametrize("example", sorted(MISSING_KEY_CASES))
+    def test_tensor_entries_that_are_not_lists(self, workdir, capsys, example):
+        kind, argv = MISSING_KEY_CASES[example]
+        for name in ("kZ2.coeff-eps-unit", example):
+            emit(name)
+        tensor = REQUIRED_KEYS[kind][-1].partition(".")[2]
+        for value, message in [(5, "entries must be a list, found 5"),
+                               ({"0": 1}, 'entries must be a list, found {"0": 1}'),
+                               ([7], "malformed entry 7"),
+                               (["0,0,1"], "malformed entry '0,0,1'")]:
+            with_value("%s.json" % example, "broken.json", "tensors." + tensor, value)
+            capsys.readouterr()
+            assert main([a if a != "FILE" else "broken.json" for a in argv]) == 2, value
+            assert capsys.readouterr().err == "error: %s: %s\n" % (tensor, message)
+
+    @pytest.mark.parametrize("cochain", ["phi", "psi"])
+    def test_cochain_with_a_wrong_type(self, workdir, capsys, cochain):
+        for key, value, message in [
+                ("degree", "0", "'degree' must be a non-negative integer, found \"0\""),
+                ("degree", -1, "'degree' must be a non-negative integer, found -1"),
+                ("degree", True, "'degree' must be a non-negative integer, found true"),
+                ("field", None, "'field' must be a string, found null")]:
+            write_trivial_cup_files()
+            with_value("%s.json" % cochain, "%s.json" % cochain, key, value)
+            capsys.readouterr()
+            assert main(CUP_ARGS) == 2, value
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s.json: %s\n" % (cochain, message)
+        write_trivial_cup_files()
+        with_value("%s.json" % cochain, "%s.json" % cochain, "coordinates", [["0", "1"]])
+        capsys.readouterr()
+        assert main(CUP_ARGS) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: index out of range in ['0', '1']\n" % cochain)
+
+    def test_hcc_prints_no_traceback(self, workdir):
+        """The installed entry point, in its own process: exit 2, one line."""
+        emit("kZ2")
+        with_value("kZ2.json", "broken.json", "dim", "2")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "hopfcyc.cli", "check", "hopf", "broken.json"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: broken.json: 'dim' must be an integer, found \"2\"\n"

@@ -2,7 +2,10 @@
 against the written-out oracle in ``structure_oracle.py``: every one-entry
 mutation of every tensor of the corpus structures must give the same verdict,
 witness and witness vectors, and every corpus coefficient the same SAYD
-verdicts.  A few failing verdicts are also pinned as literal text."""
+verdicts.  The four coaction (co)commutativity checkers must agree with
+their written-out copies on every corpus carrier, over ℚ and GF(32003), and
+on every one-entry mutation of its coaction.  A few failing verdicts are
+also pinned as literal text."""
 
 import copy
 
@@ -16,7 +19,8 @@ from hopfcyc.corpus import (
     modular_pairs,
 )
 from hopfcyc.cup import CrossedProductAlgebra
-from hopfcyc.hopf import verify_hopf
+from hopfcyc.fields import GF, QQ
+from hopfcyc.hopf import co_opposite, verify_hopf
 from hopfcyc.linalg import LinMap, Space, Vector, tensor_space
 from hopfcyc.symmetries import (
     ComoduleAlgebra,
@@ -26,11 +30,17 @@ from hopfcyc.symmetries import (
     adjoint_comodule_coalgebra,
     adjoint_module_algebra,
     algebra_over_trivial_hopf,
+    as_left_comodule_algebra,
     bicrossed_function_comodule_algebra,
     bicrossed_group_comodule_coalgebra,
+    check_cocommutative_coaction_algebra,
+    check_cocommutative_coaction_coalgebra,
+    check_commutative_coaction_algebra,
+    check_commutative_coaction_coalgebra,
     check_sayd,
     check_sayd_over_coalgebra,
     comodule_algebra_over_trivial_hopf,
+    comult_comodule_coalgebra,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
     regular_comodule_algebra,
@@ -177,6 +187,99 @@ def test_sayd_verdicts_match_oracle(name):
     # over a commutative and cocommutative H every coefficient here is SAYD
     if not (H.is_commutative() and H.is_cocommutative()):
         assert failing, "no failing SAYD verdict over %s" % name
+
+
+# ---------------------------------------------------------------------------
+# coaction (co)commutativity checkers
+# ---------------------------------------------------------------------------
+
+# (library checker, oracle checker, the n_max values to run; None runs the
+# checker without one) for left comodule algebras, then comodule coalgebras
+ALGEBRA_CHECKERS = [
+    (check_commutative_coaction_algebra, oracle.check_commutative_coaction_algebra, (0, 2)),
+    (check_cocommutative_coaction_algebra, oracle.check_cocommutative_coaction_algebra, (1, 2)),
+]
+COALGEBRA_CHECKERS = [
+    (check_commutative_coaction_coalgebra, oracle.check_commutative_coaction_coalgebra, (None,)),
+    (check_cocommutative_coaction_coalgebra, oracle.check_cocommutative_coaction_coalgebra,
+     (0, 2)),
+]
+
+
+def _coaction_carriers(name, field):
+    """The corpus carriers over one Hopf algebra, paired with the checkers
+    that read them: the regular and trivial comodule algebras, the adjoint,
+    trivial and comultiplication comodule coalgebras, and for a bicrossed
+    product its function factor (left, over H^cop) and its group factor."""
+    H = get_hopf(name, field)
+    algebras = [regular_comodule_algebra(H), trivial_comodule_algebra(H)]
+    coalgebras = [adjoint_comodule_coalgebra(H), trivial_comodule_coalgebra(H),
+                  comult_comodule_coalgebra(H)]
+    if name.startswith("bicrossed"):
+        B = get_bicrossed(name, field)
+        algebras.append(as_left_comodule_algebra(bicrossed_function_comodule_algebra(B),
+                                                 co_opposite(B.hopf)))
+        coalgebras.append(bicrossed_group_comodule_coalgebra(B))
+    return [(X, ALGEBRA_CHECKERS) for X in algebras] + [(X, COALGEBRA_CHECKERS)
+                                                        for X in coalgebras]
+
+
+def _run(checker, X, n_max):
+    return checker(X) if n_max is None else checker(X, n_max=n_max)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(32003)), ids=lambda f: f.name)
+@pytest.mark.parametrize("name", HOPF_NAMES)
+def test_coaction_checkers_match_oracle(name, field):
+    failing = set()
+    for X, checkers in _coaction_carriers(name, field):
+        for lib, ref, n_maxes in checkers:
+            for n_max in n_maxes:
+                res = _run(lib, X, n_max)
+                _same_verdict(res, _run(ref, X, n_max), (X.name, lib.__name__, n_max))
+                failing.update([res.condition] if not res.passed else [])
+        for tag, tensor in _mutations(X.coaction):
+            Y = copy.copy(X)
+            Y.coaction, Y._diag = tensor, {}
+            for lib, ref, n_maxes in checkers:
+                n_max = min(1, max(n_maxes)) if n_maxes != (None,) else None
+                res = _run(lib, Y, n_max)
+                _same_verdict(res, _run(ref, Y, n_max), (X.name, tag, lib.__name__))
+                failing.update([res.condition] if not res.passed else [])
+    # over a commutative and cocommutative H every coaction passes all four
+    H = get_hopf(name, field)
+    if not (H.is_commutative() and H.is_cocommutative()):
+        assert failing, "no failing coaction verdict over %s" % name
+
+
+def test_coaction_checker_negative_controls():
+    """The corpus negative controls fail with the same witness as the
+    written-out checkers; at n = 0 alone the cocommutative coalgebra check
+    passes on the same comodule, and on the corpus group factor, as its
+    written-out copy does."""
+    B1 = get_bicrossed("bicrossed-s3-f3")
+    F1 = as_left_comodule_algebra(bicrossed_function_comodule_algebra(B1))
+    KS3 = get_hopf("kS3")
+    comult = comult_comodule_coalgebra(KS3)
+    cases = [
+        (check_commutative_coaction_algebra, oracle.check_commutative_coaction_algebra, F1, 0),
+        (check_cocommutative_coaction_algebra, oracle.check_cocommutative_coaction_algebra,
+         regular_comodule_algebra(KS3), 1),
+        (check_commutative_coaction_coalgebra, oracle.check_commutative_coaction_coalgebra,
+         comult, None),
+        (check_cocommutative_coaction_coalgebra, oracle.check_cocommutative_coaction_coalgebra,
+         comult, 1),
+    ]
+    for lib, ref, X, n_max in cases:
+        res = _run(lib, X, n_max)
+        _same_verdict(res, _run(ref, X, n_max), (lib.__name__, X.name, n_max))
+        assert not res.passed and res.witness is not None, (lib.__name__, X.name, n_max)
+    U = bicrossed_group_comodule_coalgebra(get_bicrossed("bicrossed-s3-f2"))
+    for C in (comult, U):
+        res = check_cocommutative_coaction_coalgebra(C, n_max=0)
+        _same_verdict(res, oracle.check_cocommutative_coaction_coalgebra(C, n_max=0), C.name)
+        assert res.to_dict() == {"passed": True, "condition": "cocommutative-coaction-coalgebra",
+                                 "detail": C.name}
 
 
 # ---------------------------------------------------------------------------
