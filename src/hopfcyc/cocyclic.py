@@ -4,21 +4,19 @@ A CocyclicModule is a finite ladder of computed subspaces, each the
 equalizer of two stated maps (``symmetries._equalizer``), with all operators
 materialized as exact matrices over the per-degree bases.  The three
 builders (comodule-algebra cochains, comodule-coalgebra cotensor chains,
-module-algebra functionals) share one assembly skeleton and differ only in
-their operator sets: each supplies the cofaces δ_i, codegeneracies σ_i and
-cyclic operators τ_n as maps from the source basis to its images in the
-target's ambient space.  The skeleton expands every image over the target
-subspace by reading its coordinates at the canonical basis' free columns;
-an image that escapes is a well-definedness failure (reported through
-check_hcc as a verdict, or raised as CocyclicConstructionError from the
-builders).
+module-algebra functionals) share one assembly loop and differ only in their
+operators.  Each coface δ_i, codegeneracy σ_i and cyclic operator τ_n is one
+walk of a fixed pipeline from the whole basis of its source subspace (the
+cochain complexes pull back through the transposed pipeline), and
+``Subspace.express`` reads the coordinates of all its images in one pass.
+An image that escapes is a well-definedness failure (reported through
+check_hcc as a verdict, or raised as CocyclicConstructionError).
 """
 
 from __future__ import annotations
 
 from .linalg import (
     Chain,
-    Contraction,
     LinMap,
     Space,
     Subspace,
@@ -55,8 +53,9 @@ class CocyclicConstructionError(Exception):
 class CocyclicModule:
     """Spaces for degrees 0..N with cofaces (degree-raising), codegeneracies
     (degree-lowering) and cyclic operators, all as matrices on the computed
-    bases.  ``ambient_descriptions[n]`` keeps one human-readable line per
-    basis element for witnesses and serialization; ``subspaces[n]`` (kept by
+    bases.  ``ambient_descriptions[n]`` holds one human-readable line per
+    basis element for witnesses and serialization; it is given as a list or
+    as a function that renders it on first read.  ``subspaces[n]`` (kept by
     the module-algebra and comodule-algebra builders, which the pairing reads)
     is the computed subspace whose basis those bases index."""
 
@@ -69,9 +68,15 @@ class CocyclicModule:
         self.cofaces = cofaces              # cofaces[n]: list δ_0..δ_n, C^{n-1}→C^n
         self.codegeneracies = codegeneracies  # codegeneracies[n]: σ_0..σ_n, C^{n+1}→C^n
         self.cyclic = cyclic                # cyclic[n]: τ_n on C^n
-        self.ambient_descriptions = ambient_descriptions
+        self._descriptions = ambient_descriptions
         self.subspaces = subspaces
         self._memo = {}  # hochschild_coboundary / connes_boundary results
+
+    @property
+    def ambient_descriptions(self):
+        if callable(self._descriptions):
+            self._descriptions = self._descriptions()
+        return self._descriptions
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -132,26 +137,24 @@ def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
               keep_subspaces=True):
     """The loop shared by the three builders.  ``coface(n, i)``,
     ``codegeneracy(n, i)`` and ``cyclic(n)`` each return the operator as a
-    function from the basis of its source subspace to the images, vectors of
-    ``subs[n].ambient`` in basis order; every image is expanded over the
-    basis of ``subs[n]``, and the first that escapes it raises the
-    well-defined failure."""
+    walk from the raw columns of its source basis to their raw images over
+    ``subs[n].ambient``; the first image that escapes ``subs[n]`` raises the
+    well-defined failure.  The basis descriptions are rendered on first read."""
     spaces = [_abstract_space(field, n, s.dim, prefix) for n, s in enumerate(subs)]
+    bases = [s.basis for s in subs]
+    columns = [[v.entries for v in basis] for basis in bases]
 
     def matrix(op, src, n, name):
-        entries = {}
-        for k, image in enumerate(op(subs[src].basis)):
-            coords = subs[n].coords(image)
-            if coords is None:
-                raise CocyclicConstructionError(results.failed(
-                    "well-defined",
-                    "%s of basis element %d at degree %d" % (name, k, n),
-                    image,
-                    "an element of the computed subspace",
-                    detail="operator image escapes the subspace",
-                ))
-            for r, v in coords.items():
-                entries[(r, k)] = v
+        images = op(columns[src])
+        entries, escaped = subs[n].express(images)
+        if escaped is not None:
+            raise CocyclicConstructionError(results.failed(
+                "well-defined",
+                "%s of basis element %d at degree %d" % (name, escaped, n),
+                Vector(subs[n].ambient, images[escaped]),
+                "an element of the computed subspace",
+                detail="operator image escapes the subspace",
+            ))
         return LinMap(spaces[src], spaces[n], entries)
 
     cofaces, codegens, cyclics = {}, {}, {}
@@ -163,72 +166,54 @@ def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
             codegens[n] = [matrix(codegeneracy(n, i), n + 1, n, "codegeneracy σ_%d" % i)
                            for i in range(n + 1)]
         cyclics[n] = matrix(cyclic(n), n, n, "cyclic τ_%d" % n)
-    descriptions = [[v.describe() for v in s.basis] for s in subs]
-    return CocyclicModule(kind, field, N, spaces, cofaces, codegens, cyclics, descriptions,
+    return CocyclicModule(kind, field, N, spaces, cofaces, codegens, cyclics,
+                          lambda: [[v.describe() for v in basis] for basis in bases],
                           subs if keep_subspaces else None)
 
 
-def _precompose(subs, n, src, chain):
-    """φ ↦ φ ∘ chain, from the degree-src subspace to the degree-n one, on
-    hom coordinates: the fixed map is indexed by row once, so each φ visits
-    only the rows at its own columns."""
-    fixed = chain.to_map()
-    rows = {}
-    for (k, c), v in fixed.entries.items():
-        rows.setdefault(k, []).append((c, v))
-    zero = fixed.field.zero
-    src_dim, dim = subs[src].domain.dim, fixed.domain.dim
-
-    def op(vec):
-        out = {}
-        for flat, w in vec.entries.items():
-            r, k = divmod(flat, src_dim)
-            for c, v in rows.get(k, ()):
-                key = r * dim + c
-                out[key] = out.get(key, zero) + w * v
-        return Vector(subs[n].ambient, out)
-
-    return op
-
-
-def _each(op):
-    """A per-cochain operator as a map from a basis to its images."""
-    return lambda basis: map(op, basis)
-
-
-def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
-    """Degree-n space: colinear maps A^{⊗(n+1)} → M.  Inner cofaces multiply
-    adjacent arguments; the last coface and the cyclic operator rotate the
-    final argument to the front through its coaction and act on the value."""
-    Hs, As = A.hopf.space, A.space
-    coact = A.left_coaction()
-    subs = _top_first(N, lambda n: _once(colinear_hom_space, A, M, n))
-    act = _acting_suffix(M)  # h⊗m ↦ m◁h, shared by every wrap
-
-    def wrap(n, multiply_front):
-        # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
-        # its own first argument (cyclic operator)
-        pre = Chain([As] * (n + 1)).rotate_last_to_front().apply(coact, 0, 1, [Hs, As])
-        if multiply_front:
-            pre.apply(A.mult, 1, 2, [As])
-        src = n - 1 if multiply_front else n
-        pipeline = Contraction(pre, 1, src + 1, act)
-        return _each(lambda vec: subs[n].vector(pipeline.contract(subs[src].map(vec))))
+def _pullbacks(A, Ms, wrap):
+    """``coface(n, i)``, ``codegeneracy(n, i)`` and ``cyclic(n)`` for cochains
+    in coordinates over M⊗A^{⊗(n+1)}: φ ↦ φ∘(id ⊗ μ at legs i+1, i+2) and
+    φ ↦ φ∘(id ⊗ 1 at leg i+2), each walked transposed from φ; the last
+    coface and the cyclic operator are ``wrap(n, True)`` and ``wrap(n, False)``."""
+    As = A.space
 
     def coface(n, i):
         if i == n:
             return wrap(n, True)
-        # A^{⊗(n+1)} → A^{⊗n}, multiply slots i, i+1
-        chain = Chain([As] * (n + 1)).apply(A.mult, i, 2, [As])
-        return _each(_precompose(subs, n, n - 1, chain))
+        return Chain([Ms] + [As] * (n + 1)).apply(A.mult, 1 + i, 2, [As]).transposed().images
 
     def codegeneracy(n, i):
-        # A^{⊗(n+1)} → A^{⊗(n+2)}, insert the unit after slot i
-        chain = Chain([As] * (n + 1)).apply(A.unit_map(), i + 1, 0, [As])
-        return _each(_precompose(subs, n, n + 1, chain))
+        chain = Chain([Ms] + [As] * (n + 1)).apply(A.unit_map(), 2 + i, 0, [As])
+        return chain.transposed().images
 
-    return _assemble("comodule-algebra", As.field, N, subs, "φ", coface, codegeneracy,
-                     lambda n: wrap(n, False))
+    return coface, codegeneracy, lambda n: wrap(n, False)
+
+
+def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
+    """Degree-n space: colinear maps A^{⊗(n+1)} → M, in hom coordinates over
+    M⊗A^{⊗(n+1)}.  Inner cofaces multiply adjacent arguments; the last
+    coface and the cyclic operator rotate the final argument to the front
+    through its coaction and act on the value."""
+    Hs, Ms, As = A.hopf.space, M.space, A.space
+    subs = _top_first(N, lambda n: _once(colinear_hom_space, A, M, n))
+    act = _acting_suffix(M).to_map()  # h⊗m ↦ m◁h, shared by every wrap
+    # acting by h, transposed: m'⊗h ↦ Σ_m ⟨m', m◁h⟩·m
+    act_t = LinMap(tensor_space(Ms, Hs), Ms, {
+        (mp, m * Hs.dim + h): v for (m, c), v in act.entries.items()
+        for h, mp in (divmod(c, Ms.dim),)})
+
+    def wrap(n, multiply_front):
+        # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
+        # its own first argument (cyclic operator), as the transposed walk of
+        # m⊗ã ↦ act_t(m ⊗ a_n⟨−1⟩) ⊗ a_n⟨0⟩ ⊗ a_0 ⊗ …
+        chain = Chain([Ms] + [As] * (n + 1)).permute([0, n + 1] + list(range(1, n + 1)))
+        chain.apply(A.left_coaction(), 1, 1, [Hs, As])
+        if multiply_front:
+            chain.apply(A.mult, 2, 2, [As])
+        return chain.apply(act_t, 0, 2, [Ms]).transposed().images
+
+    return _assemble("comodule-algebra", As.field, N, subs, "φ", *_pullbacks(A, Ms, wrap))
 
 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -306,20 +291,9 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
         chain.permute(order).apply(Aact.action, 1, 2, [As])
         if multiply_front:
             chain.apply(Aact.mult, 1, 2, [As])
-        return _each(_precompose(subs, n, n - 1 if multiply_front else n, chain))
+        return chain.transposed().images
 
-    def coface(n, i):
-        if i == n:
-            return wrap(n, True)
-        chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As])
-        return _each(_precompose(subs, n, n - 1, chain))
-
-    def codegeneracy(n, i):
-        chain = Chain([Ms] + [As] * (n + 1)).apply(Aact.unit_map(), 2 + i, 0, [As])
-        return _each(_precompose(subs, n, n + 1, chain))
-
-    return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
-                     lambda n: wrap(n, False))
+    return _assemble("module-algebra", As.field, N, subs, "φ", *_pullbacks(Aact, Ms, wrap))
 
 
 def verify_cocyclic_identities(X: CocyclicModule) -> CheckResult:

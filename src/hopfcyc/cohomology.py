@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fields import FieldError
-from .linalg import LinMap, Subspace, identity, kernel_basis, rank, span_dim
+from .linalg import LinMap, Subspace, Vector, identity, kernel_basis, rank, span_dim
 from .cocyclic import CocyclicConstructionError, CocyclicModule, _abstract_space
 from . import results
 
@@ -116,21 +116,23 @@ def cyclic_dims(X: CocyclicModule, top=None) -> CohomologyTable:
     ranks = []
     for n in range(top + 1):
         b = hochschild_coboundary(X, n)
-        entries = {}
-        for col, vec in enumerate(subs[n].basis):
-            img = b.apply(vec)
-            coords = subs[n + 1].coords(img)
-            if coords is None:
-                raise CocyclicConstructionError(results.failed(
-                    "cyclic-subcomplex-closed",
-                    "b of cyclic basis element %d = %s at degree %d" % (col, vec.describe(), n),
-                    img, "an element of the cyclic subcomplex at degree %d" % (n + 1),
-                    detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
-            for r, v in coords.items():
-                entries[(r, col)] = v
-        ranks.append(rank(LinMap(_abstract_space(X.field, n, subs[n].dim, "c"),
-                                 _abstract_space(X.field, n + 1, subs[n + 1].dim, "c"),
-                                 entries)))
+        basis, src = subs[n].basis, _abstract_space(X.field, n, subs[n].dim, "c")
+        # b's images of the whole cyclic basis in one product, then read
+        # their coordinates in one pass
+        cols = (b @ LinMap(src, b.domain, {(i, col): v for col, vec in enumerate(basis)
+                                          for i, v in vec.entries.items()})).by_col()
+        images = [dict(cols.get(col, ())) for col in range(len(basis))]
+        entries, escaped = subs[n + 1].express(images)
+        if escaped is not None:
+            raise CocyclicConstructionError(results.failed(
+                "cyclic-subcomplex-closed",
+                "b of cyclic basis element %d = %s at degree %d"
+                % (escaped, basis[escaped].describe(), n),
+                Vector(b.codomain, images[escaped]),
+                "an element of the cyclic subcomplex at degree %d" % (n + 1),
+                detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
+        ranks.append(rank(LinMap(
+            src, _abstract_space(X.field, n + 1, subs[n + 1].dim, "c"), entries)))
     dims, data = [], []
     for n in range(top + 1):
         kdim = subs[n].dim - ranks[n]

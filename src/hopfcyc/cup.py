@@ -21,7 +21,6 @@ from .linalg import (
     tensor_map,
     tensor_space,
     tensor_vectors,
-    vector_to_functional,
 )
 from .symmetries import (ComoduleAlgebra, ModuleAlgebra, ModuleComodule,
                          algebra_over_trivial_hopf, scalar_coefficients)
@@ -121,12 +120,13 @@ def diagonal_complex(X: CocyclicModule, Y: CocyclicModule, N=None) -> CocyclicMo
             "%s⊗%s" % (a, b) for a in X.spaces[n].labels for b in Y.spaces[n].labels
         )
         spaces.append(Space(labels, X.field))
-    descriptions = [
-        ["(%s)⊗(%s)" % (da, db)
-         for da in X.ambient_descriptions[n]
-         for db in Y.ambient_descriptions[n]]
-        for n in range(N + 1)
-    ]
+
+    def descriptions():
+        return [["(%s)⊗(%s)" % (da, db)
+                 for da in X.ambient_descriptions[n]
+                 for db in Y.ambient_descriptions[n]]
+                for n in range(N + 1)]
+
     cofaces = {
         n: [tensor_map(X.coface(n, i), Y.coface(n, i)).with_spaces(
             spaces[n - 1], spaces[n]) for i in range(n + 1)]
@@ -220,17 +220,23 @@ class CrossedPairing:
         if n in self._psi_cache:
             return self._psi_cache[n]
         phis = self.module_side.subspaces[n].basis
-        psis = self.comodule_side.subspaces[n].maps()
+        psis = self.comodule_side.subspaces[n].basis
         twist = self._twist_pipeline(n)
+        ddim = twist.domain.dim
         entries = {}
         dy = len(psis)
-        for j, psi in enumerate(psis):
-            twisted = twist.contract(psi)
-            for i, phi_vec in enumerate(phis):
-                func = vector_to_functional(phi_vec, twisted.codomain) @ twisted
+        # entry r·ddim + c of ψ's image is T(r, c) for T = (ψ ⊗ id) ∘ P_n,
+        # and Ψ(φ⊗ψ)(c) = Σ_r φ(r)·T(r, c)
+        for j, image in enumerate(twist.images([psi.entries for psi in psis])):
+            rows = {}
+            for i, v in image.items():
+                r, c = divmod(i, ddim)
+                rows.setdefault(r, []).append((c, v))
+            for i, phi in enumerate(phis):
                 col = i * dy + j
-                for (_, c), v in func.entries.items():
-                    entries[(c, col)] = v
+                for r, a in phi.entries.items():
+                    for c, v in rows.get(r, ()):
+                        entries[(c, col)] = entries.get((c, col), 0) + a * v
         out = LinMap(self.diagonal.spaces[n], self.target.spaces[n], entries)
         self._psi_cache[n] = out
         return out

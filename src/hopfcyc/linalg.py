@@ -4,29 +4,29 @@ Spaces carry ordered basis labels (tensor products join labels with the
 character ⊗ in row-major order), so every counterexample the checkers emit
 reads as honest algebra; a tensor space whose joined labels cannot collide
 joins them only when they are read.  Linear maps are sparse
-``(row, col) -> scalar`` dictionaries.  Composite tensor expressions are assembled with ``Chain``,
-which moves all domain columns through each step of the pipeline together,
-keyed by flat row indices, so no index tuple is ever built.
+``(row, col) -> scalar`` dictionaries.  Composite tensor expressions are
+assembled with ``Chain``, which moves all its input columns through each
+step of the pipeline together, keyed by flat row indices.
 
-An operator on cochains, φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre, is a
-``Contraction``: both fixed pipelines are materialized once (the prefix as
-raw entries, never as a large labeled space), and each cochain is then
-contracted into the middle legs by index arithmetic.
+Every operator on cochains is one such walk from the raw ``{index: scalar}``
+columns of a whole source basis: a fixed pipeline walked forward
+(``Chain.images``), transposed to pull cochains back (φ ↦ φ ∘ chain is the
+walk of ``Chain.transposed()`` from φ's coordinates, so no fixed map is
+materialized), or a ``Contraction`` φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre.
+``Subspace.express`` then reads the coordinates of all the images over a
+canonical kernel basis in one pass, at the basis' free columns, with no
+elimination at all.
 
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
-actually holds, so its cost follows the fill of the system, not its rank².
-The forward pass files rows in descending order of their lead column, which
-keeps the filed rows short.
-``solve_linear``, ``kernel_basis``, ``membership`` and ``inverse_map`` each
-read their answer off one ``_rref`` of an augmented or transposed system.
-``Subspace`` is the one subspace type.  It holds a canonical kernel basis,
-so its ``coords`` read a vector's coefficients at the basis' free columns
-and check the recombination, with no elimination at all.
+actually holds; the forward pass files rows in descending order of their
+lead column, which keeps the filed rows short.  ``solve_linear``,
+``kernel_basis``, ``membership`` and ``inverse_map`` each read their answer
+off one ``_rref`` of an augmented or transposed system.
 
 Over GF(p) a scalar is a bare ``int``; each kernel accumulates unreduced
 ints and reduces once per step (the ``LinMap`` and ``Vector`` constructors,
-the end of each ``Chain`` apply step, each popped lead, and each row before
+the end of each ``Chain`` step, each popped lead, and each row before
 its pivot choice or zero test).  Over ℚ ``field.modulus`` is None and no
 reduction runs.
 
@@ -93,9 +93,6 @@ class Space:
 
     def basis_vector(self, i):
         return Vector(self, {i: self.field.one})
-
-    def basis(self):
-        return [self.basis_vector(i) for i in range(self.dim)]
 
     def __eq__(self, other):
         return (
@@ -482,31 +479,49 @@ class Chain:
                 self.entries(), math.prod(dims[at:at + nin]), math.prod(dims[at + nin:]))
         return self._split[(at, nin)]
 
-    def images(self, vectors):
-        """The composite applied to each of ``vectors``, in one walk that
-        starts from their columns instead of the identity; kept entries are
-        left as they are."""
+    def images(self, columns):
+        """The composite applied to raw ``{index: scalar}`` columns, in one walk
+        from them instead of the identity: raw columns over the current legs,
+        reduced and without zeros.  Inputs and kept entries are left alone."""
         start = {}
-        for k, vec in enumerate(vectors):
-            for i, v in vec.entries.items():
+        for k, col in enumerate(columns):
+            for i, v in col.items():
                 start.setdefault(i, {})[k] = v
-        cols = [{} for _ in vectors]
-        for (row, k), v in self._materialize(start).items():
-            cols[k][row] = v
-        space = _legs_space(self.legs, self.field)
-        return [Vector(space, c) for c in cols]
+        out = [{} for _ in columns]
+        for row, cols in self._walk(start).items():
+            for k, v in cols.items():
+                out[k][row] = v
+        return out
 
-    def _materialize(self, state=None):
-        """Move every column through each step at once.  The state maps each
-        flat row index over the current legs to its ``{col: scalar}`` row,
-        starting from ``state`` (rows over the source legs, in dicts that
-        this walk then owns) or else from the identity on the source legs.
-        Over GF(p) each apply step accumulates unreduced ints and reduces
-        every row it added to once at its end."""
+    def transposed(self):
+        """The pipeline selfᵀ, which walks self's steps backwards, each map
+        transposed and each permutation inverted.  Its ``images`` of the
+        coordinates of functionals φ on self's legs are those of φ ∘ self,
+        and self is never materialized."""
+        out = Chain(self.legs, self.field)
+        for step in reversed(self.steps):
+            if step[0] == "perm":
+                out.steps.append(("perm", sorted(range(len(step[1])), key=step[1].__getitem__)))
+                continue
+            _, f, at, in_dims, out_dims = step
+            ft = LinMap(f.codomain, f.domain, {(c, r): v for (r, c), v in f.entries.items()})
+            out.steps.append(("apply", ft, at, out_dims, in_dims))
+        out.legs = list(self.source_legs)
+        return out
+
+    def _materialize(self):
+        one = self.field.one
+        dims = [s.dim for s in self.source_legs]
+        state = self._walk({i: {i: one} for i in range(math.prod(dims))})
+        return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
+
+    def _walk(self, state):
+        """Move every column through each step at once: ``state`` maps each flat
+        row index over the source legs to its ``{col: scalar}`` row (dicts the
+        walk then owns), and the state over the current legs is returned.
+        Over GF(p) each apply step reduces every row it added to once."""
         p, one = self.field.modulus, self.field.one
         dims = [s.dim for s in self.source_legs]
-        if state is None:
-            state = {i: {i: one} for i in range(math.prod(dims))}
         for step in self.steps:
             if step[0] == "perm":
                 order = step[1]
@@ -588,7 +603,7 @@ class Chain:
             else:
                 state = {row: red for row, cols in new_state.items()
                          if (red := {c: r for c, w in cols.items() if (r := w % p)})}
-        return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
+        return state
 
     def to_map(self):
         return LinMap(_legs_space(self.source_legs, self.field),
@@ -623,8 +638,9 @@ class Contraction:
 
     ``pre`` is a Chain whose legs ``at .. at+nin-1`` are the domain of f;
     ``post`` is a Chain whose source legs are pre's legs with f's codomain
-    legs in their place.  ``contract(f)`` visits only the prefix entries that
-    meet a nonzero column of f, and equals the Chain with f in between."""
+    legs in their place.  ``images`` contracts a whole basis of maps f in one
+    call, visiting only the prefix entries at each f's nonzero columns;
+    ``contract(f)`` is its one-map case."""
 
     def __init__(self, pre, at, nin, post):
         left, right = pre.legs[:at], pre.legs[at + nin:]
@@ -641,6 +657,35 @@ class Contraction:
         self._post = post.to_map()
         self.codomain = self._post.codomain
 
+    def images(self, columns):
+        """post ∘ (id ⊗ f ⊗ id) ∘ pre for each f given by raw hom coordinates
+        (index y·in_dim + x), as reduced raw hom coordinates (row·dim + col)."""
+        p, pre, post = self.field.modulus, self._pre, self._post.by_col()
+        idim, odim, rdim, ddim = self.in_dim, self.out_dim, self.right_dim, self.domain.dim
+        out = []
+        for f in columns:
+            mid = {}
+            for flat, w in f.items():
+                y, x = divmod(flat, idim)
+                for l, r, col, v in pre.get(x, ()):
+                    key = ((l * odim + y) * rdim + r) * ddim + col
+                    mid[key] = mid.get(key, 0) + v * w
+            image = {}
+            for key, v in mid.items():
+                row, col = divmod(key, ddim)
+                for r, w in post.get(row, ()):
+                    i = r * ddim + col
+                    image[i] = image.get(i, 0) + w * v
+            out.append({i: v for i, v in image.items() if v} if p is None
+                       else _reduced(image, p))
+        return out
+
+    def as_map(self, image):
+        """A raw image of ``images`` as the map it encodes."""
+        ddim = self.domain.dim
+        return LinMap(self.domain, self.codomain,
+                      {divmod(i, ddim): v for i, v in image.items()})
+
     def contract(self, f):
         """post ∘ (id ⊗ f ⊗ id) ∘ pre as a map from pre's source legs."""
         if f.domain.dim != self.in_dim or f.codomain.dim != self.out_dim:
@@ -648,14 +693,8 @@ class Contraction:
                 f.codomain.dim, f.domain.dim, self.out_dim, self.in_dim))
         if f.domain.field is not self.field:
             _mixed(self.field, f.domain.field)
-        odim, rdim = self.out_dim, self.right_dim
-        mid = {}
-        for x, fcol in f.by_col().items():
-            for l, r, col, v in self._pre.get(x, ()):
-                for y, w in fcol:
-                    key = ((l * odim + y) * rdim + r, col)
-                    mid[key] = mid.get(key, 0) + v * w
-        return self._post @ LinMap(self.domain, self._post.domain, mid)
+        idim = self.in_dim
+        return self.as_map(self.images([{r * idim + c: v for (r, c), v in f.entries.items()}])[0])
 
 
 def _eliminate(row, echelon, p):
@@ -776,12 +815,11 @@ def _null_vectors(rows, space):
 class Subspace:
     """A computed basis of a subspace of ``ambient``.  When the ambient is a
     hom space (or a dual space, with the ground field as codomain), its
-    vectors are the maps ``domain → codomain`` that ``map`` reads back and
-    ``vector`` writes; a subspace of a tensor space has neither.
+    vectors are the maps ``domain → codomain`` that ``map`` reads back.
 
     The basis is canonical, as ``_null_vectors`` and ``kernel_basis`` give
     it: vector k is 1 at its last index j_k, and no other vector touches
-    j_k.  So ``coords`` reads coefficient k at column j_k."""
+    j_k.  So ``express`` reads coefficient k at column j_k."""
 
     __slots__ = ("ambient", "basis", "domain", "codomain", "_free")
 
@@ -790,41 +828,47 @@ class Subspace:
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
-        self._free = None  # j_k -> k, indexed on the first coords call
+        self._free = None  # j_k -> k, indexed on first use
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def coords(self, vec):
-        """Coefficients of vec over the basis, or None if not in the span:
-        coefficient k is vec's entry at j_k, and vec is in the span iff it
-        equals the combination they give."""
-        if vec.space.dim != self.ambient.dim:
-            raise DimensionMismatch("membership test across different spaces")
+    def express(self, images):
+        """Coordinates of reduced raw columns over the basis in one pass:
+        ``(entries, None)`` with entry (k, i) coefficient k of image i, or
+        ``(None, i)`` for the first image i outside the span.  Coefficient k
+        is the image's entry at j_k, and the image must equal Σ c_k·b_k."""
         if self._free is None:
             self._free = _free_columns(self.basis)
-        free = self._free
-        coords = {free[j]: c for j, c in vec.entries.items() if j in free}
-        rest = dict(vec.entries)
-        for k, c in coords.items():
-            for i, v in self.basis[k].entries.items():
-                w = rest.get(i, 0) - c * v
-                if w:
-                    rest[i] = w
-                else:
-                    del rest[i]
-        p = self.ambient.field.modulus
-        return None if (rest if p is None else _reduced(rest, p)) else coords
+        free, p = self._free, self.ambient.field.modulus
+        entries = {}
+        for i, image in enumerate(images):
+            comb = {}
+            for j, c in image.items():
+                k = free.get(j)
+                if k is None:
+                    continue
+                entries[(k, i)] = c
+                for t, v in self.basis[k].entries.items():
+                    comb[t] = comb.get(t, 0) + c * v
+            if image != ({t: v for t, v in comb.items() if v} if p is None else _reduced(comb, p)):
+                return None, i
+        return entries, None
+
+    def coords(self, vec):
+        """Coefficients of vec over the basis, or None if not in the span:
+        the one-image case of ``express``."""
+        if vec.space.dim != self.ambient.dim:
+            raise DimensionMismatch("membership test across different spaces")
+        entries, _ = self.express([vec.entries])
+        return None if entries is None else {k: c for (k, _), c in entries.items()}
 
     def map(self, vec):
         return vector_to_linmap(vec, self.domain, self.codomain)
 
     def maps(self):
         return [self.map(v) for v in self.basis]
-
-    def vector(self, f):
-        return linmap_to_vector(f, self.ambient)
 
 
 def _free_columns(basis):

@@ -7,7 +7,12 @@ identical matrices from the fast path.
 
 The ``*_by_rows`` builders are the three hand-indexed constraint-row
 builders that the library's one equalizer replaced, kept as they were
-(without the size cap) over this module's diagonal coactions."""
+(without the size cap) over this module's diagonal coactions.
+
+The last section keeps the per-cochain operator paths that the batched
+walks replaced: the per-image coordinate loop, the precomposition over the
+materialized fixed map, the per-map contraction (with the carrier-SAYD
+check written on it) and the per-pair Ψ."""
 
 import itertools
 
@@ -17,9 +22,13 @@ from hopfcyc.cocyclic import invariant_functionals
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
+    DimensionMismatch,
     LinMap,
     Subspace,
+    Vector,
+    _free_columns,
     _null_vectors,
+    _reduced,
     dual_space,
     hom_space,
     kernel_basis,
@@ -30,7 +39,12 @@ from hopfcyc.linalg import (
     vector_to_functional,
     vector_to_linmap,
 )
-from hopfcyc.symmetries import colinear_hom_space
+from hopfcyc.results import compare, passed
+from hopfcyc.symmetries import (
+    _carrier_sayd_pipelines,
+    _carrier_sayd_suffixes,
+    colinear_hom_space,
+)
 
 
 def _flatten(dims, tup):
@@ -384,3 +398,125 @@ def invariant_functionals_by_rows(Aact, M, n):
             rows.append(row)
     dual = dual_space(X)
     return Subspace(dual, _null_vectors(rows, dual), X, unit_space(field))
+
+
+# ---------------------------------------------------------------------------
+# the per-cochain operator paths that the batched walks replaced, kept as
+# they were: the per-image coordinate loop, the precomposition over the
+# materialized fixed map, the per-map contraction and the per-pair Ψ
+# ---------------------------------------------------------------------------
+
+
+def subspace_coords(sub, vec):
+    """``Subspace.coords`` as it was: coefficient k is vec's entry at j_k,
+    and vec is in the span iff it equals the combination they give."""
+    if vec.space.dim != sub.ambient.dim:
+        raise DimensionMismatch("membership test across different spaces")
+    free = _free_columns(sub.basis)
+    coords = {free[j]: c for j, c in vec.entries.items() if j in free}
+    rest = dict(vec.entries)
+    for k, c in coords.items():
+        for i, v in sub.basis[k].entries.items():
+            w = rest.get(i, 0) - c * v
+            if w:
+                rest[i] = w
+            else:
+                del rest[i]
+    p = sub.ambient.field.modulus
+    return None if (rest if p is None else _reduced(rest, p)) else coords
+
+
+def coords_by_image(sub, images):
+    """The per-image loop of the complex assembly: ``(entries, None)`` with
+    entry (k, i) the coefficient k of image i, or ``(None, i)`` for the
+    first image (a Vector) that escapes."""
+    entries = {}
+    for k, image in enumerate(images):
+        coords = subspace_coords(sub, image)
+        if coords is None:
+            return None, k
+        for r, v in coords.items():
+            entries[(r, k)] = v
+    return entries, None
+
+
+def precompose(subs, n, src, chain):
+    """φ ↦ φ ∘ chain, from the degree-src subspace to the degree-n one, on
+    hom coordinates: the fixed map is indexed by row once, so each φ visits
+    only the rows at its own columns."""
+    fixed = chain.to_map()
+    rows = {}
+    for (k, c), v in fixed.entries.items():
+        rows.setdefault(k, []).append((c, v))
+    zero = fixed.field.zero
+    src_dim, dim = subs[src].domain.dim, fixed.domain.dim
+
+    def op(vec):
+        out = {}
+        for flat, w in vec.entries.items():
+            r, k = divmod(flat, src_dim)
+            for c, v in rows.get(k, ()):
+                key = r * dim + c
+                out[key] = out.get(key, zero) + w * v
+        return Vector(subs[n].ambient, out)
+
+    return op
+
+
+def contract(pipeline, f):
+    """``Contraction.contract`` as it was: post ∘ (id ⊗ f ⊗ id) ∘ pre as a
+    map from pre's source legs, through one LinMap per map."""
+    if f.domain.dim != pipeline.in_dim or f.codomain.dim != pipeline.out_dim:
+        raise DimensionMismatch("contraction: map is %d×%d, legs give %d×%d" % (
+            f.codomain.dim, f.domain.dim, pipeline.out_dim, pipeline.in_dim))
+    odim, rdim = pipeline.out_dim, pipeline.right_dim
+    mid = {}
+    for x, fcol in f.by_col().items():
+        for l, r, col, v in pipeline._pre.get(x, ()):
+            for y, w in fcol:
+                key = ((l * odim + y) * rdim + r, col)
+                mid[key] = mid.get(key, 0) + v * w
+    return pipeline._post @ LinMap(pipeline.domain, pipeline._post.domain, mid)
+
+
+def check_sayd_over_algebra_by_map(A, M, n_max=2):
+    """``check_sayd_over_algebra`` as it was: both pipelines contracted with
+    each colinear map φ in turn and compared as maps."""
+    verdicts = []
+    suffixes = _carrier_sayd_suffixes(M)
+    for n in range(n_max + 1):
+        sub = colinear_hom_space(A, M, n)
+        dims_note = "n=%d, dim=%d" % (n, sub.dim)
+        if sub.dim:
+            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
+        for k, phi in enumerate(sub.maps()):
+            def at(col):
+                return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))
+
+            res = compare("carrier-ayd-algebra", contract(lhs_p, phi), contract(rhs_p, phi),
+                          at, detail=dims_note)
+            if res:
+                res = compare("carrier-stability-algebra", contract(stab_p, phi), phi,
+                              at, detail=dims_note)
+            if not res:
+                return res
+        verdicts.append(dims_note)
+    return passed("sayd-over-algebra", detail="; ".join(verdicts))
+
+
+def psi_matrix_by_pair(pairing, n):
+    """``CrossedPairing.psi_matrix`` as it was: each ψ contracted into the
+    twist pipeline as a map, then one functional product per (φ, ψ)."""
+    phis = pairing.module_side.subspaces[n].basis
+    psis = pairing.comodule_side.subspaces[n].maps()
+    twist = pairing._twist_pipeline(n)
+    entries = {}
+    dy = len(psis)
+    for j, psi in enumerate(psis):
+        twisted = contract(twist, psi)
+        for i, phi_vec in enumerate(phis):
+            func = vector_to_functional(phi_vec, twisted.codomain) @ twisted
+            col = i * dy + j
+            for (_, c), v in func.entries.items():
+                entries[(c, col)] = v
+    return LinMap(pairing.diagonal.spaces[n], pairing.target.spaces[n], entries)

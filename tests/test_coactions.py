@@ -10,11 +10,7 @@ import itertools
 
 import pytest
 
-from hopfcyc.cocyclic import (
-    _precompose,
-    build_comodule_algebra_complex,
-    invariant_functionals,
-)
+from hopfcyc.cocyclic import build_comodule_algebra_complex, invariant_functionals
 from hopfcyc.corpus import bicrossed_names, get_bicrossed, get_hopf, hopf_names
 from hopfcyc.fields import GF, QQ
 from hopfcyc.hopf import (
@@ -28,7 +24,7 @@ from hopfcyc.hopf import (
     enumerate_group_likes,
     unit_group_like,
 )
-from hopfcyc.linalg import Chain, Vector, solve_linear
+from hopfcyc.linalg import Chain, Vector, linmap_to_vector, solve_linear
 from hopfcyc.symmetries import (
     _coalgebra_stability,
     adjoint_comodule_coalgebra,
@@ -145,22 +141,30 @@ def _precompositions(N, prefix_legs, A):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_precompose_matches_matmul(field):
+    # φ ↦ φ ∘ chain as the complexes build it, the walk of the transposed
+    # pipeline on the coordinate legs (M, A, …, A) from the whole basis,
+    # against the precomposition over the materialized chain on the
+    # arguments and against φ @ chain
     H = get_hopf("sweedler-h4", field)
     cases = []
     A = regular_comodule_algebra(H)
     for M in _coefficients(H):
         subs = [colinear_hom_space(A, M, n) for n in range(3)]
-        cases.append((subs, _precompositions(2, [], A)))
+        cases.append((subs, _precompositions(2, [M.space], A), _precompositions(2, [], A)))
     G, Aact = translation_module_algebra(symmetric_group(3), field)
     Mt = scalar_coefficients(G, counit_character(G), unit_group_like(G))
     subs = [invariant_functionals(Aact, Mt, n) for n in range(3)]
-    cases.append((subs, _precompositions(2, [Mt.space], Aact)))
+    ops = list(_precompositions(2, [Mt.space], Aact))
+    cases.append((subs, ops, ops))
     checked = 0
-    for subs, ops in cases:
-        for n, src, chain in ops:
-            op, fixed = _precompose(subs, n, src, chain), chain.to_map()
-            for vec in subs[src].basis:
-                assert op(vec) == subs[n].vector(subs[src].map(vec) @ fixed)
+    for subs, walked, fixed_ops in cases:
+        for (n, src, coordinates), (_, _, chain) in zip(walked, fixed_ops):
+            images = coordinates.transposed().images([v.entries for v in subs[src].basis])
+            op, fixed = chain_oracle.precompose(subs, n, src, chain), chain.to_map()
+            assert len(images) == subs[src].dim
+            for vec, image in zip(subs[src].basis, images):
+                assert image == op(vec).entries
+                assert op(vec) == linmap_to_vector(subs[src].map(vec) @ fixed, subs[n].ambient)
                 checked += 1
     assert checked > 100
 

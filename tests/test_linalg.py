@@ -302,15 +302,15 @@ class TestChain:
                                         min_size=dim, max_size=dim))
             vectors.append(Vector(space(dim, "s", field),
                                   {i: field.from_int(x) for i, x in enumerate(values)}))
-        images = chain.images(vectors)
+        images = chain.images([v.entries for v in vectors])
         if kept is None:  # walked from the vectors, never from the identity
             assert chain._entries is None
         else:
             assert chain.entries() is kept and kept == copy
         oracle = LinMap(space(dim, "s", field), space(codim, "t", field),
                         chain_oracle.walk_entries(chain))
-        assert [v.entries for v in images] == [oracle.apply(v).entries for v in vectors]
-        assert images == [chain.to_map().apply(v) for v in vectors]
+        assert images == [oracle.apply(v).entries for v in vectors]
+        assert images == [chain.to_map().apply(v).entries for v in vectors]
 
     def test_insert_and_drop(self):
         a = space(2, "a")
@@ -412,13 +412,15 @@ class TestWholeRowMoves:
             vectors.append(Vector(space(dim, "s", field),
                                   {i: field.from_int(x) for i, x in enumerate(values)}))
         inputs = [dict(v.entries) for v in vectors]
-        first = chain.images(vectors)
-        results = [dict(v.entries) for v in first]
-        second = chain.images(vectors)
+        first = chain.images([v.entries for v in vectors])
+        results = [dict(v) for v in first]
+        second = chain.images([v.entries for v in vectors])
         assert [v.entries for v in vectors] == inputs
-        assert [v.entries for v in first] == results
+        assert first == results
         assert second == first
-        oracle = LinMap(vectors[0].space, first[0].space, chain_oracle.walk_entries(chain))
+        codim = math.prod(s.dim for s in chain.legs)
+        oracle = LinMap(vectors[0].space, space(codim, "t", field),
+                        chain_oracle.walk_entries(chain))
         assert results == [oracle.apply(v).entries for v in vectors]
 
 
