@@ -31,7 +31,7 @@ from .symmetries import (
     ComoduleCoalgebra,
     ModuleAlgebra,
     ModuleComodule,
-    _acting_suffix,
+    _acting,
     _equalizer,
     _check_size_cap,
     _once,
@@ -197,7 +197,7 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     through its coaction and act on the value."""
     Hs, Ms, As = A.hopf.space, M.space, A.space
     subs = _top_first(N, lambda n: _once(colinear_hom_space, A, M, n))
-    act = _acting_suffix(M).to_map()  # h⊗m ↦ m◁h, shared by every wrap
+    act = _acting(M)  # h⊗m ↦ m◁h, kept on M
     # acting by h, transposed: m'⊗h ↦ Σ_m ⟨m', m◁h⟩·m
     act_t = LinMap(tensor_space(Ms, Hs), Ms, {
         (mp, m * Hs.dim + h): v for (m, c), v in act.entries.items()
@@ -267,7 +267,9 @@ def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace
         chain.apply(Aact.action, 1 + i, 2, [As])
     # α = f ↦ f∘(h·) and β = f ↦ ε(h)f, both at row h·dim X + x
     X = tensor_space(*legs)
-    alpha = ((col, y, v) for (y, col), v in chain.entries().items())
+    alpha = {}
+    for (y, col), v in chain.entries().items():
+        alpha.setdefault(col, {})[y] = v
     beta = ((h * X.dim + x, x, e) for (_, h), e in H.counit.entries.items() for x in range(X.dim))
     dual = dual_space(X)
     return Subspace(dual, _equalizer(dual, alpha, beta), X, unit_space(As.field))

@@ -12,10 +12,14 @@ Every operator on cochains is one such walk from the raw ``{index: scalar}``
 columns of a whole source basis: a fixed pipeline walked forward
 (``Chain.images``), transposed to pull cochains back (φ ↦ φ ∘ chain is the
 walk of ``Chain.transposed()`` from φ's coordinates, so no fixed map is
-materialized), or a ``Contraction`` φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre.
-``Subspace.express`` then reads the coordinates of all the images over a
-canonical kernel basis in one pass, at the basis' free columns, with no
-elimination at all.
+materialized), or a ``Contraction`` φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre.  A
+contraction reads its prefix only through the prefix's kept index by the
+middle legs, and its suffix as one map, so prefixes and suffixes can be
+kept on the objects they depend on, and two operators with one prefix that
+are only compared can be contracted once, with the difference of their
+suffixes.  ``Subspace.express`` then reads the coordinates of all the
+images over a canonical kernel basis in one pass, at the basis' free
+columns, with no elimination at all.
 
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
@@ -417,9 +421,12 @@ class Chain:
     its one new index instead of entry by entry; only rows that land on one
     index are added.
 
-    The materialized entries, and their index by middle legs, are kept until
-    the next ``apply`` or ``permute``, so a pipeline shared by several
-    contractions is walked and indexed once.
+    The materialized entries (``entries``) and their index by middle legs
+    (``split_entries``) are each kept until the next ``apply`` or
+    ``permute``.  A Chain read only through the index keeps the index
+    alone, so a prefix kept for several contractions is walked and indexed
+    once and holds only its split rows.  A Chain that is one map on all its
+    source legs is not walked: its entries are the map's own.
     """
 
     def __init__(self, source_legs, field=None):
@@ -471,12 +478,14 @@ class Chain:
         return self._entries
 
     def split_entries(self, at, nin):
-        """The kept entries indexed by the middle index over legs
-        ``at .. at+nin-1``: x -> [(left index, right index, col, v)]."""
+        """The entries indexed by the middle index over legs
+        ``at .. at+nin-1``: x -> [(left index, right index, col, v)].  The
+        index is kept; the entries are kept only if already materialized."""
         if (at, nin) not in self._split:
             dims = [s.dim for s in self.legs]
+            entries = self._entries if self._entries is not None else self._materialize()
             self._split[(at, nin)] = _split_rows(
-                self.entries(), math.prod(dims[at:at + nin]), math.prod(dims[at + nin:]))
+                entries, math.prod(dims[at:at + nin]), math.prod(dims[at + nin:]))
         return self._split[(at, nin)]
 
     def images(self, columns):
@@ -510,6 +519,9 @@ class Chain:
         return out
 
     def _materialize(self):
+        if len(self.steps) == 1 and self.steps[0][0] == "apply" \
+                and len(self.steps[0][3]) == len(self.source_legs):
+            return self.steps[0][1].entries  # one map on every leg: its own entries
         one = self.field.one
         dims = [s.dim for s in self.source_legs]
         state = self._walk({i: {i: one} for i in range(math.prod(dims))})
@@ -636,26 +648,36 @@ def _legs_space(legs, field):
 class Contraction:
     """The operator f ↦ post ∘ (id ⊗ f ⊗ id) ∘ pre for fixed tensor pipelines.
 
-    ``pre`` is a Chain whose legs ``at .. at+nin-1`` are the domain of f;
-    ``post`` is a Chain whose source legs are pre's legs with f's codomain
-    legs in their place.  ``images`` contracts a whole basis of maps f in one
-    call, visiting only the prefix entries at each f's nonzero columns;
-    ``contract(f)`` is its one-map case."""
+    ``pre`` is a Chain whose legs ``at .. at+nin-1`` are the domain of f; it
+    is read only through its kept index ``split_entries(at, nin)``, so a
+    prefix shared by several contractions is walked once.  ``post`` is a
+    Chain whose source legs are pre's legs with f's codomain legs in their
+    place, or a LinMap from that space (a suffix kept, or combined, as a
+    map; only its dimension is checked).  ``images`` contracts a whole basis
+    of maps f in one call, visiting only the prefix entries at each f's
+    nonzero columns; ``contract(f)`` is its one-map case."""
 
     def __init__(self, pre, at, nin, post):
         left, right = pre.legs[:at], pre.legs[at + nin:]
-        nout = len(post.source_legs) - len(left) - len(right)
-        if nout < 0 or [s.dim for s in post.source_legs[:at] + post.source_legs[at + nout:]] \
-                != [s.dim for s in left + right]:
-            raise DimensionMismatch("contraction: post legs do not match pre around f")
+        outer = math.prod(s.dim for s in left + right)
+        if isinstance(post, Chain):
+            nout = len(post.source_legs) - len(left) - len(right)
+            if nout < 0 or [s.dim for s in post.source_legs[:at] + post.source_legs[at + nout:]] \
+                    != [s.dim for s in left + right]:
+                raise DimensionMismatch("contraction: post legs do not match pre around f")
+            post = post.to_map()
+        if post.domain.dim % outer:
+            raise DimensionMismatch("contraction: post domain does not fit pre around f")
+        if post.field is not pre.field:
+            _mixed(pre.field, post.field)
         self.field = pre.field
         self.in_dim = math.prod(s.dim for s in pre.legs[at:at + nin])
-        self.out_dim = math.prod(s.dim for s in post.source_legs[at:at + nout])
+        self.out_dim = post.domain.dim // outer
         self.right_dim = math.prod(s.dim for s in right)
         self.domain = _legs_space(pre.source_legs, pre.field)
         self._pre = pre.split_entries(at, nin)
-        self._post = post.to_map()
-        self.codomain = self._post.codomain
+        self._post = post
+        self.codomain = post.codomain
 
     def images(self, columns):
         """post ∘ (id ⊗ f ⊗ id) ∘ pre for each f given by raw hom coordinates

@@ -1,9 +1,10 @@
 """Reference oracle: the per-column ``Chain`` walk that ``Chain.entries()``
 replaces, the per-cochain ``Chain`` walks that the library's pipeline
 contractions replace, and the whole-``Chain`` diagonal coactions, cotensor
-spaces and coalgebra stability maps that the library reads from entries.  Each function rebuilds the whole computation the slow
-way, exactly as it is written down, so a differential test can demand
-identical matrices from the fast path.
+spaces and coalgebra stability maps that the library reads from entries.
+Each function rebuilds the whole computation the slow way, exactly as it
+is written down, so a differential test can demand identical matrices from
+the fast path.
 
 The ``*_by_rows`` builders are the three hand-indexed constraint-row
 builders that the library's one equalizer replaced, kept as they were
@@ -12,7 +13,8 @@ builders that the library's one equalizer replaced, kept as they were
 The last section keeps the per-cochain operator paths that the batched
 walks replaced: the per-image coordinate loop, the precomposition over the
 materialized fixed map, the per-map contraction (with the carrier-SAYD
-check written on it) and the per-pair Ψ."""
+check written on it, over both AYD sides and pipelines built afresh for
+every check) and the per-pair Ψ."""
 
 import itertools
 
@@ -22,6 +24,7 @@ from hopfcyc.cocyclic import invariant_functionals
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
+    Contraction,
     DimensionMismatch,
     LinMap,
     Subspace,
@@ -41,8 +44,9 @@ from hopfcyc.linalg import (
 )
 from hopfcyc.results import compare, passed
 from hopfcyc.symmetries import (
-    _carrier_sayd_pipelines,
-    _carrier_sayd_suffixes,
+    _append_act,
+    _append_ayd_lhs,
+    _append_ayd_rhs,
     colinear_hom_space,
 )
 
@@ -479,16 +483,29 @@ def contract(pipeline, f):
     return pipeline._post @ LinMap(pipeline.domain, pipeline._post.domain, mid)
 
 
+def carrier_sayd_pipelines(A, M, n):
+    """The two AYD sides and the stability map at degree n, as the library
+    built them before it kept prefixes on the carrier and suffixes on the
+    coefficient: three contractions of fresh Chains over this module's
+    diagonal coaction, none read from a cache on A or M."""
+    Hs, Ms, As = A.hopf.space, M.space, A.space
+    legs = [As] * (n + 1)
+    coact = Chain(legs).apply(A.left_coaction(), 0, 1, [Hs, As])
+    diag = Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs)
+    return (Contraction(coact, 1, n + 1, _append_ayd_lhs(Chain([Hs, Ms]), M)),
+            Contraction(coact, 1, n + 1, _append_ayd_rhs(Chain([Hs, Ms]), M)),
+            Contraction(diag, 1, n + 1, _append_act(Chain([Hs, Ms]), M)))
+
+
 def check_sayd_over_algebra_by_map(A, M, n_max=2):
-    """``check_sayd_over_algebra`` as it was: both pipelines contracted with
-    each colinear map φ in turn and compared as maps."""
+    """``check_sayd_over_algebra`` as it was: both sides and the stability
+    map contracted with each colinear map φ in turn and compared as maps."""
     verdicts = []
-    suffixes = _carrier_sayd_suffixes(M)
     for n in range(n_max + 1):
         sub = colinear_hom_space(A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
-            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
+            lhs_p, rhs_p, stab_p = carrier_sayd_pipelines(A, M, n)
         for k, phi in enumerate(sub.maps()):
             def at(col):
                 return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))

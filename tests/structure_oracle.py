@@ -17,11 +17,34 @@ from hopfcyc import results
 from hopfcyc.linalg import Chain, LinMap, Vector, identity, tensor_space, unit_space
 from hopfcyc.results import compare
 from hopfcyc.symmetries import (
-    _coalgebra_stability,
     cotensor_space,
     diag_left_coaction,
     diag_right_coaction,
 )
+
+
+def coalgebra_stability(C, M, k):
+    """w ↦ w⟨0⟩◁w⟨1⟩ on C^{⊗k} ⊗ M, one vector at a time: act on the
+    coefficient by the diagonal right-coaction leg, read from the entries of
+    ρ_diag and the action (the library walks the whole cotensor basis at
+    once instead)."""
+    Hdim, Mdim = C.hopf.space.dim, M.space.dim
+    rho = diag_right_coaction(C, k).by_col()
+    act = M.action.by_col()
+    zero = C.space.field.zero
+
+    def stab(w):
+        out = {}
+        for i, coeff in w.entries.items():
+            c, m = divmod(i, Mdim)
+            for r, v in rho.get(c, ()):
+                cp, h = divmod(r, Hdim)
+                for mp, a in act.get(m * Hdim + h, ()):
+                    key = cp * Mdim + mp
+                    out[key] = out.get(key, zero) + coeff * v * a
+        return Vector(w.space, out)
+
+    return stab
 
 
 def _unit_map(space, unit):
@@ -353,7 +376,7 @@ def check_sayd_over_coalgebra(C, M, n_max=2):
     for n in range(n_max + 1):
         sub = cotensor_space(C, M, n)
         dims_notes.append("n=%d, dim=%d" % (n, sub.dim))
-        stab = _coalgebra_stability(C, M, n + 1)
+        stab = coalgebra_stability(C, M, n + 1)
         for j, w in enumerate(sub.basis):
             out = stab(w)
             if out != w:

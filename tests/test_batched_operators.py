@@ -5,6 +5,8 @@ against the per-map contraction, the carrier-SAYD check, the complex
 matrices and Ψ against their per-map and per-pair forms; over ℚ, GF(7) and
 GF(2)."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,8 +43,8 @@ from hopfcyc.linalg import (
 )
 from hopfcyc.symmetries import (
     ModuleComodule,
+    _carrier_ayd_sides,
     _carrier_sayd_pipelines,
-    _carrier_sayd_suffixes,
     adjoint_module_algebra,
     check_sayd_over_algebra,
     colinear_hom_space,
@@ -154,21 +156,27 @@ def _carrier_pairs(name, field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("name", HOPF_NAMES)
 def test_contraction_images_match_contract(name, field):
-    # the three carrier-SAYD pipelines at n ≤ 2, each contracted with the
-    # whole colinear basis in one call against one contraction per map
+    # the carrier-SAYD pipelines at n ≤ 2 (the AYD difference, the stability
+    # map and the two AYD sides L and R), each contracted with the whole
+    # colinear basis in one call against one contraction per map; the
+    # difference's images are L's minus R's
     for aname, A, mname, M in _carrier_pairs(name, field):
-        suffixes = _carrier_sayd_suffixes(M)
         for n in range(3):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:
                 continue
-            for pipeline in _carrier_sayd_pipelines(A, suffixes, n):
-                images = pipeline.images([v.entries for v in sub.basis])
+            pipelines = _carrier_sayd_pipelines(A, M, n) + _carrier_ayd_sides(A, M, n)
+            cols = [v.entries for v in sub.basis]
+            for pipeline in pipelines:
+                images = pipeline.images(cols)
                 assert len(images) == sub.dim
                 for image, phi in zip(images, sub.maps()):
                     slow = chain_oracle.contract(pipeline, phi)
                     assert pipeline.as_map(image).entries == slow.entries, (aname, mname, n)
                     assert pipeline.contract(phi).entries == slow.entries, (aname, mname, n)
+            ayd_p, _, lhs_p, rhs_p = pipelines
+            for d, lhs, rhs in zip(ayd_p.images(cols), lhs_p.images(cols), rhs_p.images(cols)):
+                assert ayd_p.as_map(d) == lhs_p.as_map(lhs) - rhs_p.as_map(rhs), (aname, mname, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -180,6 +188,46 @@ def test_carrier_sayd_check_matches_the_check_by_map(name, field):
         slow = chain_oracle.check_sayd_over_algebra_by_map(A, M, n_max=2)
         assert fast.to_dict() == slow.to_dict(), (aname, mname)
         assert fast.lhs_vector == slow.lhs_vector and fast.rhs_vector == slow.rhs_vector
+
+
+def _fresh(X, memo):
+    """A copy of the carrier or coefficient X with its kept prefixes or
+    suffixes (the dict attribute ``memo``) emptied."""
+    Y = copy.copy(X)
+    setattr(Y, memo, {})
+    return Y
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_carrier_sayd_check_does_not_depend_on_cache_order(field):
+    # one set of carriers and coefficients shared by every check, run in
+    # order and again (on a second set) in reverse with each carrier's
+    # failing pairs first: every verdict, witness and witness vector is that
+    # of a run on fresh copies and that of the check by map
+    want, mixed = {}, 0
+    for name in HOPF_NAMES:
+        want[name] = []
+        for aname, A, mname, M in _carrier_pairs(name, field):
+            fresh = check_sayd_over_algebra(_fresh(A, "_diag"), _fresh(M, "_memo"), n_max=2)
+            slow = chain_oracle.check_sayd_over_algebra_by_map(A, M, n_max=2)
+            assert fresh.to_dict() == slow.to_dict(), (name, aname, mname)
+            assert fresh.lhs_vector == slow.lhs_vector and fresh.rhs_vector == slow.rhs_vector
+            want[name].append(fresh)
+    for reverse in (False, True):
+        for name in HOPF_NAMES:
+            pairs = _carrier_pairs(name, field)
+            order = list(range(len(pairs)))
+            if reverse:
+                # reversed, then each carrier's failing pairs before its passing ones
+                order = sorted(order[::-1], key=lambda i: (pairs[i][0], want[name][i].passed))
+                mixed += sum(len({want[name][i].passed for i in order if pairs[i][0] == aname}) == 2
+                             for aname in {pair[0] for pair in pairs})
+            for i in order:
+                aname, A, mname, M = pairs[i]
+                res, fresh = check_sayd_over_algebra(A, M, n_max=2), want[name][i]
+                assert res.to_dict() == fresh.to_dict(), (reverse, name, aname, mname)
+                assert res.lhs_vector == fresh.lhs_vector and res.rhs_vector == fresh.rhs_vector
+    assert mixed >= 5  # carriers whose failing checks run before their passing ones
 
 
 def test_both_carrier_sayd_conditions_fail_somewhere():

@@ -1,10 +1,11 @@
 """The diagonal coactions built degree by degree and kept on the carrier, the
-cotensor constraints and coalgebra stability read from their entries, the
-row-indexed precomposition of the cochain complexes and the filtered character
-search: each against the whole-``Chain`` (or unfiltered) construction of
-``chain_oracle``, on every corpus carrier over ℚ and GF(32003).  The
-group-like search, which runs as the character search of the dual algebra,
-against the separate search it replaced."""
+cotensor constraints read from their entries, the one-walk coalgebra
+stability check (against the per-vector stability of ``structure_oracle``),
+the row-indexed precomposition of the cochain complexes and the filtered
+character search: each against the whole-``Chain`` (or unfiltered)
+construction of ``chain_oracle``, on every corpus carrier over ℚ and
+GF(32003).  The group-like search, which runs as the character search of
+the dual algebra, against the separate search it replaced."""
 
 import itertools
 
@@ -24,12 +25,21 @@ from hopfcyc.hopf import (
     enumerate_group_likes,
     unit_group_like,
 )
-from hopfcyc.linalg import Chain, Vector, linmap_to_vector, solve_linear
+from hopfcyc.linalg import (
+    Chain,
+    LinMap,
+    Space,
+    Vector,
+    linmap_to_vector,
+    solve_linear,
+    tensor_space,
+)
 from hopfcyc.symmetries import (
-    _coalgebra_stability,
+    ModuleComodule,
     adjoint_comodule_coalgebra,
     bicrossed_function_comodule_algebra,
     bicrossed_group_comodule_coalgebra,
+    check_sayd_over_coalgebra,
     colinear_hom_space,
     cotensor_space,
     diag_left_coaction,
@@ -45,6 +55,8 @@ from hopfcyc.symmetries import (
 from hopfcyc.groups import symmetric_group
 
 import chain_oracle
+import structure_oracle
+from test_batched_operators import _scalars
 
 # the corpus Hopf algebras that carry comodule (co)algebras
 CARRIER_HOPF = ["kZ2", "kZ3", "kS3", "dualZ3", "sweedler-h4",
@@ -119,10 +131,53 @@ def test_cotensor_and_stability_match_oracle(name, field):
                 assert fast.ambient == slow.ambient
                 assert [v.entries for v in fast.basis] == [v.entries for v in slow.basis], \
                     (label, M.name, n)
-                stab = _coalgebra_stability(C, M, n + 1)
+                stab = structure_oracle.coalgebra_stability(C, M, n + 1)
                 T = chain_oracle.coalgebra_stability_map(C, M, n + 1, rho)
                 for i in range(T.domain.dim):
                     assert stab(fast.ambient.basis_vector(i)) == T.column(i), (label, M.name, n, i)
+
+
+def _doubled(M):
+    """M ⊕ M with the action and coaction of M on each copy, so every
+    cotensor basis element of M comes twice."""
+    Hd, Md = M.hopf.space.dim, M.dim
+    S = Space(M.space.labels + tuple(label + "'" for label in M.space.labels), M.space.field)
+    action = {(i * Md + r, (i * Md + m) * Hd + h): v for (r, c), v in M.action.entries.items()
+              for m, h in (divmod(c, Hd),) for i in range(2)}
+    coaction = {(h * 2 * Md + i * Md + r, i * Md + m): v
+                for (hr, m), v in M.coaction.entries.items()
+                for h, r in (divmod(hr, Md),) for i in range(2)}
+    return ModuleComodule(M.hopf, S, LinMap(tensor_space(S, M.hopf.space), S, action),
+                          LinMap(S, tensor_space(M.hopf.space, S), coaction),
+                          name=M.name + "⊕" + M.name)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_coalgebra_sayd_check_matches_per_vector_stability(field):
+    # the library walks each degree's whole cotensor basis through ρ_diag ⊗ id
+    # and the action at once; the written-out check applies the stability map
+    # to one basis element at a time.  Same verdict, witness and witness
+    # vectors on every corpus coalgebra with the coefficients above (Sweedler's
+    # ε-unit among them, the negative control) and every scalar (δ, σ), each
+    # scalar also doubled, so that a failing degree fails at more than one
+    # basis element and the first of them must be the one reported
+    failed = set()
+    for name in CARRIER_HOPF:
+        H = get_hopf(name, field)
+        scalars = _scalars(H)
+        for label, C in _coalgebras(name, field):
+            for M in _coefficients(H) + scalars + [_doubled(M) for M in scalars]:
+                n_max = 1 if C.dim * M.dim > 12 else 2
+                res = check_sayd_over_coalgebra(C, M, n_max=n_max)
+                ref = structure_oracle.check_sayd_over_coalgebra(C, M, n_max=n_max)
+                assert res.to_dict() == ref.to_dict(), (name, label, M.name)
+                assert res.lhs_vector == ref.lhs_vector and res.rhs_vector == ref.rhs_vector
+                if not res.passed:
+                    failed.add(res.condition)
+    assert failed == {"carrier-ayd-coalgebra", "carrier-stability-coalgebra"}
+    H4 = get_hopf("sweedler-h4", field)
+    eps_unit = scalar_coefficients(H4, counit_character(H4), unit_group_like(H4))
+    assert not check_sayd_over_coalgebra(adjoint_comodule_coalgebra(H4), eps_unit)
 
 
 def _precompositions(N, prefix_legs, A):

@@ -17,8 +17,9 @@ from hopfcyc.fields import GF, QQ
 from hopfcyc.linalg import Chain, Contraction, DimensionMismatch, LinMap, Space, tensor_space
 from hopfcyc.hopf import counit_character, unit_group_like
 from hopfcyc.symmetries import (
+    _carrier_ayd_sides,
+    _carrier_prefixes,
     _carrier_sayd_pipelines,
-    _carrier_sayd_suffixes,
     colinear_hom_space,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
@@ -78,6 +79,8 @@ class TestContraction:
             got = pipeline.contract(f)
             assert got.entries == whole.entries
             assert got.domain == whole.domain and got.codomain == whole.codomain
+            # the suffix given as its map contracts the same
+            assert Contraction(pre, 1, 1, post.to_map()).contract(f).entries == whole.entries
 
     def test_without_post_is_the_bare_prefix(self):
         rng = random.Random(9)
@@ -96,6 +99,8 @@ class TestContraction:
         pipeline = Contraction(pre, 0, 1, Chain([Y, Y]))
         with pytest.raises(DimensionMismatch):
             pipeline.contract(LinMap(Y, Y, {}))
+        with pytest.raises(DimensionMismatch):
+            Contraction(pre, 0, 1, LinMap(X, X, {}))  # a map that cannot hold the right leg
 
 
 def test_prefix_index_is_dropped_with_the_entries():
@@ -116,7 +121,10 @@ def test_prefix_index_is_dropped_with_the_entries():
 
 
 def test_shared_prefix_is_indexed_once_per_degree(monkeypatch):
-    # both AYD sides contract the one coaction prefix of their degree
+    # the two prefixes of each degree, the coaction one (shared by the AYD
+    # difference and both AYD sides) and the diagonal one, are indexed once
+    # per carrier across the checks of two coefficients, and kept on the
+    # carrier holding that index alone
     from hopfcyc import linalg
     from hopfcyc.symmetries import check_sayd_over_algebra
 
@@ -129,16 +137,26 @@ def test_shared_prefix_is_indexed_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(linalg, "_split_rows", counting)
     H = get_hopf("kZ3")
-    A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
-    suffixes = _carrier_sayd_suffixes(M)
+    A = regular_comodule_algebra(H)
+    coefficients = [regular_coaction_trivial_action(H),
+                    scalar_coefficients(H, counit_character(H), unit_group_like(H))]
+    for M in coefficients:
+        assert all(colinear_hom_space(A, M, n).dim for n in range(3))
+        assert check_sayd_over_algebra(A, M, n_max=2)
+        assert len(indexed) == 6  # two prefixes at each of n = 0, 1, 2
     for n in range(3):
-        del indexed[:]
-        lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
-        assert len(indexed) == 2  # the coaction prefix and the diagonal one
-        assert lhs_p._pre is rhs_p._pre and stab_p._pre is not lhs_p._pre
-    del indexed[:]
-    assert check_sayd_over_algebra(A, M, n_max=2)
+        coact, diag = _carrier_prefixes(A, n)
+        for M in coefficients:
+            ayd_p, stab_p = _carrier_sayd_pipelines(A, M, n)
+            lhs_p, rhs_p = _carrier_ayd_sides(A, M, n)
+            assert ayd_p._pre is lhs_p._pre is rhs_p._pre is coact.split_entries(1, n + 1)
+            assert stab_p._pre is diag.split_entries(1, n + 1)
+        for chain in (coact, diag):
+            assert chain._entries is None and list(chain._split) == [(1, n + 1)]
     assert len(indexed) == 6
+    # another carrier with the same structure indexes its own
+    assert check_sayd_over_algebra(regular_comodule_algebra(H), coefficients[0], n_max=2)
+    assert len(indexed) == 12
 
 
 @pytest.mark.parametrize("instance", range(2))
@@ -195,16 +213,17 @@ def _assert_carrier_sides_match_oracle(pairs):
         # minute, so those pairs stop at degree 1 (the index arithmetic is
         # the same at every degree, and degree 2 is covered on the others)
         top = 1 if A.dim * M.dim > 16 else 2
-        suffixes = _carrier_sayd_suffixes(M)
         for n in range(top + 1):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:
                 continue
-            lhs_p, rhs_p, stab_p = _carrier_sayd_pipelines(A, suffixes, n)
+            ayd_p, stab_p = _carrier_sayd_pipelines(A, M, n)
+            lhs_p, rhs_p = _carrier_ayd_sides(A, M, n)
             for phi in sub.maps():
                 lhs, rhs = chain_oracle.carrier_ayd_sides(A, M, phi, n)
                 assert lhs_p.contract(phi).entries == lhs.entries, (aname, mname, n)
                 assert rhs_p.contract(phi).entries == rhs.entries, (aname, mname, n)
+                assert ayd_p.contract(phi).entries == (lhs - rhs).entries, (aname, mname, n)
                 stab = chain_oracle.stability_map(A, M, phi, n)
                 assert stab_p.contract(phi).entries == stab.entries, (aname, mname, n)
 
@@ -252,23 +271,30 @@ def _recording(monkeypatch, module, name, made):
 
 
 def test_coefficient_suffixes_are_materialized_once(monkeypatch):
-    # the suffixes on H⊗M are shared by every degree of one check and by
-    # every wrap of one complex, and each is walked once
-    from hopfcyc import cocyclic, symmetries
+    # the suffixes on H⊗M (the two AYD sides, kept as their difference, and
+    # the action) are kept on the coefficient: each is built and walked once,
+    # for every degree and carrier of the check and every wrap of a complex
+    from hopfcyc import symmetries
 
     H = get_hopf("kZ3")
     A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
     assert all(colinear_hom_space(A, M, n).dim for n in range(3))
     made = []
-    _recording(monkeypatch, symmetries, "_carrier_sayd_suffixes", made)
-    _recording(monkeypatch, cocyclic, "_acting_suffix", made)
+    _recording(monkeypatch, symmetries, "_ayd_suffixes", made)
+    _recording(monkeypatch, symmetries, "_acting_suffix", made)
     walked = _count_materializations(monkeypatch)
     assert symmetries.check_sayd_over_algebra(A, M, n_max=2)
     assert len(made) == 3
-    assert [sum(w is c for w in walked) for c in made] == [1, 1, 1]
-    del made[:]
     build_comodule_algebra_complex(A, M, 3)
-    assert len(made) == 1 and sum(w is made[0] for w in walked) == 1
+    assert symmetries.check_sayd_over_algebra(regular_comodule_algebra(H), M, n_max=2)
+    build_comodule_algebra_complex(regular_comodule_algebra(H), M, 2)
+    assert len(made) == 3
+    assert [sum(w is c for w in walked) for c in made] == [1, 1, 1]
+    assert symmetries._ayd_difference(M) is M._memo["ayd"]
+    assert symmetries._acting(M) is M._memo["act"]
+    # another coefficient with the same structure builds its own
+    build_comodule_algebra_complex(A, regular_coaction_trivial_action(H), 2)
+    assert len(made) == 4 and sum(w is made[3] for w in walked) == 1
 
 
 def test_failing_witness_matches_oracle(H4, H4_eps, H4_one):

@@ -101,14 +101,14 @@ def test_invariant_functionals_match_the_row_builder(field):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_equalizer_of_two_small_maps(field):
     """{x ∈ k³ : x0 + x1 = 2·x2} read off two hand-written maps into k:
-    α = x0 + x1 (entries at one row, two columns), β = 2·x2; and equal maps
+    α = x0 + x1 (one filed row, two columns), β = 2·x2; and equal maps
     (α = β) leave the whole space."""
     X = Space(("x0", "x1", "x2"), field)
     one, two = field.one, field.from_int(2)
-    basis = _equalizer(X, [(0, 0, one), (0, 1, one)], [(0, 2, two)])
+    basis = _equalizer(X, {0: {0: one, 1: one}}, [(0, 2, two)])
     assert [v.entries for v in basis] == [
         Vector(X, {0: field.from_int(-1), 1: one}).entries,
         Vector(X, {0: two, 2: one}).entries,
     ]
-    same = _equalizer(X, [(0, 0, one), (1, 2, two)], [(0, 0, one), (1, 2, two)])
+    same = _equalizer(X, {0: {0: one}, 1: {2: two}}, [(0, 0, one), (1, 2, two)])
     assert [v.entries for v in same] == [X.basis_vector(i).entries for i in range(3)]

@@ -106,6 +106,8 @@ class TestMixedFields:
         assert contraction.contract(swap(a)) == swap(a)
         with pytest.raises(FieldError, match="mixed fields"):
             contraction.contract(swap(b))
+        with pytest.raises(FieldError, match="mixed fields"):
+            Contraction(Chain([s]), 0, 1, swap(b))  # a suffix map over the other field
 
     def test_tensor_space(self, a, b):
         with pytest.raises(FieldError, match="mixed fields"):

@@ -254,6 +254,15 @@ class TestChain:
         assert chain.entries() == {} == chain_oracle.walk_entries(chain)
         assert Chain([], QQ).apply(diag, 0, 0, [a]).entries() == {(0, 0): 1, (1, 0): 1}
 
+    def test_one_map_on_every_leg_is_not_walked(self):
+        # the composite of one map applied to all the source legs is that
+        # map: its entries are read as they are, and nothing indexes the map
+        a, b = space(2, "a"), space(3, "b")
+        f = from_rows([[0, 1, 1, 0], [2, 0, 0, 0], [1, 1, 0, -1]], tensor_space(a, a), b)
+        chain = Chain([a, a]).apply(f, 0, 2, [b])
+        assert chain.entries() == f.entries and f._by_col is None
+        assert chain.entries() == chain_oracle.walk_entries(chain) and chain.to_map() == f
+
     def test_permutation_matches_leg_permutation(self):
         a, b, c = space(2, "a"), space(3, "b"), space(2, "c")
         perm = leg_permutation([a, b, c], [2, 0, 1])
