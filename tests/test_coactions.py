@@ -36,9 +36,11 @@ from hopfcyc.linalg import (
 )
 from hopfcyc.symmetries import (
     ModuleComodule,
+    _append_act,
     adjoint_comodule_coalgebra,
     bicrossed_function_comodule_algebra,
     bicrossed_group_comodule_coalgebra,
+    check_sayd,
     check_sayd_over_coalgebra,
     colinear_hom_space,
     cotensor_space,
@@ -154,9 +156,11 @@ def _doubled(M):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_coalgebra_sayd_check_matches_per_vector_stability(field):
-    # the library walks each degree's whole cotensor basis through ρ_diag ⊗ id
-    # and the action at once; the written-out check applies the stability map
-    # to one basis element at a time.  Same verdict, witness and witness
+    # the library applies the stability map s_M(m) = m⟨0⟩◁m⟨−1⟩, kept on M,
+    # to the M leg of each degree's whole cotensor basis at once (on the
+    # cotensor space ρ_diag ⊗ id = id ⊗ λ_M); the written-out check applies
+    # ρ_diag ⊗ id and the action to one basis element at a time.  Same
+    # verdict, witness and witness
     # vectors on every corpus coalgebra with the coefficients above (Sweedler's
     # ε-unit among them, the negative control) and every scalar (δ, σ), each
     # scalar also doubled, so that a failing degree fails at more than one
@@ -178,6 +182,23 @@ def test_coalgebra_sayd_check_matches_per_vector_stability(field):
     H4 = get_hopf("sweedler-h4", field)
     eps_unit = scalar_coefficients(H4, counit_character(H4), unit_group_like(H4))
     assert not check_sayd_over_coalgebra(adjoint_comodule_coalgebra(H4), eps_unit)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_stability_map_is_kept_for_both_sayd_checks(field):
+    # check_sayd and the coalgebra check read one stability map, built once
+    H = get_hopf("kS3", field)
+    C = adjoint_comodule_coalgebra(H)
+    # check_sayd reaches stability only once the AYD identity holds
+    coefficients = [M for M in _coefficients(H) + _scalars(H)
+                    if check_sayd(M).condition != "anti-yetter-drinfeld"]
+    assert len(coefficients) >= 2
+    for M in coefficients:
+        stab = M._memo["stab"]
+        check_sayd_over_coalgebra(C, M, n_max=1)
+        assert M._memo["stab"] is stab
+        assert stab == _append_act(
+            Chain([M.space]).apply(M.coaction, 0, 1, [H.space, M.space]), M).to_map()
 
 
 def _precompositions(N, prefix_legs, A):

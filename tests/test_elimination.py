@@ -5,8 +5,10 @@
 row-by-row elimination of ``rref_oracle`` gives, with exact scalars, on
 sparse systems whose structure stresses the lead bookkeeping: permuted
 block-diagonal matrices, duplicate rows, rows that cancel to zero, and empty
-or all-zero systems.  On the same kernel bases, ``Subspace.coords`` (read
-off the free columns) must agree with ``SubspaceSolver.coords``.  On the
+or all-zero systems; and on systems shaped like the equalizers, mostly
+one-entry rows, which the kernel files as pivots before its forward pass.
+On the same kernel bases, ``Subspace.coords`` (read off the free columns)
+must agree with ``SubspaceSolver.coords``.  On the
 rows of those systems taken as bases, ``membership`` must give what the
 incremental ``rref_oracle.SubspaceSolver`` gives, and ``inverse_map`` what
 ``rref_oracle.inverse_map`` gives."""
@@ -174,6 +176,60 @@ def test_diagonal_system_under_permutation():
     assert kernel_basis(f) == rref_oracle.null_vectors(rows, f.domain)
 
 
+@st.composite
+def equalizer_systems(draw):
+    """(field, rows, ncols) shaped like the equalizer systems, whose rows
+    mostly hold one entry: one-entry rows, some duplicated or scaled on one
+    column; longer rows that meet those columns, some of them left empty or
+    with one entry once the columns are struck; empty rows; and over GF(7)
+    unreduced entries, among them one-entry rows ≡ 0 (``{c: 7}``)."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    ncols = draw(st.integers(1, 8))
+    col = st.integers(0, ncols - 1)
+
+    def scalar():
+        v = to_field(field, draw(raw_scalars.filter(bool)))
+        return v if field is QQ else v + 7 * draw(st.integers(-1, 2))
+
+    rows = [{draw(col): scalar()} for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        [(c, v)] = draw(st.sampled_from(rows)).items()
+        rows.append({c: v if draw(st.booleans()) else v * scalar()})
+    struck = sorted({c for row in rows for c in row})
+    free = [c for c in range(ncols) if c not in struck]
+    for _ in range(draw(st.integers(0, 5))):
+        # 0, 1 or 2 entries left once the one-entry columns are struck
+        cols = draw(st.lists(st.sampled_from(struck), max_size=3, unique=True)) if struck else []
+        cols += draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+        if len(cols) > 1:
+            rows.append({c: scalar() for c in cols})
+    if field is GF7:
+        rows += [{draw(col): 7 * draw(st.sampled_from([1, -1, 2]))}
+                 for _ in range(draw(st.integers(0, 2)))]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(rows))))
+    return field, [rows[i] for i in order], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(equalizer_systems(), st.data())
+def test_one_entry_rows_agree_with_oracle(system, data):
+    """One-entry rows are filed as pivots before the forward pass: every
+    answer read off the elimination is still the oracle's.  An empty row
+    gets a nonzero right-hand side, the only entry of its augmented row."""
+    field, rows, ncols = system
+    rhs = data.draw(st.lists(raw_scalars, min_size=len(rows), max_size=len(rows)))
+    rhs = [b if row else b or 1 for row, b in zip(rows, rhs)]
+    check_against_oracle(field, rows, ncols, rhs)
+    check_membership_against_oracle(field, rows, ncols, data)
+    # a square map: one-entry rows at permuted columns, some swapped for rows
+    # of the system
+    perm = data.draw(st.permutations(range(ncols)))
+    square = [rows[i] if i < len(rows) and data.draw(st.booleans()) else {perm[i]: field.one}
+              for i in range(ncols)]
+    check_inverse_against_oracle(matrix(field, square, ncols))
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems(), st.data())
 def test_subspace_read_off_agrees_with_solver(system, data):
@@ -238,7 +294,10 @@ def test_membership_agrees_with_solver_oracle(system, data):
     """The rows of a system as a basis (dependent at the duplicate, scaled,
     cancelling and empty rows) and greedily thinned to an independent one:
     the same coordinates, the same None, or the same dependent index."""
-    field, rows, ncols = system
+    check_membership_against_oracle(*system, data)
+
+
+def check_membership_against_oracle(field, rows, ncols, data):
     sp = matrix(field, [], ncols).domain
     basis = [Vector(sp, row) for row in rows]
     independent = []
@@ -280,6 +339,10 @@ def square_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_maps())
 def test_inverse_map_agrees_with_solver_oracle(f):
+    check_inverse_against_oracle(f)
+
+
+def check_inverse_against_oracle(f):
     try:
         expected = rref_oracle.inverse_map(f)
     except ValueError:

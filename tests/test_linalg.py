@@ -16,6 +16,7 @@ from hopfcyc.linalg import (
     LinMap,
     Space,
     Vector,
+    hom_space,
     identity,
     inverse_map,
     kernel_basis,
@@ -552,3 +553,66 @@ def test_colliding_tensor_labels_raise_from_tensor_space(factors):
 def test_tensor_labels_with_separator_are_joined_eagerly():
     t = tensor_space(Space(("p⊗q", "r")), space(2, "s"))
     assert t._labels == ("p⊗q⊗s0", "p⊗q⊗s1", "r⊗s0", "r⊗s1")
+
+
+def _eager_hom_labels(dom, cod):
+    return tuple("%s←%s" % (y, x) for y in cod.labels for x in dom.labels)
+
+
+def _corpus_colinear_factors():
+    """(domain, codomain) of every corpus colinear hom space at n ≤ 2: each
+    left comodule algebra of the equalizer corpus and the crossed-product
+    instances, with each corpus coefficient."""
+    from hopfcyc.corpus import crossed_product_instances
+    from test_equalizer import CARRIER_HOPF, _carriers, _coefficients
+
+    pairs = [(B, M) for _, _, B, M in crossed_product_instances()]
+    for name in CARRIER_HOPF:
+        H, algebras, _ = _carriers(name, QQ)
+        pairs += [(A, M) for A in algebras for M in _coefficients(H)]
+    for A, M in pairs:
+        for n in range(3):
+            yield tensor_power(A.space, n + 1), M.space
+
+
+def test_lazy_hom_labels_match_eager_join():
+    a, b, m = space(2, "a"), space(3, "b"), space(2, "m")
+    cases = [(tensor_space(a, b), m), (a, tensor_space(m, b))]
+    cases += list(_corpus_colinear_factors())
+    assert len(cases) > 100
+    for dom, cod in cases:
+        h = hom_space(dom, cod)
+        eager = _eager_hom_labels(dom, cod)
+        assert h._labels is None  # nothing joined until a label is read
+        assert h.dim == len(eager)
+        assert [h.label(i) for i in range(h.dim)] == list(eager)
+        assert h._labels is None  # single labels are read without joining all
+        flat = Space(eager, dom.field)
+        assert h == flat and hash(h) == hash(flat)
+        assert h.labels == eager and len(set(eager)) == h.dim
+
+
+def test_hom_labels_with_arrow_are_joined_eagerly():
+    dom, cod = Space(("p←q", "r")), space(2, "s")
+    assert hom_space(dom, cod)._labels == ("s0←p←q", "s0←r", "s1←p←q", "s1←r")
+    assert hom_space(cod, dom)._labels == ("p←q←s0", "p←q←s1", "r←s0", "r←s1")
+    with pytest.raises(ValueError, match="^basis labels must be distinct$"):
+        hom_space(Space(("a←b", "b")), Space(("y", "y←a")))
+
+
+def test_lazy_hom_factor_of_a_tensor_space_is_joined_eagerly():
+    a, b, m = space(2, "a"), space(3, "b"), space(2, "m")
+    h = hom_space(tensor_space(a, b), m)  # its labels hold ⊗
+    t = tensor_space(h, m)
+    assert h._labels is not None and t._labels is not None
+    assert t.labels == tuple("%s⊗%s" % (x, y) for x in h.labels for y in m.labels)
+    g = hom_space(a, m)  # ⊗-free, and still joined and checked
+    t = tensor_space(g, b)
+    assert g._labels is not None and t._labels is not None
+    assert t.labels == tuple("%s⊗%s" % (x, y) for x in g.labels for y in b.labels)
+    # two lazy hom spaces whose joined labels collide once tensored
+    h1 = hom_space(Space(("a", "a⊗b")), Space(("y",)))
+    h2 = hom_space(Space(("z",)), Space(("b⊗c", "c")))
+    assert h1._labels is None and h2._labels is None
+    with pytest.raises(ValueError, match="^basis labels must be distinct$"):
+        tensor_space(h1, h2)
