@@ -3,12 +3,12 @@
 A CocyclicModule is a finite ladder of computed subspaces, each the
 equalizer of two stated maps (``symmetries._equalizer``), with all operators
 materialized as exact matrices over the per-degree bases.  The three
-builders (comodule-algebra cochains, comodule-coalgebra cotensor chains,
-module-algebra functionals) share one assembly loop and differ only in their
-operators.  Each coface δ_i, codegeneracy σ_i and cyclic operator τ_n is one
-walk of a fixed pipeline from the whole basis of its source subspace (the
-cochain complexes pull back through the transposed pipeline), and
-``Subspace.express`` reads the coordinates of all its images in one pass.
+builders share one assembly loop.  The module-algebra functionals are the
+comodule-algebra cochains of A over the predual (H^op)* with values in M*,
+in the same coordinates, so both use one equalizer and one set of
+pipelines.  Each operator is one walk of a fixed pipeline from the whole
+basis of its source subspace (cochains pull back through the transposed
+pipeline), and ``Subspace.express`` reads all its images in one pass.
 An image that escapes is a well-definedness failure (reported through
 check_hcc as a verdict, or raised as CocyclicConstructionError).
 """
@@ -32,11 +32,12 @@ from .symmetries import (
     ModuleAlgebra,
     ModuleComodule,
     _acting,
-    _equalizer,
     _check_size_cap,
     _once,
     colinear_hom_space,
     cotensor_space,
+    predual_carrier,
+    predual_coefficient,
 )
 from . import results
 from .results import CheckResult, compare
@@ -171,23 +172,42 @@ def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
                           subs if keep_subspaces else None)
 
 
-def _pullbacks(A, Ms, wrap):
-    """``coface(n, i)``, ``codegeneracy(n, i)`` and ``cyclic(n)`` for cochains
-    in coordinates over M⊗A^{⊗(n+1)}: φ ↦ φ∘(id ⊗ μ at legs i+1, i+2) and
-    φ ↦ φ∘(id ⊗ 1 at leg i+2), each walked transposed from φ; the last
-    coface and the cyclic operator are ``wrap(n, True)`` and ``wrap(n, False)``."""
-    As = A.space
+def _rotation(A, M, n, multiply_front):
+    """The last coface (``multiply_front``) or τ_n on colinear maps in hom
+    coordinates, φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (or with a_n⟨0⟩ as its own
+    first argument), walked from φ as the transposed pipeline of
+    m⊗ã ↦ act_t(m ⊗ a_n⟨−1⟩) ⊗ a_n⟨0⟩ ⊗ a_0 ⊗ …"""
+    Hs, Ms, As = A.hopf.space, M.space, A.space
+    # acting by h (h⊗m ↦ m◁h, kept on M), transposed: m'⊗h ↦ Σ_m ⟨m', m◁h⟩·m
+    act_t = LinMap(tensor_space(Ms, Hs), Ms, {
+        (mp, m * Hs.dim + h): v for (m, c), v in _acting(M).entries.items()
+        for h, mp in (divmod(c, Ms.dim),)})
+    chain = Chain([Ms] + [As] * (n + 1)).permute([0, n + 1] + list(range(1, n + 1)))
+    chain.apply(A.left_coaction(), 1, 1, [Hs, As])
+    if multiply_front:
+        chain.apply(A.mult, 2, 2, [As])
+    return chain.apply(act_t, 0, 2, [Ms]).transposed().images
+
+
+def _cochain_complex(kind, A, M, N, subspace):
+    """The complex of colinear maps A^{⊗(n+1)} → M on ``subspace(n)``, in hom
+    coordinates over M⊗A^{⊗(n+1)}: inner cofaces φ ↦ φ∘(id ⊗ μ at legs
+    i+1, i+2), codegeneracies φ ↦ φ∘(id ⊗ 1 at leg i+2), each walked
+    transposed from φ, and ``_rotation``."""
+    Ms, As = M.space, A.space
+    subs = _top_first(N, subspace)
 
     def coface(n, i):
         if i == n:
-            return wrap(n, True)
+            return _rotation(A, M, n, True)
         return Chain([Ms] + [As] * (n + 1)).apply(A.mult, 1 + i, 2, [As]).transposed().images
 
     def codegeneracy(n, i):
         chain = Chain([Ms] + [As] * (n + 1)).apply(A.unit_map(), 2 + i, 0, [As])
         return chain.transposed().images
 
-    return coface, codegeneracy, lambda n: wrap(n, False)
+    return _assemble(kind, As.field, N, subs, "φ", coface, codegeneracy,
+                     lambda n: _rotation(A, M, n, False))
 
 
 def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -195,25 +215,8 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     M⊗A^{⊗(n+1)}.  Inner cofaces multiply adjacent arguments; the last
     coface and the cyclic operator rotate the final argument to the front
     through its coaction and act on the value."""
-    Hs, Ms, As = A.hopf.space, M.space, A.space
-    subs = _top_first(N, lambda n: _once(colinear_hom_space, A, M, n))
-    act = _acting(M)  # h⊗m ↦ m◁h, kept on M
-    # acting by h, transposed: m'⊗h ↦ Σ_m ⟨m', m◁h⟩·m
-    act_t = LinMap(tensor_space(Ms, Hs), Ms, {
-        (mp, m * Hs.dim + h): v for (m, c), v in act.entries.items()
-        for h, mp in (divmod(c, Ms.dim),)})
-
-    def wrap(n, multiply_front):
-        # φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (last coface), or with a_n⟨0⟩ as
-        # its own first argument (cyclic operator), as the transposed walk of
-        # m⊗ã ↦ act_t(m ⊗ a_n⟨−1⟩) ⊗ a_n⟨0⟩ ⊗ a_0 ⊗ …
-        chain = Chain([Ms] + [As] * (n + 1)).permute([0, n + 1] + list(range(1, n + 1)))
-        chain.apply(A.left_coaction(), 1, 1, [Hs, As])
-        if multiply_front:
-            chain.apply(A.mult, 2, 2, [As])
-        return chain.apply(act_t, 0, 2, [Ms]).transposed().images
-
-    return _assemble("comodule-algebra", As.field, N, subs, "φ", *_pullbacks(A, Ms, wrap))
+    return _cochain_complex("comodule-algebra", A, M, N,
+                            lambda n: _once(colinear_hom_space, A, M, n))
 
 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -249,53 +252,28 @@ def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N)
 
 
 def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace:
-    """Basis of the H-linear functionals on M⊗A^{⊗(n+1)}, where H acts
+    """Basis of the H-invariant functionals on M⊗A^{⊗(n+1)}, where H acts
     diagonally with the antipode twist on the coefficient:
-    h·(m⊗ã) = m◁S(h⁽¹⁾) ⊗ h⁽²⁾▷a₀ ⊗ … ⊗ h⁽ⁿ⁺²⁾▷aₙ."""
-    H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
+    h·(m⊗ã) = m◁S(h⁽¹⁾) ⊗ h⁽²⁾▷a₀ ⊗ … ⊗ h⁽ⁿ⁺²⁾▷aₙ.  Invariance is
+    f(m◁h ⊗ ã) = f(m ⊗ h▷ã), so these are the colinear maps A^{⊗(n+1)} → M*
+    over the predual, in the same coordinates, read in the dual ambient."""
+    Ms, As = M.space, Aact.space
     _check_size_cap(Ms.dim * As.dim ** (n + 1), "invariant functionals at degree %d" % n)
-    legs = [Ms] + [As] * (n + 1)
-    chain = Chain([Hs] + legs)
-    chain.apply(H.iterated_comult(n + 1), 0, 1, [Hs] * (n + 2))
-    chain.apply(H.antipode, 0, 1, [Hs])
-    order = [n + 2, 0]
-    for i in range(n + 1):
-        order += [1 + i, n + 3 + i]
-    chain.permute(order)
-    chain.apply(M.action, 0, 2, [Ms])
-    for i in range(n + 1):
-        chain.apply(Aact.action, 1 + i, 2, [As])
-    # α = f ↦ f∘(h·) and β = f ↦ ε(h)f, both at row h·dim X + x
-    X = tensor_space(*legs)
-    alpha = {}
-    for (y, col), v in chain.entries().items():
-        alpha.setdefault(col, {})[y] = v
-    beta = ((h * X.dim + x, x, e) for (_, h), e in H.counit.entries.items() for x in range(X.dim))
+    sub = colinear_hom_space(predual_carrier(Aact), predual_coefficient(M), n)
+    X = tensor_space(Ms, *([As] * (n + 1)))
     dual = dual_space(X)
-    return Subspace(dual, _equalizer(dual, alpha, beta), X, unit_space(As.field))
+    return Subspace(dual, [Vector(dual, v.entries) for v in sub.basis], X, unit_space(As.field))
 
 
 def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
-    """Degree-n space: H-linear functionals on M⊗A^{⊗(n+1)} (diagonal twisted
-    action).  The last coface multiplies the antipode-twisted last argument
-    into the first; the cyclic operator rotates it to the front.  For a
-    trivial Hopf algebra and trivial coefficient this is the classical cyclic
-    cochain complex of the algebra."""
-    H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
-    s_inv = H.antipode_inverse()
-    subs = _top_first(N, lambda n: invariant_functionals(Aact, M, n))
-
-    def wrap(n, multiply_front):
-        chain = Chain([Ms] + [As] * (n + 1)).apply(M.coaction, 0, 1, [Hs, Ms])
-        chain.apply(s_inv, 0, 1, [Hs])
-        # legs: S⁻¹(m⟨−1⟩), m⟨0⟩, a0..an
-        order = [1, 0, n + 2] + list(range(2, n + 2))
-        chain.permute(order).apply(Aact.action, 1, 2, [As])
-        if multiply_front:
-            chain.apply(Aact.mult, 1, 2, [As])
-        return chain.transposed().images
-
-    return _assemble("module-algebra", As.field, N, subs, "φ", *_pullbacks(Aact, Ms, wrap))
+    """Degree-n space: H-invariant functionals on M⊗A^{⊗(n+1)} (diagonal
+    twisted action), built as the comodule-algebra complex of A over the
+    predual with the coefficient M*.  The last coface multiplies
+    S⁻¹(m⟨−1⟩)▷aₙ into the first argument; the cyclic operator rotates it to
+    the front.  For a trivial Hopf algebra and trivial coefficient this is
+    the classical cyclic cochain complex of the algebra."""
+    return _cochain_complex("module-algebra", predual_carrier(Aact), predual_coefficient(M), N,
+                            lambda n: invariant_functionals(Aact, M, n))
 
 
 def verify_cocyclic_identities(X: CocyclicModule) -> CheckResult:

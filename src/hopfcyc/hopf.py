@@ -17,6 +17,7 @@ from .linalg import (
     LinMap,
     Space,
     Vector,
+    dual_space,
     identity,
     inverse_map,
     maps_first_difference,
@@ -49,7 +50,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.name = name or "H"
         self.field = space.field
-        self._memo = {}  # iterated_comult / antipode_inverse results
+        self._memo = {}  # iterated_comult / antipode_inverse / predual results
         _check_hopf_shapes(self)
         if validate:
             check = verify_hopf(self)
@@ -324,7 +325,8 @@ class GroupLike:
     def _verify_comult(self):
         H = self.hopf
         values = [self.sigma.entries.get(i, H.field.zero) for i in range(H.dim)]
-        if _is_character(H.field, *_dual_algebra(H), values):
+        K = predual(H)  # its algebra is H*, whose characters are the group-likes
+        if _is_character(H.field, K.mult.by_col(), K.unit.entries, values):
             return results.passed("group-like-comult")
         lhs = H.comult.apply(self.sigma)
         rhs = tensor_vectors(self.sigma, self.sigma)
@@ -660,6 +662,23 @@ def co_opposite(H):
     )
 
 
+def predual(H):
+    """K = (H^op)* in H's dual coordinates e_i°: product Δᵀ, unit ε, coproduct
+    (μ∘flip)ᵀ, counit 1ᵀ, antipode (S⁻¹)ᵀ.  Built unvalidated, kept on H."""
+    if "predual" not in H._memo:
+        K = dual_space(H.space)
+        KK = tensor_space(K, K)
+
+        def dual(f, domain, codomain):
+            return LinMap(domain, codomain, {(c, r): v for (r, c), v in f.entries.items()})
+
+        H._memo["predual"] = HopfAlgebra(
+            K, dual(H.comult, KK, K), Vector(K, {c: v for (_, c), v in H.counit.entries.items()}),
+            dual(H.mult @ H.flip(), K, KK), dual(H.unit_map(), K, unit_space(H.field)),
+            dual(H.antipode_inverse(), K, K), name="(%s^op)*" % H.name, validate=False)
+    return H._memo["predual"]
+
+
 # the {0, ±1} search tries 3^dim candidates
 SEARCH_DIM_CAP = 6
 
@@ -708,21 +727,14 @@ def _char_name(H, combo):
     return "ε" if not parts else "δ[%s]" % ",".join(parts)
 
 
-def _dual_algebra(H):
-    """The structure constants of the dual algebra H*: its product is Δᵀ and
-    its unit is ε, so its characters are the group-likes of H."""
-    products = {}
-    for (r, c), v in H.comult.entries.items():
-        products.setdefault(r, []).append((c, v))
-    return products, {c: v for (_, c), v in H.counit.entries.items()}
-
-
 def enumerate_group_likes(H):
     """All group-likes with coefficients in {0, 1, -1}, found as the characters
-    of H*; captures the group elements of k[G], the multiplicative characters
-    inside k^G, and the bismash group-likes."""
+    of H*, the algebra of ``predual(H)`` (product Δᵀ, unit ε); captures the
+    group elements of k[G], the multiplicative characters inside k^G, and the
+    bismash group-likes."""
     out = []
-    for combo in _search_characters(H.field, H.dim, *_dual_algebra(H)):
+    K = predual(H)
+    for combo in _search_characters(H.field, H.dim, K.mult.by_col(), K.unit.entries):
         vec = Vector(H.space, {i: v for i, v in enumerate(combo) if v})
         out.append(GroupLike(H, vec, name=vec.describe()))
     return out

@@ -809,15 +809,18 @@ def _rref(rows, field):
     RREF of a row space is unique.  Forward elimination (``_echelon``, rows
     filed by descending lead), then one pass in descending lead order in
     which each row subtracts only the reduced rows whose leads it holds; with
-    short filed rows that pass has little left to remove.  Invariant: every
-    echelon row meets the pivot columns only in its own pivot, so kernel
-    extraction can read the free-column coefficients directly.
+    short filed rows that pass has little left to remove, and none for a
+    one-entry pivot row e_j.  Invariant: every echelon row meets the pivot
+    columns only in its own pivot, so kernel extraction can read the
+    free-column coefficients directly.
     """
     done = {}
     p = field.modulus
     for lead, row in sorted(_echelon(rows, field).items(), reverse=True):
-        row = _eliminate(row, done, p)
-        done[lead] = row if p is None else _reduced(row, p)
+        if len(row) > 1:  # e_j holds no other lead, so it cannot change
+            row = _eliminate(row, done, p)
+            row = row if p is None else _reduced(row, p)
+        done[lead] = row
     return sorted(done.items())
 
 

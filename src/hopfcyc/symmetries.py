@@ -34,6 +34,7 @@ from .hopf import (
     comodule_axioms,
     conjugation,
     module_axioms,
+    predual,
     twisted_antipode,
     unit_map,
 )
@@ -49,6 +50,7 @@ from .linalg import (
     identity,
     kernel_basis,
     leg_permutation,
+    tensor_map,
     tensor_power,
     tensor_space,
     tensor_vectors,
@@ -195,6 +197,7 @@ class ModuleAlgebra:
         self.unit = unit
         self.action = action  # H⊗A → A
         self.name = name
+        self._memo = {}  # "predual": the carrier over the predual (predual_carrier)
         if validate:
             check = self.verify()
             if not check:
@@ -248,7 +251,8 @@ class ModuleComodule:
         # maps built once and kept: the suffixes on H⊗M that act on a
         # cochain's value, "act" h⊗m ↦ m◁h (_acting) and "ayd" the difference
         # of the two carrier AYD sides (_ayd_difference), and "stab" the
-        # stability map m ↦ m⟨0⟩◁m⟨−1⟩ on M (_stability)
+        # stability map m ↦ m⟨0⟩◁m⟨−1⟩ on M (_stability), and "predual" the
+        # coefficient over the predual (predual_coefficient)
         self._memo = {}
         if validate:
             check = self.verify()
@@ -352,6 +356,39 @@ def as_right_comodule_algebra(A, hopf_cop=None):
     flip = leg_permutation([A.hopf.space, A.space], [1, 0])
     return ComoduleAlgebra(Hcop, A.space, A.mult, A.unit, flip @ A.coaction,
                            side="right", name=A.name + "(right)")
+
+
+def predual_carrier(A: ModuleAlgebra) -> ComoduleAlgebra:
+    """A as a left comodule algebra over K = predual(H), a ↦ Σ_i e_i° ⊗ e_i▷a
+    (Montgomery, CBMS 82, ch. 1); its diagonal coaction is
+    ã ↦ Σ_h e_h° ⊗ h⁽¹⁾▷a₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾▷aₙ.  Built unvalidated, kept on A."""
+    if "predual" not in A._memo:
+        K, As = predual(A.hopf), A.space
+        coaction = {(i * As.dim + r, a): v for (r, c), v in A.action.entries.items()
+                    for i, a in (divmod(c, As.dim),)}
+        A._memo["predual"] = ComoduleAlgebra(
+            K, As, A.mult, A.unit, LinMap(As, tensor_space(K.space, As), coaction),
+            name=A.name, validate=False)
+    return A._memo["predual"]
+
+
+def predual_coefficient(M: ModuleComodule) -> ModuleComodule:
+    """M* in M's coordinates over K = predual(H): coaction μ ↦ Σ_i e_i° ⊗
+    μ(−◁e_i), action μ◁ξ = ξ(S⁻¹(m⟨−1⟩))·μ(m⟨0⟩).  A colinear f: A^{⊗(n+1)} → M*
+    is a functional with f(m◁h ⊗ ã) = f(m ⊗ h▷ã), an H-invariant one, and
+    acting by a_n⟨−1⟩ feeds S⁻¹(m⟨−1⟩)▷a_n to it.  Built unvalidated, kept on M."""
+    if "predual" not in M._memo:
+        H, Ms = M.hopf, M.space
+        K, d, md = predual(H), H.dim, Ms.dim
+        lam = tensor_map(H.antipode_inverse(), identity(Ms)) @ M.coaction
+        action = {(m, p * d + i): v for (r, m), v in lam.entries.items()
+                  for i, p in (divmod(r, md),)}
+        coaction = {(i * md + m, r): v for (r, c), v in M.action.entries.items()
+                    for m, i in (divmod(c, d),)}
+        M._memo["predual"] = ModuleComodule(
+            K, Ms, LinMap(tensor_space(Ms, K.space), Ms, action),
+            LinMap(Ms, tensor_space(K.space, Ms), coaction), name=M.name, validate=False)
+    return M._memo["predual"]
 
 
 def scalar_coefficients(H, delta: Character, sigma: GroupLike, name=None):
@@ -471,42 +508,39 @@ def regular_action_trivial_coaction(H):
 
 def diag_left_coaction(A: ComoduleAlgebra, k):
     """A^{⊗k} → H ⊗ A^{⊗k}: ã ↦ a₀⟨−1⟩⋯a_{k−1}⟨−1⟩ ⊗ ã⟨0⟩, built once per
-    degree and kept on A: degree k coacts on the last leg of degree k−1 and
-    multiplies the new H leg in from the right."""
+    degree and kept on A: degree k applies degree k−1 to the last k−1 legs,
+    then a⊗h ↦ a⟨−1⟩h ⊗ a⟨0⟩ to the first leg and the new H leg, so the
+    coaction of a₀ is multiplied in as it is made (the predual carrier of a
+    group algebra coacts with dim H entries, and the product keeps one)."""
     if k not in A._diag:
         H, Hs, As = A.hopf, A.hopf.space, A.space
         if k == 0:
             out = _unit_coaction(H)
         else:
-            out = (
-                Chain([As] * k)
-                .apply(diag_left_coaction(A, k - 1), 0, k - 1, [Hs] + [As] * (k - 1))
-                .apply(A.left_coaction(), k, 1, [Hs, As])
-                .permute([0, k] + list(range(1, k)) + [k + 1])
-                .apply(H.mult, 0, 2, [Hs])
-                .to_map()
-            )
+            absorb = (Chain([As, Hs]).apply(A.left_coaction(), 0, 1, [Hs, As])
+                      .permute([0, 2, 1]).apply(H.mult, 0, 2, [Hs]).to_map())
+            out = (Chain([As] * k)
+                   .apply(diag_left_coaction(A, k - 1), 1, k - 1, [Hs] + [As] * (k - 1))
+                   .apply(absorb, 0, 2, [Hs, As]).to_map())
         A._diag[k] = out
     return A._diag[k]
 
 
 def diag_right_coaction(C: ComoduleCoalgebra, k):
     """C^{⊗k} → C^{⊗k} ⊗ H: c̃ ↦ c̃⟨0⟩ ⊗ c₀⟨1⟩⋯c_{k−1}⟨1⟩, built once per
-    degree and kept on C: degree k coacts on the last leg of degree k−1 and
-    multiplies the new H leg in from the right."""
+    degree and kept on C: degree k applies degree k−1 to the first k−1 legs,
+    then h⊗c ↦ c⟨0⟩ ⊗ h·c⟨1⟩ to the H leg and the last leg, so the new
+    coaction leg is multiplied in as it is made, as in ``diag_left_coaction``."""
     if k not in C._diag:
         H, Hs, Cs = C.hopf, C.hopf.space, C.space
         if k == 0:
             out = _unit_coaction(H)
         else:
-            out = (
-                Chain([Cs] * k)
-                .apply(diag_right_coaction(C, k - 1), 0, k - 1, [Cs] * (k - 1) + [Hs])
-                .apply(C.coaction, k, 1, [Cs, Hs])
-                .permute(list(range(k - 1)) + [k, k - 1, k + 1])
-                .apply(H.mult, k, 2, [Hs])
-                .to_map()
-            )
+            absorb = (Chain([Hs, Cs]).apply(C.coaction, 1, 1, [Cs, Hs])
+                      .permute([1, 0, 2]).apply(H.mult, 1, 2, [Hs]).to_map())
+            out = (Chain([Cs] * k)
+                   .apply(diag_right_coaction(C, k - 1), 0, k - 1, [Cs] * (k - 1) + [Hs])
+                   .apply(absorb, k - 1, 2, [Cs, Hs]).to_map())
         C._diag[k] = out
     return C._diag[k]
 
@@ -854,45 +888,32 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
     basis = kernel_basis(_twisted_square_coaction(A, delta, sigma, convention) - coact)
     labels = tuple(v.describe() for v in basis)
     B = Space(labels, As.field)
-    span = Subspace(As, basis)
-    # multiplication restricted to the kernel
-    mult_entries = {}
-    k = len(basis)
-    for i in range(k):
-        for j in range(k):
-            prod = A.mult.apply(tensor_vectors(basis[i], basis[j]))
-            coords = span.coords(prod)
-            if coords is None:
-                raise StructureError(results.failed(
-                    "subalgebra-closure",
-                    "%s · %s" % (labels[i], labels[j]),
-                    prod,
-                    "an element of the computed subspace",
-                ))
-            for r, v in coords.items():
-                mult_entries[(r, i * k + j)] = v
+    span, k = Subspace(As, basis), len(basis)
+
+    def outside(condition, where, vec):
+        return StructureError(results.failed(
+            condition, where, vec, "an element of the computed subspace"))
+
+    # multiplication restricted to the kernel: the coordinates of every product
+    products = [A.mult.apply(tensor_vectors(bi, bj)) for bi in basis for bj in basis]
+    mult_entries, escaped = span.express([prod.entries for prod in products])
+    if escaped is not None:
+        raise outside("subalgebra-closure", "%s · %s" % (
+            labels[escaped // k], labels[escaped % k]), products[escaped])
     unit_coords = span.coords(A.unit)
     if unit_coords is None:
-        raise StructureError(results.failed(
-            "subalgebra-unit", "1", A.unit, "an element of the computed subspace"))
-    coact_entries = {}
-    for j in range(k):
-        img = coact.apply(basis[j])
-        per_h = {}
-        for flat, v in img.entries.items():
-            h, a = divmod(flat, As.dim)
-            per_h.setdefault(h, {})[a] = v
-        for h, comp in sorted(per_h.items()):
-            coords = span.coords(Vector(As, comp))
-            if coords is None:
-                raise StructureError(results.failed(
-                    "subalgebra-coaction",
-                    labels[j],
-                    Vector(As, comp),
-                    "an element of the computed subspace",
-                ))
-            for r, v in coords.items():
-                coact_entries[(h * k + r, j)] = v
+        raise outside("subalgebra-unit", "1", A.unit)
+    # the coaction: the coordinates of the H-component h of the image of b_j
+    comps = {}
+    for j, b in enumerate(basis):
+        for flat, v in coact.apply(b).entries.items():
+            comps.setdefault((j, flat // As.dim), {})[flat % As.dim] = v
+    parts = sorted(comps)
+    entries, escaped = span.express([comps[part] for part in parts])
+    if escaped is not None:
+        raise outside("subalgebra-coaction", labels[parts[escaped][0]],
+                      Vector(As, comps[parts[escaped]]))
+    coact_entries = {(parts[i][1] * k + r, parts[i][0]): v for (r, i), v in entries.items()}
     sub = ComoduleAlgebra(
         H,
         B,

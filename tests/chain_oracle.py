@@ -10,17 +10,22 @@ The ``*_by_rows`` builders are the three hand-indexed constraint-row
 builders that the library's one equalizer replaced, kept as they were
 (without the size cap) over this module's diagonal coactions.
 
-The last section keeps the per-cochain operator paths that the batched
+The next section keeps the per-cochain operator paths that the batched
 walks replaced: the per-image coordinate loop, the precomposition over the
 materialized fixed map, the per-map contraction (with the carrier-SAYD
 check written on it, over both AYD sides and pipelines built afresh for
-every check) and the per-pair Ψ."""
+every check) and the per-pair Ψ.
+
+The last section keeps the module-algebra complex as it was built before it
+became the comodule-algebra complex over the predual: the invariant
+functionals as the equalizer of an iterated coproduct of H walked over every
+input, and the last coface and τ_n written with the module action."""
 
 import itertools
 
 import gf_oracle
 from rref_oracle import SubspaceSolver
-from hopfcyc.cocyclic import invariant_functionals
+from hopfcyc.cocyclic import _assemble
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
@@ -47,6 +52,7 @@ from hopfcyc.symmetries import (
     _append_act,
     _append_ayd_lhs,
     _append_ayd_rhs,
+    _equalizer,
     colinear_hom_space,
 )
 
@@ -135,7 +141,7 @@ def psi_on_pair(pairing, phi_vec, psi_vec, n):
 
 def psi_matrix(pairing, n):
     """Ψ_n built pair by pair, on subspace bases solved afresh."""
-    phis = invariant_functionals(pairing.action_algebra, pairing.M, n).basis
+    phis = invariant_functionals_by_coproduct(pairing.action_algebra, pairing.M, n).basis
     psis = colinear_hom_space(pairing.comodule_algebra, pairing.M, n).basis
     entries = {}
     for i, phi_vec in enumerate(phis):
@@ -537,3 +543,71 @@ def psi_matrix_by_pair(pairing, n):
             for (_, c), v in func.entries.items():
                 entries[(c, col)] = v
     return LinMap(pairing.diagonal.spaces[n], pairing.target.spaces[n], entries)
+
+
+# ---------------------------------------------------------------------------
+# the module-algebra complex as it was: the iterated-coproduct equalizer and
+# the last coface and τ_n written with the module action
+# ---------------------------------------------------------------------------
+
+
+def invariant_functionals_by_coproduct(Aact, M, n):
+    """The H-invariant functionals on M⊗A^{⊗(n+1)} as the equalizer of
+    f ↦ f∘(h·) and f ↦ ε(h)f, with h·(m⊗ã) = m◁S(h⁽¹⁾) ⊗ h⁽²⁾▷a₀ ⊗ … walked
+    through an iterated coproduct of H over every input (no size cap)."""
+    H, Hs, Ms, As = Aact.hopf, Aact.hopf.space, M.space, Aact.space
+    legs = [Ms] + [As] * (n + 1)
+    chain = Chain([Hs] + legs)
+    chain.apply(H.iterated_comult(n + 1), 0, 1, [Hs] * (n + 2))
+    chain.apply(H.antipode, 0, 1, [Hs])
+    order = [n + 2, 0]
+    for i in range(n + 1):
+        order += [1 + i, n + 3 + i]
+    chain.permute(order)
+    chain.apply(M.action, 0, 2, [Ms])
+    for i in range(n + 1):
+        chain.apply(Aact.action, 1 + i, 2, [As])
+    # α = f ↦ f∘(h·) and β = f ↦ ε(h)f, both at row h·dim X + x
+    X = tensor_space(*legs)
+    alpha = {}
+    for (y, col), v in chain.entries().items():
+        alpha.setdefault(col, {})[y] = v
+    beta = ((h * X.dim + x, x, e) for (_, h), e in H.counit.entries.items() for x in range(X.dim))
+    dual = dual_space(X)
+    return Subspace(dual, _equalizer(dual, alpha, beta), X, unit_space(As.field))
+
+
+def module_rotation(Aact, M, n, multiply_front):
+    """The last coface (multiply_front) or τ_n of the module-algebra complex,
+    φ ↦ φ∘(m⊗ã ↦ m⟨0⟩ ⊗ (S⁻¹(m⟨−1⟩)▷aₙ)a₀ ⊗ a₁ ⊗ …), or with
+    S⁻¹(m⟨−1⟩)▷aₙ as its own first argument, as a transposed walk from φ's
+    coordinates."""
+    Hs, Ms, As = Aact.hopf.space, M.space, Aact.space
+    chain = Chain([Ms] + [As] * (n + 1)).apply(M.coaction, 0, 1, [Hs, Ms])
+    chain.apply(Aact.hopf.antipode_inverse(), 0, 1, [Hs])
+    # legs: S⁻¹(m⟨−1⟩), m⟨0⟩, a0..an
+    order = [1, 0, n + 2] + list(range(2, n + 2))
+    chain.permute(order).apply(Aact.action, 1, 2, [As])
+    if multiply_front:
+        chain.apply(Aact.mult, 1, 2, [As])
+    return chain.transposed().images
+
+
+def module_algebra_complex_by_coproduct(Aact, M, N):
+    """The module-algebra complex on ``invariant_functionals_by_coproduct``,
+    with ``module_rotation`` as its last coface and τ_n and the inner cofaces
+    and codegeneracies as precompositions, through the library's assembly."""
+    Ms, As = M.space, Aact.space
+    subs = [invariant_functionals_by_coproduct(Aact, M, n) for n in range(N + 1)]
+
+    def coface(n, i):
+        if i == n:
+            return module_rotation(Aact, M, n, True)
+        return Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As]).transposed().images
+
+    def codegeneracy(n, i):
+        return Chain([Ms] + [As] * (n + 1)).apply(
+            Aact.unit_map(), 2 + i, 0, [As]).transposed().images
+
+    return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
+                     lambda n: module_rotation(Aact, M, n, False))

@@ -128,9 +128,12 @@ class TestPairingMap:
                     assert got == expected
 
     def test_colinear_hom_spaces_solved_once(self, monkeypatch):
-        # the SAYD check and the comodule-algebra complex share their solves
+        # the SAYD check and the comodule-algebra complex share their solves,
+        # and each degree of the module side (A over the predual with M*) and
+        # of the classical complex of A⋊B is solved once
         import hopfcyc.cocyclic
         import hopfcyc.symmetries
+        from hopfcyc.symmetries import predual_carrier, predual_coefficient
 
         solve, calls = hopfcyc.symmetries.colinear_hom_space, []
 
@@ -142,7 +145,14 @@ class TestPairingMap:
         monkeypatch.setattr(hopfcyc.cocyclic, "colinear_hom_space", counted, raising=False)
         name, A, B, M = crossed_product_instances()[1]
         pairing = CrossedPairing(A, B, M, N=2)
-        assert sorted(calls) == [(id(B), id(M), n) for n in range(4)]
+        comodule_side = [(id(B), id(M), n) for n in range(4)]
+        module_side = [(id(predual_carrier(A)), id(predual_coefficient(M)), n)
+                       for n in range(4)]
+        assert len(set(calls)) == len(calls) == 12
+        assert set(comodule_side + module_side) <= set(calls)
+        classical = sorted(set(calls) - set(comodule_side + module_side), key=lambda c: c[2])
+        assert [n for _, _, n in classical] == [0, 1, 2, 3]
+        assert len({(a, m) for a, m, _ in classical}) == 1
         assert pairing.check_cocyclic_map(2)
         assert hopfcyc.symmetries._solved.get() is None
 
