@@ -14,7 +14,6 @@ from __future__ import annotations
 from .hopf import StructureError, algebra_axioms, trivial_hopf
 from .linalg import (
     Chain,
-    Contraction,
     LinMap,
     Space,
     Vector,
@@ -178,12 +177,15 @@ class CrossedPairing:
     def _twist_pipeline(self, n):
         """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, which iterates the
         coaction on b_i to depth i+1 and acts on each a_j by S⁻¹ of the
-        product of the legs that land on it; ψ is contracted into the
-        B-legs, giving Ψ(φ⊗ψ) = φ ∘ (ψ ⊗ id) ∘ P_n."""
-        Aact, B, M, H = (self.action_algebra, self.comodule_algebra, self.M, self.hopf)
-        As, Bs, Hs, Ms = Aact.space, B.space, H.space, M.space
+        product of the legs that land on it, curried on its B legs: the map
+        B^{⊗(n+1)} → A^{⊗(n+1)} ⊗ (A⊗B)^{⊗(n+1)} with entry
+        (r·dim D + col, x) = P_n[(x·dim R + r), col].  ψ's B legs walked
+        through it give (ψ ⊗ id) ∘ P_n, and Ψ(φ⊗ψ) = φ ∘ (ψ ⊗ id) ∘ P_n."""
+        Aact, B, H = self.action_algebra, self.comodule_algebra, self.hopf
+        As, Bs, Hs = Aact.space, B.space, H.space
         s_inv = H.antipode_inverse()
-        chain = Chain([As, Bs] * (n + 1))
+        legs = [As, Bs] * (n + 1)
+        chain = Chain(legs)
         order = [2 * i + 1 for i in range(n + 1)] + [2 * i for i in range(n + 1)]
         chain.permute(order)
         # iterate the coaction on b_i to depth i+1, right to left
@@ -211,7 +213,9 @@ class CrossedPairing:
             chain.apply(s_inv, p, 1, [Hs])
             chain.apply(Aact.action, p, 2, [As])
             p += 1
-        return Contraction(chain, 0, n + 1, Chain([Ms] + [As] * (n + 1)))
+        rdim, ddim = As.dim ** (n + 1), (As.dim * Bs.dim) ** (n + 1)
+        return LinMap(tensor_space(*([Bs] * (n + 1))), tensor_space(*([As] * (n + 1)), *legs), {
+            (row % rdim * ddim + col, row // rdim): v for (row, col), v in chain.entries().items()})
 
     def psi_matrix(self, n) -> LinMap:
         """Ψ_n as a matrix from the degree-n diagonal space to the degree-n
@@ -222,12 +226,14 @@ class CrossedPairing:
         phis = self.module_side.subspaces[n].basis
         psis = self.comodule_side.subspaces[n].basis
         twist = self._twist_pipeline(n)
-        ddim = twist.domain.dim
+        walk = Chain([self.M.space] + [self.comodule_algebra.space] * (n + 1)).apply(
+            twist, 1, n + 1, [twist.codomain])
+        ddim = self.target.spaces[n].dim
         entries = {}
         dy = len(psis)
         # entry r·ddim + c of ψ's image is T(r, c) for T = (ψ ⊗ id) ∘ P_n,
         # and Ψ(φ⊗ψ)(c) = Σ_r φ(r)·T(r, c)
-        for j, image in enumerate(twist.images([psi.entries for psi in psis])):
+        for j, image in enumerate(walk.images([psi.entries for psi in psis])):
             rows = {}
             for i, v in image.items():
                 r, c = divmod(i, ddim)

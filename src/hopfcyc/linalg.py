@@ -9,17 +9,16 @@ assembled with ``Chain``, which moves all its input columns through each
 step of the pipeline together, keyed by flat row indices.
 
 Every operator on cochains is one such walk from the raw ``{index: scalar}``
-columns of a whole source basis: a fixed pipeline walked forward
-(``Chain.images``), transposed to pull cochains back (φ ↦ φ ∘ chain is the
-walk of ``Chain.transposed()`` from φ's coordinates, so no fixed map is
-materialized), or a ``Contraction`` φ ↦ post ∘ (id ⊗ φ ⊗ id) ∘ pre.  A
-contraction reads its prefix only through the prefix's kept index by the
-middle legs, and its suffix as one map, so prefixes and suffixes can be
-kept on the objects they depend on, and two operators with one prefix that
-are only compared can be contracted once, with the difference of their
-suffixes.  ``Subspace.express`` then reads the coordinates of all the
-images over a canonical kernel basis in one pass, at the basis' free
-columns, with no elimination at all.
+columns of a whole source basis: a fixed pipeline walked forward from the
+cochains' coordinates (``Chain.images``), or transposed to pull cochains
+back (φ ↦ φ ∘ chain is the walk of ``Chain.transposed()`` from φ's
+coordinates, so no fixed map is materialized).  An operator that puts φ
+between two fixed maps is walked from φ's hom coordinates too: a map after
+φ is a step on its codomain legs, and a map before it a step on its domain
+legs through that map bent or curried into one ``LinMap``.
+``Subspace.express`` then reads the coordinates of all the images over a
+canonical kernel basis in one pass, at the basis' free columns, with no
+elimination at all.
 
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
@@ -137,10 +136,11 @@ def _holds(space, sep):
 def tensor_space(*spaces):
     """Tensor product with row-major index convention and ⊗-joined labels.
 
-    When every factor is ⊗-free or is itself a lazily labeled tensor space
-    (a lazy hom space is not), each joined label splits at ⊗ back into one
-    label per factor, so the labels are distinct and are built on first
-    read; otherwise they are joined and checked here."""
+    When every factor is ⊗-free (read without joining, a lazy hom space
+    is not) or is itself a lazily labeled tensor space, each joined label
+    splits at ⊗ back into one label per factor, so the labels are distinct
+    and are built on first read; otherwise they are joined and checked
+    here."""
     if not spaces:
         raise ValueError("tensor_space needs at least one factor")
     field = spaces[0].field
@@ -149,7 +149,7 @@ def tensor_space(*spaces):
             _mixed(field, s.field)
     if len(spaces) == 1:
         return spaces[0]
-    if all(s.sep == "⊗" if s._labels is None else not any("⊗" in lab for lab in s._labels)
+    if all(s._labels is None and s.sep == "⊗" or s.sep != "←" and not _holds(s, "⊗")
            for s in spaces):
         return Space(None, field, factors=spaces)
     return Space(_joined_labels(spaces), field, factors=spaces)
@@ -433,12 +433,9 @@ class Chain:
     its one new index instead of entry by entry; only rows that land on one
     index are added.
 
-    The materialized entries (``entries``) and their index by middle legs
-    (``split_entries``) are each kept until the next ``apply`` or
-    ``permute``.  A Chain read only through the index keeps the index
-    alone, so a prefix kept for several contractions is walked and indexed
-    once and holds only its split rows.  A Chain that is one map on all its
-    source legs is not walked: its entries are the map's own.
+    The materialized entries (``entries``) are kept until the next
+    ``apply`` or ``permute``.  A Chain that is one map on all its source
+    legs is not walked: its entries are the map's own.
     """
 
     def __init__(self, source_legs, field=None):
@@ -449,7 +446,7 @@ class Chain:
             self.field = field if field is not None else QQ
         self.steps = []
         self.legs = list(self.source_legs)
-        self._entries, self._split = None, {}
+        self._entries = None
 
     def apply(self, f, at, nin, out_legs):
         if f.domain.field is not self.field:
@@ -467,7 +464,7 @@ class Chain:
             )
         self.steps.append(("apply", f, at, dims, [s.dim for s in out_legs]))
         self.legs[at : at + nin] = out_legs
-        self._entries, self._split = None, {}
+        self._entries = None
         return self
 
     def permute(self, order):
@@ -475,7 +472,7 @@ class Chain:
             raise ValueError("order must be a permutation of current legs")
         self.steps.append(("perm", list(order)))
         self.legs = [self.legs[j] for j in order]
-        self._entries, self._split = None, {}
+        self._entries = None
         return self
 
     def rotate_last_to_front(self):
@@ -488,17 +485,6 @@ class Chain:
         if self._entries is None:
             self._entries = self._materialize()
         return self._entries
-
-    def split_entries(self, at, nin):
-        """The entries indexed by the middle index over legs
-        ``at .. at+nin-1``: x -> [(left index, right index, col, v)].  The
-        index is kept; the entries are kept only if already materialized."""
-        if (at, nin) not in self._split:
-            dims = [s.dim for s in self.legs]
-            entries = self._entries if self._entries is not None else self._materialize()
-            self._split[(at, nin)] = _split_rows(
-                entries, math.prod(dims[at:at + nin]), math.prod(dims[at + nin:]))
-        return self._split[(at, nin)]
 
     def images(self, columns):
         """The composite applied to raw ``{index: scalar}`` columns, in one walk
@@ -634,17 +620,6 @@ class Chain:
                       _legs_space(self.legs, self.field), self.entries())
 
 
-def _split_rows(entries, in_dim, right_dim):
-    """``(row, col) -> v`` entries by middle index x, where
-    row = (left·in_dim + x)·right_dim + right."""
-    out = {}
-    for (row, col), v in entries.items():
-        lx, r = divmod(row, right_dim)
-        l, x = divmod(lx, in_dim)
-        out.setdefault(x, []).append((l, r, col, v))
-    return out
-
-
 def _leg_table(dims, strides):
     """Σ index_i · stride_i for every row-major index over ``dims``."""
     table = [0]
@@ -655,80 +630,6 @@ def _leg_table(dims, strides):
 
 def _legs_space(legs, field):
     return tensor_space(*legs) if legs else unit_space(field)
-
-
-class Contraction:
-    """The operator f ↦ post ∘ (id ⊗ f ⊗ id) ∘ pre for fixed tensor pipelines.
-
-    ``pre`` is a Chain whose legs ``at .. at+nin-1`` are the domain of f; it
-    is read only through its kept index ``split_entries(at, nin)``, so a
-    prefix shared by several contractions is walked once.  ``post`` is a
-    Chain whose source legs are pre's legs with f's codomain legs in their
-    place, or a LinMap from that space (a suffix kept, or combined, as a
-    map; only its dimension is checked).  ``images`` contracts a whole basis
-    of maps f in one call, visiting only the prefix entries at each f's
-    nonzero columns; ``contract(f)`` is its one-map case."""
-
-    def __init__(self, pre, at, nin, post):
-        left, right = pre.legs[:at], pre.legs[at + nin:]
-        outer = math.prod(s.dim for s in left + right)
-        if isinstance(post, Chain):
-            nout = len(post.source_legs) - len(left) - len(right)
-            if nout < 0 or [s.dim for s in post.source_legs[:at] + post.source_legs[at + nout:]] \
-                    != [s.dim for s in left + right]:
-                raise DimensionMismatch("contraction: post legs do not match pre around f")
-            post = post.to_map()
-        if post.domain.dim % outer:
-            raise DimensionMismatch("contraction: post domain does not fit pre around f")
-        if post.field is not pre.field:
-            _mixed(pre.field, post.field)
-        self.field = pre.field
-        self.in_dim = math.prod(s.dim for s in pre.legs[at:at + nin])
-        self.out_dim = post.domain.dim // outer
-        self.right_dim = math.prod(s.dim for s in right)
-        self.domain = _legs_space(pre.source_legs, pre.field)
-        self._pre = pre.split_entries(at, nin)
-        self._post = post
-        self.codomain = post.codomain
-
-    def images(self, columns):
-        """post ∘ (id ⊗ f ⊗ id) ∘ pre for each f given by raw hom coordinates
-        (index y·in_dim + x), as reduced raw hom coordinates (row·dim + col)."""
-        p, pre, post = self.field.modulus, self._pre, self._post.by_col()
-        idim, odim, rdim, ddim = self.in_dim, self.out_dim, self.right_dim, self.domain.dim
-        out = []
-        for f in columns:
-            mid = {}
-            for flat, w in f.items():
-                y, x = divmod(flat, idim)
-                for l, r, col, v in pre.get(x, ()):
-                    key = ((l * odim + y) * rdim + r) * ddim + col
-                    mid[key] = mid.get(key, 0) + v * w
-            image = {}
-            for key, v in mid.items():
-                row, col = divmod(key, ddim)
-                for r, w in post.get(row, ()):
-                    i = r * ddim + col
-                    image[i] = image.get(i, 0) + w * v
-            out.append({i: v for i, v in image.items() if v} if p is None
-                       else _reduced(image, p))
-        return out
-
-    def as_map(self, image):
-        """A raw image of ``images`` as the map it encodes."""
-        ddim = self.domain.dim
-        return LinMap(self.domain, self.codomain,
-                      {divmod(i, ddim): v for i, v in image.items()})
-
-    def contract(self, f):
-        """post ∘ (id ⊗ f ⊗ id) ∘ pre as a map from pre's source legs."""
-        if f.domain.dim != self.in_dim or f.codomain.dim != self.out_dim:
-            raise DimensionMismatch("contraction: map is %d×%d, legs give %d×%d" % (
-                f.codomain.dim, f.domain.dim, self.out_dim, self.in_dim))
-        if f.domain.field is not self.field:
-            _mixed(self.field, f.domain.field)
-        idim = self.in_dim
-        return self.as_map(self.images([{r * idim + c: v for (r, c), v in f.entries.items()}])[0])
 
 
 def _eliminate(row, echelon, p):
@@ -1043,9 +944,9 @@ def hom_space(domain, codomain):
 
 
 def dual_space(domain):
-    """Linear functionals on domain; coordinate i is the functional e_i ↦ 1."""
-    labels = tuple("%s*" % lab for lab in domain.labels)
-    return Space(labels, domain.field)
+    """Linear functionals on domain; coordinate i is the functional e_i ↦ 1,
+    labeled ``domain.label(i) + "*"`` and joined only when read."""
+    return Space(None, domain.field, factors=(domain, Space(("*",), domain.field)), sep="")
 
 
 def vector_to_functional(vec, domain):

@@ -10,9 +10,9 @@ Each coefficient subspace is the equalizer of two stated maps, solved by
 ``_equalizer`` from their entries.  Each carrier condition is an identity
 between two tensor pipelines; the four coaction (co)commutativity checks
 build theirs with ``_products_agree``.  The carrier-SAYD check over an
-algebra keeps each fixed piece on the object it depends on: the prefixes of
-each degree on the carrier (``_diag``), the suffixes on H⊗M on the
-coefficient (``_memo``).
+algebra walks the colinear cochains' hom coordinates, with each fixed map
+kept on the object it depends on: the bent coaction on the carrier
+(``_diag``), the maps on M and H⊗M on the coefficient (``_memo``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .hopf import (
 )
 from .linalg import (
     Chain,
-    Contraction,
     LinMap,
     Space,
     Subspace,
@@ -74,8 +73,7 @@ class ComoduleAlgebra:
         self.coaction = coaction
         self.side = side
         self.name = name
-        # diag_left_coaction by degree k, and by ("sayd-prefixes", n) the two
-        # carrier-SAYD prefixes on A^{⊗(n+1)}, holding only their split rows
+        # diag_left_coaction by degree k, and the bent coaction (_bent_coaction)
         self._diag = {}
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
@@ -727,43 +725,39 @@ def _ayd_suffixes(M):
 
 def _ayd_difference(M):
     """L − R on H⊗M, built once and kept on M: by linearity the two AYD
-    sides of a cochain φ differ by the one contraction of φ with it."""
+    sides of a cochain φ differ by the one walk of φ through it."""
     if "ayd" not in M._memo:
         lhs, rhs = _ayd_suffixes(M)
         M._memo["ayd"] = lhs.to_map() - rhs.to_map()
     return M._memo["ayd"]
 
 
-def _carrier_prefixes(A, n):
-    """coaction ⊗ id and λ_diag on A^{⊗(n+1)}, the carrier ends of the
-    carrier-SAYD pipelines at degree n.  Both are kept on A, and each keeps
-    only its split rows (``Chain.split_entries``), made by its first
-    contraction."""
-    key = ("sayd-prefixes", n)
-    if key not in A._diag:
-        Hs, As = A.hopf.space, A.space
-        legs = [As] * (n + 1)
-        A._diag[key] = (
-            Chain(legs).apply(A.left_coaction(), 0, 1, [Hs, As]),
-            Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs))
-    return A._diag[key]
+def _bent_coaction(A):
+    """A → H⊗A with entry (h⊗a, a′) = λ(a)[h⊗a′], built once and kept on A:
+    a cochain's first input leg walked through it gives (id_H⊗φ)∘(λ⊗id)."""
+    if "bent" not in A._diag:
+        Adim = A.dim
+        A._diag["bent"] = LinMap(A.space, tensor_space(A.hopf.space, A.space), {
+            (h * Adim + a, b): v
+            for (r, a), v in A.left_coaction().entries.items() for h, b in (divmod(r, Adim),)})
+    return A._diag["bent"]
 
 
-def _carrier_sayd_pipelines(A, M, n):
-    """The carrier-SAYD operators at degree n, each a contraction with a
-    colinear map φ: the AYD difference φ ↦ (L − R)∘(id_H⊗φ)∘(coaction⊗id),
-    zero exactly where the identity holds, and the stability map
-    φ ↦ act∘(id_H⊗φ)∘λ_diag."""
-    coact, diag = _carrier_prefixes(A, n)
-    return (Contraction(coact, 1, n + 1, _ayd_difference(M)),
-            Contraction(diag, 1, n + 1, _acting(M)))
+def _carrier_ayd(A, M, n, suffix):
+    """φ ↦ suffix∘(id_H⊗φ)∘(coaction⊗id) at degree n, a walk of φ's hom
+    coordinates: the first input leg through ``_bent_coaction``, H moved to
+    the front, then ``suffix`` on H⊗M."""
+    Hs, Ms, As = A.hopf.space, M.space, A.space
+    return (Chain([Ms] + [As] * (n + 1)).apply(_bent_coaction(A), 1, 1, [Hs, As])
+            .permute([1, 0] + list(range(2, n + 3))).apply(suffix, 0, 2, [Hs, Ms]))
 
 
-def _carrier_ayd_sides(A, M, n):
-    """The two AYD sides at degree n, φ ↦ L∘(id_H⊗φ)∘(coaction⊗id) and the
-    same with R, each contracted on its own for a failing φ's witness."""
-    coact = _carrier_prefixes(A, n)[0]
-    return tuple(Contraction(coact, 1, n + 1, side) for side in _ayd_suffixes(M))
+def _carrier_stability(A, M, n):
+    """φ ↦ s_M∘φ at degree n, one step of s_M on the value leg of φ's hom
+    coordinates.  On a colinear φ, λ_M∘φ = (id_H⊗φ)∘λ_diag, so this is the
+    stability map φ ↦ act∘(id_H⊗φ)∘λ_diag."""
+    Ms = M.space
+    return Chain([Ms] + [A.space] * (n + 1)).apply(_stability(M), 0, 1, [Ms])
 
 
 def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> CheckResult:
@@ -772,31 +766,33 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     For each degree n ≤ n_max and every basis element φ of the colinear hom
     space: (i) the AYD identity after multiplying the first coaction leg into
     the value of φ, and (ii) stability φ(ã⟨0⟩)◁ã⟨−1⟩ = φ(ã).  The whole
-    basis is contracted once with the difference of the AYD sides and once
-    with the stability map; the two sides are evaluated apart only for the
-    first failing φ, for its witness."""
+    basis is walked once through the difference of the AYD sides and once
+    through s_M on the value (``_carrier_stability``); the two AYD sides are
+    walked apart only for the first failing φ, for its witness."""
     verdicts = []
     for n in range(n_max + 1):
         sub = _once(colinear_hom_space, A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
-            ayd_p, stab_p = _carrier_sayd_pipelines(A, M, n)
             cols = [v.entries for v in sub.basis]
-            ayd, stab = ayd_p.images(cols), stab_p.images(cols)
-        for k, phi in enumerate(sub.basis):
-            if not ayd[k] and stab[k] == phi.entries:
+            ayd = _carrier_ayd(A, M, n, _ayd_difference(M)).images(cols)
+            stab = _carrier_stability(A, M, n).images(cols)
+        for k, vec in enumerate(sub.basis):
+            if not ayd[k] and stab[k] == vec.entries:
                 continue
             # only a failing φ is turned into maps, for the witness
-            phi = sub.map(phi)
+            phi = sub.map(vec)
 
             def at(col):
                 return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))
 
-            lhs_p, rhs_p = _carrier_ayd_sides(A, M, n)
-            res = compare("carrier-ayd-algebra", lhs_p.contract(phi), rhs_p.contract(phi),
-                          at, detail=dims_note)
+            HM, ddim, sides = tensor_space(A.hopf.space, M.space), phi.domain.dim, []
+            for side in _ayd_suffixes(M):
+                image = _carrier_ayd(A, M, n, side.to_map()).images([vec.entries])[0]
+                sides.append(LinMap(phi.domain, HM, {divmod(i, ddim): v for i, v in image.items()}))
+            res = compare("carrier-ayd-algebra", *sides, at, detail=dims_note)
             if res:
-                res = compare("carrier-stability-algebra", stab_p.as_map(stab[k]), phi,
+                res = compare("carrier-stability-algebra", _stability(M) @ phi, phi,
                               at, detail=dims_note)
             return res
         verdicts.append(dims_note)

@@ -12,9 +12,9 @@ builders that the library's one equalizer replaced, kept as they were
 
 The next section keeps the per-cochain operator paths that the batched
 walks replaced: the per-image coordinate loop, the precomposition over the
-materialized fixed map, the per-map contraction (with the carrier-SAYD
-check written on it, over both AYD sides and pipelines built afresh for
-every check) and the per-pair Ψ.
+materialized fixed map, the per-map contraction of a ``(pre, at, nin,
+post)`` pipeline (with the carrier-SAYD check written on it, over both AYD
+sides and pipelines built afresh for every check) and the per-pair Ψ.
 
 The last section keeps the module-algebra complex as it was built before it
 became the comodule-algebra complex over the predual: the invariant
@@ -29,7 +29,6 @@ from hopfcyc.cocyclic import _assemble
 from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
-    Contraction,
     DimensionMismatch,
     LinMap,
     Subspace,
@@ -103,16 +102,13 @@ def walk_entries(chain):
     return entries
 
 
-def psi_on_pair(pairing, phi_vec, psi_vec, n):
-    """Ψ(φ⊗ψ) as a functional on (A⋊B)^{⊗(n+1)}; φ and ψ are ambient
-    vectors (dual coordinates and hom coordinates respectively)."""
-    Aact, B, M, H = (pairing.action_algebra, pairing.comodule_algebra,
-                     pairing.M, pairing.hopf)
-    As, Bs, Hs, Ms = Aact.space, B.space, H.space, M.space
+def twist_chain(pairing, n):
+    """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, the coaction on b_i
+    iterated to depth i+1 and each a_j acted on by S⁻¹ of the product of the
+    legs that land on it."""
+    Aact, B, H = pairing.action_algebra, pairing.comodule_algebra, pairing.hopf
+    As, Bs, Hs = Aact.space, B.space, H.space
     s_inv = H.antipode_inverse()
-    phi = vector_to_functional(phi_vec, tensor_space(Ms, *([As] * (n + 1))))
-    psi = vector_to_linmap(psi_vec, tensor_space(*([Bs] * (n + 1))), Ms)
-
     chain = Chain([As, Bs] * (n + 1))
     chain.permute([2 * i + 1 for i in range(n + 1)] + [2 * i for i in range(n + 1)])
     for i in range(n, -1, -1):
@@ -134,6 +130,16 @@ def psi_on_pair(pairing, phi_vec, psi_vec, n):
         chain.apply(s_inv, p, 1, [Hs])
         chain.apply(Aact.action, p, 2, [As])
         p += 1
+    return chain
+
+
+def psi_on_pair(pairing, phi_vec, psi_vec, n):
+    """Ψ(φ⊗ψ) as a functional on (A⋊B)^{⊗(n+1)}; φ and ψ are ambient
+    vectors (dual coordinates and hom coordinates respectively)."""
+    As, Bs, Ms = pairing.action_algebra.space, pairing.comodule_algebra.space, pairing.M.space
+    phi = vector_to_functional(phi_vec, tensor_space(Ms, *([As] * (n + 1))))
+    psi = vector_to_linmap(psi_vec, tensor_space(*([Bs] * (n + 1))), Ms)
+    chain = twist_chain(pairing, n)
     chain.apply(psi, 0, n + 1, [Ms])
     chain.apply(phi, 0, n + 2, [])
     return chain.to_map()
@@ -474,33 +480,35 @@ def precompose(subs, n, src, chain):
 
 
 def contract(pipeline, f):
-    """``Contraction.contract`` as it was: post ∘ (id ⊗ f ⊗ id) ∘ pre as a
-    map from pre's source legs, through one LinMap per map."""
-    if f.domain.dim != pipeline.in_dim or f.codomain.dim != pipeline.out_dim:
-        raise DimensionMismatch("contraction: map is %d×%d, legs give %d×%d" % (
-            f.codomain.dim, f.domain.dim, pipeline.out_dim, pipeline.in_dim))
-    odim, rdim = pipeline.out_dim, pipeline.right_dim
-    mid = {}
-    for x, fcol in f.by_col().items():
-        for l, r, col, v in pipeline._pre.get(x, ()):
-            for y, w in fcol:
-                key = ((l * odim + y) * rdim + r, col)
-                mid[key] = mid.get(key, 0) + v * w
-    return pipeline._post @ LinMap(pipeline.domain, pipeline._post.domain, mid)
+    """post ∘ (id ⊗ f ⊗ id) ∘ pre for a pipeline ``(pre, at, nin, post)``: f
+    on legs ``at .. at+nin-1`` of the Chain ``pre``, whose legs with f's
+    codomain in their place are the source of ``post`` (a Chain or a
+    LinMap), as a map from pre's source legs, through one LinMap per map."""
+    pre, at, nin, post = pipeline
+    middle = Chain(pre.legs).apply(f, at, nin, [f.codomain]).to_map()
+    if isinstance(post, Chain):
+        post = post.to_map()
+    return post @ middle @ pre.to_map()
+
+
+def hom_coords(f):
+    """A map's raw hom coordinates, index row·dim(domain) + col."""
+    ddim = f.domain.dim
+    return {r * ddim + c: v for (r, c), v in f.entries.items()}
 
 
 def carrier_sayd_pipelines(A, M, n):
     """The two AYD sides and the stability map at degree n, as the library
-    built them before it kept prefixes on the carrier and suffixes on the
-    coefficient: three contractions of fresh Chains over this module's
+    built them before it walked the cochains' hom coordinates: three
+    ``(pre, at, nin, post)`` pipelines of fresh Chains over this module's
     diagonal coaction, none read from a cache on A or M."""
     Hs, Ms, As = A.hopf.space, M.space, A.space
     legs = [As] * (n + 1)
     coact = Chain(legs).apply(A.left_coaction(), 0, 1, [Hs, As])
     diag = Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs)
-    return (Contraction(coact, 1, n + 1, _append_ayd_lhs(Chain([Hs, Ms]), M)),
-            Contraction(coact, 1, n + 1, _append_ayd_rhs(Chain([Hs, Ms]), M)),
-            Contraction(diag, 1, n + 1, _append_act(Chain([Hs, Ms]), M)))
+    return ((coact, 1, n + 1, _append_ayd_lhs(Chain([Hs, Ms]), M)),
+            (coact, 1, n + 1, _append_ayd_rhs(Chain([Hs, Ms]), M)),
+            (diag, 1, n + 1, _append_act(Chain([Hs, Ms]), M)))
 
 
 def check_sayd_over_algebra_by_map(A, M, n_max=2):
@@ -532,7 +540,8 @@ def psi_matrix_by_pair(pairing, n):
     twist pipeline as a map, then one functional product per (φ, ψ)."""
     phis = pairing.module_side.subspaces[n].basis
     psis = pairing.comodule_side.subspaces[n].maps()
-    twist = pairing._twist_pipeline(n)
+    Ms, As = pairing.M.space, pairing.action_algebra.space
+    twist = (twist_chain(pairing, n), 0, n + 1, Chain([Ms] + [As] * (n + 1)))
     entries = {}
     dy = len(psis)
     for j, psi in enumerate(psis):

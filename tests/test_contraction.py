@@ -1,5 +1,7 @@
-"""Pipeline contraction: the primitive on its own, and a differential test of
-every library operator built on it against the per-cochain Chain oracle."""
+"""Pipeline contraction: the oracle's per-map contraction against a Chain
+with the map in between, and a differential test of every library operator
+that puts a cochain between two fixed maps, each a walk of the cochains'
+coordinates, against the per-cochain Chain oracle."""
 
 import random
 
@@ -14,12 +16,14 @@ from hopfcyc.corpus import (
 )
 from hopfcyc.cup import CrossedPairing
 from hopfcyc.fields import GF, QQ
-from hopfcyc.linalg import Chain, Contraction, DimensionMismatch, LinMap, Space, tensor_space
+from hopfcyc.linalg import Chain, DimensionMismatch, LinMap, Space, tensor_space
 from hopfcyc.hopf import counit_character, unit_group_like
 from hopfcyc.symmetries import (
-    _carrier_ayd_sides,
-    _carrier_prefixes,
-    _carrier_sayd_pipelines,
+    _ayd_difference,
+    _ayd_suffixes,
+    _bent_coaction,
+    _carrier_ayd,
+    _stability,
     colinear_hom_space,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
@@ -71,92 +75,55 @@ class TestContraction:
         h = _random_map(rng, tensor_space(Z, Y), X, field)
         pre = Chain([X, Y]).apply(g, 0, 2, [Y, X, Z])
         post = Chain([Y, Z, Y, Z]).permute([3, 0, 1, 2]).apply(h, 0, 2, [X])
-        pipeline = Contraction(pre, 1, 1, post)
         for _ in range(3):
             f = _random_map(rng, X, tensor_space(Z, Y), field)
             whole = (Chain([X, Y]).apply(g, 0, 2, [Y, X, Z]).apply(f, 1, 1, [Z, Y])
                      .permute([3, 0, 1, 2]).apply(h, 0, 2, [X]).to_map())
-            got = pipeline.contract(f)
+            got = chain_oracle.contract((pre, 1, 1, post), f)
             assert got.entries == whole.entries
             assert got.domain == whole.domain and got.codomain == whole.codomain
             # the suffix given as its map contracts the same
-            assert Contraction(pre, 1, 1, post.to_map()).contract(f).entries == whole.entries
+            assert chain_oracle.contract((pre, 1, 1, post.to_map()), f).entries == whole.entries
 
     def test_without_post_is_the_bare_prefix(self):
         rng = random.Random(9)
         X, Y = _space("x", 2, QQ), _space("y", 3, QQ)
         g = _random_map(rng, X, tensor_space(X, Y), QQ)
         f = _random_map(rng, X, Y, QQ)
-        pipeline = Contraction(Chain([X]).apply(g, 0, 1, [X, Y]), 0, 1, Chain([Y, Y]))
+        pipeline = (Chain([X]).apply(g, 0, 1, [X, Y]), 0, 1, Chain([Y, Y]))
         whole = Chain([X]).apply(g, 0, 1, [X, Y]).apply(f, 0, 1, [Y]).to_map()
-        assert pipeline.contract(f).entries == whole.entries
+        assert chain_oracle.contract(pipeline, f).entries == whole.entries
 
     def test_shape_errors(self):
         X, Y = _space("x", 2, QQ), _space("y", 3, QQ)
-        pre = Chain([X, Y])
+        pre, f = Chain([X, Y]), LinMap(X, Y, {})
         with pytest.raises(DimensionMismatch):
-            Contraction(pre, 0, 1, Chain([Y, X]))  # right leg changed
-        pipeline = Contraction(pre, 0, 1, Chain([Y, Y]))
+            chain_oracle.contract((pre, 0, 1, Chain([Y, X])), f)  # right leg changed
         with pytest.raises(DimensionMismatch):
-            pipeline.contract(LinMap(Y, Y, {}))
+            chain_oracle.contract((pre, 0, 1, Chain([Y, Y])), LinMap(Y, Y, {}))
         with pytest.raises(DimensionMismatch):
-            Contraction(pre, 0, 1, LinMap(X, X, {}))  # a map that cannot hold the right leg
+            chain_oracle.contract((pre, 0, 1, LinMap(X, X, {})), f)  # cannot hold the right leg
 
 
-def test_prefix_index_is_dropped_with_the_entries():
-    # a step after indexing gives the index of the new composite
-    rng = random.Random(5)
-    X, Y = _space("x", 2, QQ), _space("y", 3, QQ)
-    g, h, f = (_random_map(rng, X, tensor_space(X, Y), QQ), _random_map(rng, X, Y, QQ),
-               _random_map(rng, Y, X, QQ))
-    pre = Chain([X, Y]).apply(g, 0, 1, [X, Y])
-    first = pre.split_entries(1, 1)
-    assert pre.split_entries(1, 1) is first
-    pre.apply(h, 0, 1, [Y])  # legs Y, Y, Y
-    fresh = Chain([X, Y]).apply(g, 0, 1, [X, Y]).apply(h, 0, 1, [Y])
-    assert pre.split_entries(1, 1) is not first
-    assert pre.split_entries(1, 1) == fresh.split_entries(1, 1)
-    assert (Contraction(pre, 1, 1, Chain([Y, X, Y])).contract(f).entries
-            == fresh.apply(f, 1, 1, [X]).to_map().entries)
-
-
-def test_shared_prefix_is_indexed_once_per_degree(monkeypatch):
-    # the two prefixes of each degree, the coaction one (shared by the AYD
-    # difference and both AYD sides) and the diagonal one, are indexed once
-    # per carrier across the checks of two coefficients, and kept on the
-    # carrier holding that index alone
-    from hopfcyc import linalg
+def test_bent_coaction_is_kept_once_per_carrier():
+    # the carrier's one kept piece of the AYD walk serves every degree and
+    # coefficient; besides it the carrier keeps only its diagonal coactions
     from hopfcyc.symmetries import check_sayd_over_algebra
 
-    indexed = []
-    split = linalg._split_rows
-
-    def counting(entries, in_dim, right_dim):
-        indexed.append(entries)
-        return split(entries, in_dim, right_dim)
-
-    monkeypatch.setattr(linalg, "_split_rows", counting)
     H = get_hopf("kZ3")
     A = regular_comodule_algebra(H)
-    coefficients = [regular_coaction_trivial_action(H),
-                    scalar_coefficients(H, counit_character(H), unit_group_like(H))]
-    for M in coefficients:
+    kept = []
+    for M in (regular_coaction_trivial_action(H),
+              scalar_coefficients(H, counit_character(H), unit_group_like(H))):
         assert all(colinear_hom_space(A, M, n).dim for n in range(3))
         assert check_sayd_over_algebra(A, M, n_max=2)
-        assert len(indexed) == 6  # two prefixes at each of n = 0, 1, 2
-    for n in range(3):
-        coact, diag = _carrier_prefixes(A, n)
-        for M in coefficients:
-            ayd_p, stab_p = _carrier_sayd_pipelines(A, M, n)
-            lhs_p, rhs_p = _carrier_ayd_sides(A, M, n)
-            assert ayd_p._pre is lhs_p._pre is rhs_p._pre is coact.split_entries(1, n + 1)
-            assert stab_p._pre is diag.split_entries(1, n + 1)
-        for chain in (coact, diag):
-            assert chain._entries is None and list(chain._split) == [(1, n + 1)]
-    assert len(indexed) == 6
-    # another carrier with the same structure indexes its own
-    assert check_sayd_over_algebra(regular_comodule_algebra(H), coefficients[0], n_max=2)
-    assert len(indexed) == 12
+        kept.append(A._diag["bent"])
+        assert set(A._diag) == {0, 1, 2, 3, "bent"}
+    bent = _bent_coaction(A)
+    assert kept == [bent, bent] and kept[0] is kept[1] is bent
+    # another carrier with the same structure keeps its own
+    other = regular_comodule_algebra(H)
+    assert _bent_coaction(other) is not bent and _bent_coaction(other) == bent
 
 
 @pytest.mark.parametrize("instance", range(2))
@@ -213,19 +180,20 @@ def _assert_carrier_sides_match_oracle(pairs):
         # minute, so those pairs stop at degree 1 (the index arithmetic is
         # the same at every degree, and degree 2 is covered on the others)
         top = 1 if A.dim * M.dim > 16 else 2
+        lhs_s, rhs_s = (side.to_map() for side in _ayd_suffixes(M))
         for n in range(top + 1):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:
                 continue
-            ayd_p, stab_p = _carrier_sayd_pipelines(A, M, n)
-            lhs_p, rhs_p = _carrier_ayd_sides(A, M, n)
-            for phi in sub.maps():
+            cols = [v.entries for v in sub.basis]
+            walked = [_carrier_ayd(A, M, n, suffix).images(cols)
+                      for suffix in (lhs_s, rhs_s, _ayd_difference(M))]
+            for k, phi in enumerate(sub.maps()):
                 lhs, rhs = chain_oracle.carrier_ayd_sides(A, M, phi, n)
-                assert lhs_p.contract(phi).entries == lhs.entries, (aname, mname, n)
-                assert rhs_p.contract(phi).entries == rhs.entries, (aname, mname, n)
-                assert ayd_p.contract(phi).entries == (lhs - rhs).entries, (aname, mname, n)
+                for images, want in zip(walked, (lhs, rhs, lhs - rhs)):
+                    assert images[k] == chain_oracle.hom_coords(want), (aname, mname, n)
                 stab = chain_oracle.stability_map(A, M, phi, n)
-                assert stab_p.contract(phi).entries == stab.entries, (aname, mname, n)
+                assert (_stability(M) @ phi).entries == stab.entries, (aname, mname, n)
 
 
 @pytest.mark.parametrize("name", HOPF_NAMES)
@@ -284,7 +252,7 @@ def test_coefficient_suffixes_are_materialized_once(monkeypatch):
     _recording(monkeypatch, symmetries, "_acting_suffix", made)
     walked = _count_materializations(monkeypatch)
     assert symmetries.check_sayd_over_algebra(A, M, n_max=2)
-    assert len(made) == 3
+    assert len(made) == 2  # the check reads the AYD sides; the complex adds the action
     build_comodule_algebra_complex(A, M, 3)
     assert symmetries.check_sayd_over_algebra(regular_comodule_algebra(H), M, n_max=2)
     build_comodule_algebra_complex(regular_comodule_algebra(H), M, 2)

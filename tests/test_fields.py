@@ -7,7 +7,7 @@ import time
 import pytest
 
 from hopfcyc.fields import _MR_BOUND, GF, QQ, FieldError, PrimeField, _is_prime, field_from_name
-from hopfcyc.linalg import Chain, Contraction, LinMap, Space, Vector, tensor_space
+from hopfcyc.linalg import Chain, LinMap, Space, Vector, tensor_space
 
 
 def space(field, n=2, prefix="e"):
@@ -99,15 +99,6 @@ class TestMixedFields:
     def test_chain_apply(self, a, b):
         with pytest.raises(FieldError, match="mixed fields"):
             Chain([space(a)]).apply(swap(b), 0, 1, [space(a)])
-
-    def test_contract(self, a, b):
-        s = space(a)
-        contraction = Contraction(Chain([s]), 0, 1, Chain([s]))
-        assert contraction.contract(swap(a)) == swap(a)
-        with pytest.raises(FieldError, match="mixed fields"):
-            contraction.contract(swap(b))
-        with pytest.raises(FieldError, match="mixed fields"):
-            Contraction(Chain([s]), 0, 1, swap(b))  # a suffix map over the other field
 
     def test_tensor_space(self, a, b):
         with pytest.raises(FieldError, match="mixed fields"):

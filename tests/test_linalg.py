@@ -16,6 +16,7 @@ from hopfcyc.linalg import (
     LinMap,
     Space,
     Vector,
+    dual_space,
     hom_space,
     identity,
     inverse_map,
@@ -616,3 +617,21 @@ def test_lazy_hom_factor_of_a_tensor_space_is_joined_eagerly():
     assert h1._labels is None and h2._labels is None
     with pytest.raises(ValueError, match="^basis labels must be distinct$"):
         tensor_space(h1, h2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_lazy_dual_labels_match_eager_join(field):
+    # a tensor domain, and a domain whose labels hold ⊗
+    a, b = space(2, "a", field), space(3, "b", field)
+    for dom in (tensor_space(a, b), Space(("p⊗q", "r"), field)):
+        d = dual_space(dom)
+        eager = tuple("%s*" % lab for lab in dom.labels)
+        assert d._labels is None  # nothing joined until a label is read
+        assert d.dim == dom.dim and d.field is field
+        assert [d.label(i) for i in range(d.dim)] == list(eager)
+        assert d._labels is None  # single labels are read without joining all
+        flat = Space(eager, field)
+        assert d == flat and hash(d) == hash(flat)
+        assert d.labels == eager
+        assert tensor_space(d, b).labels == tuple(
+            "%s⊗%s" % (x, y) for x in eager for y in b.labels)
