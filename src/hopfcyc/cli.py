@@ -258,6 +258,17 @@ def cmd_corpus(args):
     return worst
 
 
+def _degree(text):
+    """A --max-degree value: an int, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be 0 or more, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hcc",
@@ -283,7 +294,7 @@ def build_parser():
     pc.add_argument("--hopf", required=True)
     pc.add_argument("--carrier", default=None)
     pc.add_argument("--coeff", required=True)
-    pc.add_argument("--max-degree", type=int, default=2)
+    pc.add_argument("--max-degree", type=_degree, default=2)
 
     p = sub.add_parser("complex", help="build a cocyclic module")
     xsub = p.add_subparsers(dest="action", required=True)
@@ -293,7 +304,7 @@ def build_parser():
     pb.add_argument("--hopf", required=True)
     pb.add_argument("--carrier", required=True)
     pb.add_argument("--coeff", required=True)
-    pb.add_argument("--max-degree", type=int, default=3)
+    pb.add_argument("--max-degree", type=_degree, default=3)
     pb.add_argument("--verify", action="store_true")
     pb.add_argument("--out", default=None, help="write the serialized complex here")
 
@@ -304,7 +315,7 @@ def build_parser():
     p.add_argument("--hopf", required=True)
     p.add_argument("--carrier", required=True)
     p.add_argument("--coeff", required=True)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_degree, default=3)
 
     p = sub.add_parser("cup", help="cup product of two cyclic cocycles")
     p.add_argument("--hopf", required=True)

@@ -325,8 +325,7 @@ class GroupLike:
     def _verify_comult(self):
         H = self.hopf
         values = [self.sigma.entries.get(i, H.field.zero) for i in range(H.dim)]
-        K = predual(H)  # its algebra is H*, whose characters are the group-likes
-        if _is_character(H.field, K.mult.by_col(), K.unit.entries, values):
+        if _is_character(H.field, *_dual_product_and_unit(H), values):
             return results.passed("group-like-comult")
         lhs = H.comult.apply(self.sigma)
         rhs = tensor_vectors(self.sigma, self.sigma)
@@ -727,14 +726,23 @@ def _char_name(H, combo):
     return "ε" if not parts else "δ[%s]" % ",".join(parts)
 
 
+def _dual_product_and_unit(H):
+    """The product and unit of H*, whose characters are the group-likes of H,
+    as ``_search_characters`` takes them: Δ's entries grouped by row (the
+    columns of Δᵀ) and ε's entries.  The algebra of ``predual(H)``, read
+    without building the predual."""
+    products = {}
+    for (r, c), v in H.comult.entries.items():
+        products.setdefault(r, []).append((c, v))
+    return products, {c: v for (_, c), v in H.counit.entries.items()}
+
+
 def enumerate_group_likes(H):
     """All group-likes with coefficients in {0, 1, -1}, found as the characters
-    of H*, the algebra of ``predual(H)`` (product Δᵀ, unit ε); captures the
-    group elements of k[G], the multiplicative characters inside k^G, and the
-    bismash group-likes."""
+    of H* (product Δᵀ, unit ε); captures the group elements of k[G], the
+    multiplicative characters inside k^G, and the bismash group-likes."""
     out = []
-    K = predual(H)
-    for combo in _search_characters(H.field, H.dim, K.mult.by_col(), K.unit.entries):
+    for combo in _search_characters(H.field, H.dim, *_dual_product_and_unit(H)):
         vec = Vector(H.space, {i: v for i, v in enumerate(combo) if v})
         out.append(GroupLike(H, vec, name=vec.describe()))
     return out

@@ -257,6 +257,15 @@ class LinMap:
             self.entries = {k: r for k, v in (entries or {}).items() if (r := v % p)}
         self._by_col = self._single = None
 
+    @classmethod
+    def _of(cls, domain, codomain, entries):
+        """A map on entries that are already reduced and hold no zero, taken
+        as they are: no copy and no filtering pass."""
+        f = cls.__new__(cls)
+        f.domain, f.codomain, f.entries = domain, codomain, entries
+        f._by_col = f._single = None
+        return f
+
     @property
     def field(self):
         return self.domain.field
@@ -318,7 +327,10 @@ class LinMap:
                     out[key] = s
                 else:
                     del out[key]
-        return LinMap(other.domain, self.codomain, out)
+        # out holds no zero, so only GF(p) needs a pass: one reduction
+        p = self.domain.field.modulus
+        return LinMap._of(other.domain, self.codomain, out if p is None else
+                          {key: r for key, s in out.items() if (r := s % p)})
 
     def __add__(self, other):
         self._check_same_shape(other)

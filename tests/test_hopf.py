@@ -28,10 +28,18 @@ from hopfcyc import (
     unit_group_like,
     verify_hopf,
 )
+from hopfcyc import corpus
 from hopfcyc.corpus import get_hopf
+from hopfcyc.fields import QQ
 from hopfcyc.groups import ExactFactorization, GroupError
 from hopfcyc.linalg import Chain, maps_first_difference
-from hopfcyc.hopf import _left_multiplication, _right_multiplication
+from hopfcyc.hopf import (
+    SEARCH_DIM_CAP,
+    _left_multiplication,
+    _right_multiplication,
+    _search_characters,
+    predual,
+)
 
 
 class TestZoo:
@@ -266,3 +274,22 @@ def test_iterated_comult_and_antipode_inverse_are_memoized(H4):
     fresh = sweedler_h4()
     assert fresh.iterated_comult(2) is not H4.iterated_comult(2)
     assert fresh.iterated_comult(2) == H4.iterated_comult(2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_group_likes_are_read_without_the_predual(field, monkeypatch):
+    # the search and every GroupLike audit read H*'s product and unit off Δ
+    # and ε; the lists are the predual's characters, in the same order
+    monkeypatch.setattr(corpus, "_HOPF_CACHE", {})
+    for name in corpus.hopf_names():
+        H = get_hopf(name, field)
+        searched = H.dim <= SEARCH_DIM_CAP
+        found = enumerate_group_likes(H) if searched else []
+        for sigma in [H.unit] + [g.sigma for g in found]:
+            GroupLike(H, sigma)
+        assert "predual" not in H._memo, name
+        if searched:
+            K = predual(H)
+            combos = _search_characters(H.field, H.dim, K.mult.by_col(), K.unit.entries)
+            assert [g.sigma.entries for g in found] == [
+                {i: v for i, v in enumerate(combo) if v} for combo in combos], name

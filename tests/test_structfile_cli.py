@@ -491,3 +491,28 @@ class TestWrongTypes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: broken.json: 'dim' must be an integer, found \"2\"\n"
+
+
+class TestNegativeDegree:
+    """A negative --max-degree is refused before any file is read: exit 2 and
+    argparse's one-line message, where it used to pass vacuously (a PASS
+    verdict, an empty complex verified, an empty table)."""
+
+    FILES = ["--hopf", "kZ2.json", "--carrier", "kZ2.regular-comodule-algebra.json",
+             "--coeff", "kZ2.coeff-eps-unit.json", "--max-degree", "-1"]
+
+    @pytest.mark.parametrize("command", [
+        ["check", "coefficient", "--flavor", "ah-sayd"],
+        ["complex", "build", "--kind", "comodule-algebra", "--verify"],
+        ["cohomology", "--theory", "cyclic", "--kind", "comodule-algebra"],
+    ], ids=["check", "complex", "cohomology"])
+    def test_negative_max_degree_exits_2(self, workdir, capsys, command):
+        emit("kZ2.regular-comodule-algebra")
+        emit("kZ2.coeff-eps-unit")
+        capsys.readouterr()
+        assert main(command + self.FILES) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.endswith(
+            ": error: argument --max-degree: must be 0 or more, got -1\n")
