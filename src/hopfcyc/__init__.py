@@ -69,7 +69,7 @@ from .symmetries import (
     check_sayd_over_coalgebra,
     colinear_hom_space,
     comult_comodule_coalgebra,
-    cotensor_space,
+    dual_carrier,
     regular_comodule_algebra,
     scalar_coefficients,
     stable_subalgebra,

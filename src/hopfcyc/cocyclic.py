@@ -3,14 +3,16 @@
 A CocyclicModule is a finite ladder of computed subspaces, each the
 equalizer of two stated maps (``symmetries._equalizer``), with all operators
 materialized as exact matrices over the per-degree bases.  The three
-builders share one assembly loop.  The module-algebra functionals are the
-comodule-algebra cochains of A over the predual (H^op)* with values in M*,
-in the same coordinates, so both use one equalizer and one set of
-pipelines.  Each operator is one walk of a fixed pipeline from the whole
-basis of its source subspace (cochains pull back through the transposed
-pipeline), and ``Subspace.express`` reads all its images in one pass.
-An image that escapes is a well-definedness failure (reported through
-check_hcc as a verdict, or raised as CocyclicConstructionError).
+builders share one assembly loop, and all three complexes are of
+comodule-algebra cochains: the module-algebra functionals are those of A
+over the predual (H^op)* with values in M*, and the comodule-coalgebra
+cotensor chains those of the dual algebra C* with the value leg last.  So
+one equalizer and one set of pipelines serve them all.  Each operator is
+one walk of a fixed pipeline from the whole basis of its source subspace
+(cochains pull back through the transposed pipeline), and
+``Subspace.express`` reads all its images in one pass.  An image that
+escapes is a well-definedness failure (reported through check_hcc as a
+verdict, or raised as CocyclicConstructionError).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .symmetries import (
     _check_size_cap,
     _once,
     colinear_hom_space,
-    cotensor_space,
+    dual_carrier,
     predual_carrier,
     predual_coefficient,
 )
@@ -54,11 +56,11 @@ class CocyclicConstructionError(Exception):
 class CocyclicModule:
     """Spaces for degrees 0..N with cofaces (degree-raising), codegeneracies
     (degree-lowering) and cyclic operators, all as matrices on the computed
-    bases.  ``ambient_descriptions[n]`` holds one human-readable line per
-    basis element for witnesses and serialization; it is given as a list or
-    as a function that renders it on first read.  ``subspaces[n]`` (kept by
-    the module-algebra and comodule-algebra builders, which the pairing reads)
-    is the computed subspace whose basis those bases index."""
+    bases.  ``subspaces[n]`` (kept by the three builders) is the computed
+    subspace whose basis those bases index, and ``ambient_descriptions[n]``
+    holds one human-readable line per basis element for witnesses and
+    serialization, given as a list or as a function that renders it on first
+    read."""
 
     def __init__(self, kind, field, max_degree, spaces, cofaces, codegeneracies,
                  cyclic, ambient_descriptions, subspaces=None):
@@ -134,8 +136,7 @@ def _top_first(N, subspace):
     return [subspace(n) for n in range(N, -1, -1)][::-1]
 
 
-def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
-              keep_subspaces=True):
+def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic):
     """The loop shared by the three builders.  ``coface(n, i)``,
     ``codegeneracy(n, i)`` and ``cyclic(n)`` each return the operator as a
     walk from the raw columns of its source basis to their raw images over
@@ -168,46 +169,63 @@ def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic,
                            for i in range(n + 1)]
         cyclics[n] = matrix(cyclic(n), n, n, "cyclic τ_%d" % n)
     return CocyclicModule(kind, field, N, spaces, cofaces, codegens, cyclics,
-                          lambda: [[v.describe() for v in basis] for basis in bases],
-                          subs if keep_subspaces else None)
+                          lambda: [[v.describe() for v in basis] for basis in bases], subs)
 
 
-def _rotation(A, M, n, multiply_front):
-    """The last coface (``multiply_front``) or τ_n on colinear maps in hom
-    coordinates, φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩ (or with a_n⟨0⟩ as its own
-    first argument), walked from φ as the transposed pipeline of
-    m⊗ã ↦ act_t(m ⊗ a_n⟨−1⟩) ⊗ a_n⟨0⟩ ⊗ a_0 ⊗ …"""
+def _rotation_step(A, M, value_last):
+    """a⊗m′ ↦ a⟨0⟩ ⊗ act_t(m′⊗a⟨−1⟩) on A⊗M (M⊗A unless ``value_last``), with
+    act_t the action transposed, m′⊗h ↦ Σ_m ⟨m′, m◁h⟩·m: built once per complex,
+    it walks transposed as one step, where act_t alone would fan rows out."""
     Hs, Ms, As = A.hopf.space, M.space, A.space
-    # acting by h (h⊗m ↦ m◁h, kept on M), transposed: m'⊗h ↦ Σ_m ⟨m', m◁h⟩·m
     act_t = LinMap(tensor_space(Ms, Hs), Ms, {
         (mp, m * Hs.dim + h): v for (m, c), v in _acting(M).entries.items()
         for h, mp in (divmod(c, Ms.dim),)})
-    chain = Chain([Ms] + [As] * (n + 1)).permute([0, n + 1] + list(range(1, n + 1)))
-    chain.apply(A.left_coaction(), 1, 1, [Hs, As])
+    chain = Chain([As, Ms]).permute([1, 0]) if value_last else Chain([Ms, As])
+    chain.apply(A.left_coaction(), 1, 1, [Hs, As]).apply(act_t, 0, 2, [Ms])
+    return (chain.permute([1, 0]) if value_last else chain).to_map()
+
+
+def _cochains(A, M, n, value_last):
+    """A Chain on M⊗A^{⊗(n+1)}, or A^{⊗(n+1)}⊗M with ``value_last``."""
+    args = [A.space] * (n + 1)
+    return Chain(args + [M.space] if value_last else [M.space] + args)
+
+
+def _rotation(A, M, n, multiply_front, step, value_last):
+    """The last coface (``multiply_front``) or τ_n, φ ↦ φ(a_n⟨0⟩ a_0 ⊗ …) ◁ a_n⟨−1⟩
+    (or a_n⟨0⟩ its own first argument), walked transposed from φ: a_n and the
+    value through ``step`` (``_rotation_step``), then a_n⟨0⟩ to the front."""
+    As, Ms = A.space, M.space
+    chain = _cochains(A, M, n, value_last)
+    if value_last:
+        chain.apply(step, n, 2, [As, Ms]).permute([n] + list(range(n)) + [n + 1])
+    else:
+        chain.permute([0, n + 1] + list(range(1, n + 1))).apply(step, 0, 2, [Ms, As])
     if multiply_front:
-        chain.apply(A.mult, 2, 2, [As])
-    return chain.apply(act_t, 0, 2, [Ms]).transposed().images
+        chain.apply(A.mult, 0 if value_last else 1, 2, [As])
+    return chain.transposed().images
 
 
-def _cochain_complex(kind, A, M, N, subspace):
-    """The complex of colinear maps A^{⊗(n+1)} → M on ``subspace(n)``, in hom
-    coordinates over M⊗A^{⊗(n+1)}: inner cofaces φ ↦ φ∘(id ⊗ μ at legs
-    i+1, i+2), codegeneracies φ ↦ φ∘(id ⊗ 1 at leg i+2), each walked
-    transposed from φ, and ``_rotation``."""
-    Ms, As = M.space, A.space
+def _cochain_complex(kind, A, M, N, subspace, value_last=False):
+    """The complex of colinear maps A^{⊗(n+1)} → M on ``subspace(n)``, in the
+    coordinates of ``_cochains`` (named w with the value last, as cotensor
+    chains): inner cofaces φ∘(μ at adjacent arguments) and codegeneracies
+    φ∘(1 inserted), each walked transposed from φ, and ``_rotation``."""
+    As = A.space
     subs = _top_first(N, subspace)
+    step, a0 = _rotation_step(A, M, value_last), 0 if value_last else 1
 
     def coface(n, i):
         if i == n:
-            return _rotation(A, M, n, True)
-        return Chain([Ms] + [As] * (n + 1)).apply(A.mult, 1 + i, 2, [As]).transposed().images
+            return _rotation(A, M, n, True, step, value_last)
+        return _cochains(A, M, n, value_last).apply(A.mult, a0 + i, 2, [As]).transposed().images
 
     def codegeneracy(n, i):
-        chain = Chain([Ms] + [As] * (n + 1)).apply(A.unit_map(), 2 + i, 0, [As])
+        chain = _cochains(A, M, n, value_last).apply(A.unit_map(), a0 + 1 + i, 0, [As])
         return chain.transposed().images
 
-    return _assemble(kind, As.field, N, subs, "φ", coface, codegeneracy,
-                     lambda n: _rotation(A, M, n, False))
+    return _assemble(kind, As.field, N, subs, "w" if value_last else "φ", coface,
+                     codegeneracy, lambda n: _rotation(A, M, n, False, step, value_last))
 
 
 def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -220,35 +238,13 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
 
 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
-    """Degree-n space: C^{⊗(n+1)} □ M.  Inner cofaces insert the
-    comultiplication; the last coface splits the first leg and acts on the
-    coefficient; the cyclic operator rotates the first leg to the back.  Each
-    operator's Chain is walked once, from the columns of the source basis."""
-    Hs, Ms, Cs = C.hopf.space, M.space, C.space
-
-    def coface(n, i):
-        chain = Chain([Cs] * n + [Ms])
-        if i < n:
-            return chain.apply(C.comult, i, 1, [Cs, Cs]).images
-        # c₀⊗…⊗c_{n−1}⊗m ↦ c₀⁽²⁾⊗c₁⊗…⊗c_{n−1}⊗c₀⁽¹⁾⟨0⟩⊗m◁c₀⁽¹⁾⟨1⟩
-        chain.apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
-        # legs: c01_0, c01_1, c02, c1..c_{n−1}, m
-        order = [2] + list(range(3, n + 2)) + [0, n + 2, 1]
-        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
-
-    def codegeneracy(n, i):
-        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).images
-
-    def cyclic(n):
-        chain = Chain([Cs] * (n + 1) + [Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
-        # legs: c0_0, c0_1, c1..cn, m
-        order = list(range(2, n + 2)) + [0, n + 2, 1]
-        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
-
-    # no caller reads the cotensor bases, so the complex does not keep them
-    return _assemble("comodule-coalgebra", Cs.field, N,
-                     _top_first(N, lambda n: cotensor_space(C, M, n)), "w",
-                     coface, codegeneracy, cyclic, keep_subspaces=False)
+    """Degree-n space: C^{⊗(n+1)} □ M, the comodule-algebra complex of C*
+    (``dual_carrier``) over C^{⊗(n+1)}⊗M.  Transposed, its operators insert Δ,
+    apply ε, split the first leg and act on the coefficient (the last coface),
+    and rotate the first leg to the back through its coaction (τ_n)."""
+    A = dual_carrier(C)
+    return _cochain_complex("comodule-coalgebra", A, M, N,
+                            lambda n: _once(colinear_hom_space, A, M, n, True), value_last=True)
 
 
 def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace:

@@ -7,12 +7,14 @@ what the checkers decide.  Every failing verdict carries a basis witness
 whose two sides were evaluated independently.
 
 Each coefficient subspace is the equalizer of two stated maps, solved by
-``_equalizer`` from their entries.  Each carrier condition is an identity
-between two tensor pipelines; the four coaction (co)commutativity checks
-build theirs with ``_products_agree``.  The carrier-SAYD check over an
-algebra walks the colinear cochains' hom coordinates, with each fixed map
-kept on the object it depends on: the bent coaction on the carrier
-(``_diag``), the maps on M and H⊗M on the coefficient (``_memo``).
+``_equalizer`` from their entries; the cotensor chains of a comodule
+coalgebra C are the colinear maps over its dual algebra (``dual_carrier``).
+Each carrier condition is an identity between two tensor pipelines; the
+four coaction (co)commutativity checks build theirs with
+``_products_agree``.  The carrier-SAYD check over an algebra walks the
+colinear cochains' hom coordinates, with each fixed map kept on the object
+it depends on: the bent coaction on the carrier (``_diag``), the maps on M
+and H⊗M on the coefficient (``_memo``).
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class ComoduleCoalgebra:
         self.counit = counit
         self.coaction = coaction
         self.name = name
-        self._diag = {}  # diag_right_coaction by degree
+        self._memo = {}  # "dual": the dual algebra C* (dual_carrier)
         if validate:
             check = self.verify()
             if not check:
@@ -318,7 +320,7 @@ def comult_comodule_coalgebra(H):
     """C = H carrying the comultiplication as a right coaction.  This is a
     comodule (coassociativity) but not a comodule coalgebra, so the object is
     built unvalidated; use it only where the coalgebra-colinearity axioms are
-    not consumed (cotensor spaces, involution conditions)."""
+    not consumed (cotensor chains, involution conditions)."""
     return ComoduleCoalgebra(
         H, H.space, H.comult, H.counit, H.comult, name="%s(Δ)" % H.name, validate=False
     )
@@ -368,6 +370,23 @@ def predual_carrier(A: ModuleAlgebra) -> ComoduleAlgebra:
             K, As, A.mult, A.unit, LinMap(As, tensor_space(K.space, As), coaction),
             name=A.name, validate=False)
     return A._memo["predual"]
+
+
+def dual_carrier(C: ComoduleCoalgebra) -> ComoduleAlgebra:
+    """C* as a left H-comodule algebra on C's own Space: product Δᵀ, unit ε,
+    coaction ⟨f⟨−1⟩ ⊗ f⟨0⟩, c⟩ = f(c⟨0⟩)c⟨1⟩ (Montgomery, CBMS 82, ch. 1).  Its
+    colinear maps (C*)^{⊗(n+1)} → M are C^{⊗(n+1)} □_H M.  Built unvalidated,
+    kept on C."""
+    if "dual" not in C._memo:
+        Cs, d = C.space, C.hopf.dim
+        mult = {(c, r): v for (r, c), v in C.comult.entries.items()}
+        coaction = {(h * Cs.dim + c, i): v for (r, c), v in C.coaction.entries.items()
+                    for i, h in (divmod(r, d),)}
+        C._memo["dual"] = ComoduleAlgebra(
+            C.hopf, Cs, LinMap(tensor_space(Cs, Cs), Cs, mult),
+            Vector(Cs, {c: v for (_, c), v in C.counit.entries.items()}),
+            LinMap(Cs, tensor_space(C.hopf.space, Cs), coaction), name=C.name, validate=False)
+    return C._memo["dual"]
 
 
 def predual_coefficient(M: ModuleComodule) -> ModuleComodule:
@@ -524,25 +543,6 @@ def diag_left_coaction(A: ComoduleAlgebra, k):
     return A._diag[k]
 
 
-def diag_right_coaction(C: ComoduleCoalgebra, k):
-    """C^{⊗k} → C^{⊗k} ⊗ H: c̃ ↦ c̃⟨0⟩ ⊗ c₀⟨1⟩⋯c_{k−1}⟨1⟩, built once per
-    degree and kept on C: degree k applies degree k−1 to the first k−1 legs,
-    then h⊗c ↦ c⟨0⟩ ⊗ h·c⟨1⟩ to the H leg and the last leg, so the new
-    coaction leg is multiplied in as it is made, as in ``diag_left_coaction``."""
-    if k not in C._diag:
-        H, Hs, Cs = C.hopf, C.hopf.space, C.space
-        if k == 0:
-            out = _unit_coaction(H)
-        else:
-            absorb = (Chain([Hs, Cs]).apply(C.coaction, 1, 1, [Cs, Hs])
-                      .permute([1, 0, 2]).apply(H.mult, 1, 2, [Hs]).to_map())
-            out = (Chain([Cs] * k)
-                   .apply(diag_right_coaction(C, k - 1), 0, k - 1, [Cs] * (k - 1) + [Hs])
-                   .apply(absorb, k - 1, 2, [Cs, Hs]).to_map())
-        C._diag[k] = out
-    return C._diag[k]
-
-
 def _unit_coaction(H):
     """The diagonal coaction on the empty tensor power: k → H, 1 ↦ 1."""
     return Chain([], field=H.field).apply(H.unit_map(), 0, 0, [H.space]).to_map()
@@ -552,7 +552,7 @@ class DegreeCapError(ValueError):
     """A subspace computation would exceed the configured size cap."""
 
 
-# unknowns allowed in one colinearity/cotensor system; cost grows as
+# unknowns allowed in one colinearity system; cost grows as
 # dim(carrier)^(n+1)·dim(M), so this keeps runs desk-scale
 SIZE_CAP = 200_000
 
@@ -580,24 +580,31 @@ def _equalizer(ambient, alpha, beta):
     return _null_vectors([rows[r] for r in sorted(rows) if rows[r]], ambient)
 
 
-def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n) -> Subspace:
+def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n, value_last=False) -> Subspace:
     """Exact basis of the left-colinear maps A^{⊗(n+1)} → M: the equalizer
-    of f ↦ λ_M∘f and f ↦ (id_H⊗f)∘λ_diag, maps A^{⊗(n+1)} → H⊗M."""
+    of f ↦ λ_M∘f and f ↦ (id_H⊗f)∘λ_diag, maps A^{⊗(n+1)} → H⊗M, over
+    M⊗A^{⊗(n+1)}, or A^{⊗(n+1)}⊗M with ``value_last``: over A = C*
+    (``dual_carrier``) that is C^{⊗(n+1)} □_H M in its coordinates c̃⊗m."""
     if A.side != "left":
         raise ValueError("colinear hom spaces need a left comodule algebra")
     dom = tensor_power(A.space, n + 1)
-    _check_size_cap(dom.dim * M.dim, "colinear hom space at degree %d" % n)
+    _check_size_cap(dom.dim * M.dim, "%s at degree %d" % (
+        "cotensor space" if value_last else "colinear hom space", n))
     Adim, Mdim = dom.dim, M.dim
     HM = M.hopf.space.dim * Mdim
     # the entry of H⊗M at row r and input a is constraint row a·dim(H⊗M) + r;
-    # unknown f(a)_m is column m·dim A^{⊗(n+1)} + a
+    # unknown f(a)_m is column m·dim A^{⊗(n+1)} + a, or a·dim M + m value last
+    ms, as_ = (1, Mdim) if value_last else (Adim, 1)
     alpha = {}
     for (r, mp), v in M.coaction.entries.items():
         for a in range(Adim):
-            alpha.setdefault(a * HM + r, {})[mp * Adim + a] = v
-    beta = ((a * HM + h * Mdim + m, m * Adim + b, v)
+            alpha.setdefault(a * HM + r, {})[mp * ms + a * as_] = v
+    beta = ((a * HM + h * Mdim + m, m * ms + b * as_, v)
             for (r, a), v in diag_left_coaction(A, n + 1).entries.items()
             for h, b in (divmod(r, Adim),) for m in range(Mdim))
+    if value_last:
+        ambient = tensor_space(*([A.space] * (n + 1) + [M.space]))
+        return Subspace(ambient, _equalizer(ambient, alpha, beta))
     ambient = hom_space(dom, M.space)
     return Subspace(ambient, _equalizer(ambient, alpha, beta), dom, M.space)
 
@@ -624,25 +631,6 @@ def _once(fn, *args):
     if key not in memo:
         memo[key] = fn(*args)
     return memo[key]
-
-
-def cotensor_space(C: ComoduleCoalgebra, M: ModuleComodule, n) -> Subspace:
-    """Basis of C^{⊗(n+1)} □_H M: the equalizer of ρ_diag⊗id and id⊗λ_M,
-    maps C^{⊗(n+1)} ⊗ M → C^{⊗(n+1)}⊗H⊗M."""
-    Cs, Hs, Ms = C.space, C.hopf.space, M.space
-    k = n + 1
-    _check_size_cap(Cs.dim ** k * Ms.dim, "cotensor space at degree %d" % n)
-    Hdim, Mdim, Cdim = Hs.dim, Ms.dim, Cs.dim ** k
-    # unknown c⊗m is column c·dim M + m; row (c·dim H + h)·dim M + m
-    alpha = {}
-    for (r, c), v in diag_right_coaction(C, k).entries.items():
-        for m in range(Mdim):
-            alpha.setdefault(r * Mdim + m, {})[c * Mdim + m] = v
-    beta = (((c * Hdim + h) * Mdim + mp, c * Mdim + m, v)
-            for (r, m), v in M.coaction.entries.items()
-            for h, mp in (divmod(r, Mdim),) for c in range(Cdim))
-    ambient = tensor_space(*([Cs] * k + [Ms]))
-    return Subspace(ambient, _equalizer(ambient, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +791,8 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
     """Carrier-relative SAYD test through the cotensor chains on C.
 
     (i) c⟨0⟩ ⊗ coaction(m◁c⟨1⟩) = c⟨0⟩ ⊗ S(c⟨1⟩⁽³⁾)m⟨−1⟩c⟨1⟩⁽¹⁾ ⊗ m⟨0⟩◁c⟨1⟩⁽²⁾;
-    (ii) on every basis element w of the cotensor space, acting by the
-    diagonal right-coaction leg fixes the element: w⟨0⟩◁w⟨1⟩ = w.  On the
+    (ii) on every basis element w of the cotensor space (over C*), acting by
+    the diagonal right-coaction leg fixes the element: w⟨0⟩◁w⟨1⟩ = w.  On the
     cotensor space ρ_diag ⊗ id = id ⊗ λ_M, so this is (id ⊗ s_M)(w) = w with
     s_M(m) = m⟨0⟩◁m⟨−1⟩ kept on M, one walk from the whole basis per degree.
     (i) is tested as one walk of c⊗m ↦ c⟨0⟩ ⊗ (L − R)(c⟨1⟩⊗m), with the AYD
@@ -816,9 +804,9 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
         lhs = _append_ayd_lhs(Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs]), M).to_map()
         rhs = _append_ayd_rhs(Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs]), M).to_map()
         return compare("carrier-ayd-coalgebra", lhs, rhs, tensor_space(Cs, Ms).label)
-    dims_notes = []
+    dims_notes, A = [], dual_carrier(C)
     for n in range(n_max + 1):
-        sub = cotensor_space(C, M, n)
+        sub = _once(colinear_hom_space, A, M, n, True)
         dims_notes.append("n=%d, dim=%d" % (n, sub.dim))
         chain = Chain([Cs] * (n + 1) + [Ms]).apply(_stability(M), n + 1, 1, [Ms])
         for j, (out, w) in enumerate(zip(chain.images([w.entries for w in sub.basis]),
@@ -982,10 +970,14 @@ def check_commutative_coaction_coalgebra(C: ComoduleCoalgebra) -> CheckResult:
 
 def check_cocommutative_coaction_coalgebra(C: ComoduleCoalgebra, n_max=2) -> CheckResult:
     """c̃⟨0⟩ ⊗ d⟨0⟩ ⊗ c̃⟨1⟩d⟨1⟩⁽¹⁾ ⊗ d⟨1⟩⁽²⁾ =
-    c̃⟨0⟩ ⊗ d⟨0⟩ ⊗ d⟨1⟩⁽²⁾c̃⟨1⟩ ⊗ d⟨1⟩⁽¹⁾ for d ∈ C, c̃ ∈ C^{⊗n}, 0 ≤ n ≤ n_max."""
+    c̃⟨0⟩ ⊗ d⟨0⟩ ⊗ d⟨1⟩⁽²⁾c̃⟨1⟩ ⊗ d⟨1⟩⁽¹⁾ for d ∈ C, c̃ ∈ C^{⊗n}, 0 ≤ n ≤ n_max;
+    ρ_diag on C^{⊗n} is λ_diag of C* transposed on the C legs."""
     H, Hs, Cs = C.hopf, C.hopf.space, C.space
     for n in range(n_max + 1):
-        rho_n, front = diag_right_coaction(C, n), list(range(n))
+        lam, Cn, front = diag_left_coaction(dual_carrier(C), n), Cs.dim ** n, list(range(n))
+        rho_n = LinMap(tensor_power(Cs, n), tensor_space(tensor_power(Cs, n), Hs), {
+            (c2 * Hs.dim + h, c): v for (r, c2), v in lam.entries.items()
+            for h, c in (divmod(r, Cn),)})
 
         def base(chain):
             chain.apply(rho_n, 0, n, [Cs] * n + [Hs])

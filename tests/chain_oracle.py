@@ -16,10 +16,15 @@ materialized fixed map, the per-map contraction of a ``(pre, at, nin,
 post)`` pipeline (with the carrier-SAYD check written on it, over both AYD
 sides and pipelines built afresh for every check) and the per-pair Ψ.
 
-The last section keeps the module-algebra complex as it was built before it
+The next section keeps the module-algebra complex as it was built before it
 became the comodule-algebra complex over the predual: the invariant
 functionals as the equalizer of an iterated coproduct of H walked over every
-input, and the last coface and τ_n written with the module action."""
+input, and the last coface and τ_n written with the module action.
+
+The last section keeps the comodule-coalgebra complex as it was built before
+it became the comodule-algebra complex of the dual algebra C*: the cotensor
+chains C^{⊗(n+1)} □_H M as the equalizer of ρ_diag⊗id and id⊗λ_M, and every
+operator as a forward walk on C^{⊗(n+1)}⊗M."""
 
 import itertools
 
@@ -620,3 +625,40 @@ def module_algebra_complex_by_coproduct(Aact, M, N):
 
     return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
                      lambda n: module_rotation(Aact, M, n, False))
+
+
+# ---------------------------------------------------------------------------
+# the comodule-coalgebra complex as it was: cotensor chains and forward
+# pipelines on C^{⊗(n+1)}⊗M
+# ---------------------------------------------------------------------------
+
+
+def comodule_coalgebra_complex_by_cotensor(C, M, N):
+    """The comodule-coalgebra complex on ``cotensor_space_by_rows``, each
+    operator walked forward from the cotensor basis, through the library's
+    assembly: inner cofaces insert Δ, the last coface splits the first leg
+    and acts on the coefficient, codegeneracies apply ε, and τ_n rotates the
+    first leg to the back through its coaction."""
+    Hs, Ms, Cs = C.hopf.space, M.space, C.space
+    subs = [cotensor_space_by_rows(C, M, n) for n in range(N + 1)]
+
+    def coface(n, i):
+        chain = Chain([Cs] * n + [Ms])
+        if i < n:
+            return chain.apply(C.comult, i, 1, [Cs, Cs]).images
+        # c₀⊗…⊗c_{n−1}⊗m ↦ c₀⁽²⁾⊗c₁⊗…⊗c_{n−1}⊗c₀⁽¹⁾⟨0⟩⊗m◁c₀⁽¹⁾⟨1⟩
+        chain.apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
+        # legs: c01_0, c01_1, c02, c1..c_{n−1}, m
+        order = [2] + list(range(3, n + 2)) + [0, n + 2, 1]
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
+
+    def codegeneracy(n, i):
+        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).images
+
+    def cyclic(n):
+        chain = Chain([Cs] * (n + 1) + [Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
+        # legs: c0_0, c0_1, c1..cn, m
+        order = list(range(2, n + 2)) + [0, n + 2, 1]
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
+
+    return _assemble("comodule-coalgebra", Cs.field, N, subs, "w", coface, codegeneracy, cyclic)

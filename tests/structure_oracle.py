@@ -16,11 +16,9 @@ left one; without it an algebra with only a left unit passed."""
 from hopfcyc import results
 from hopfcyc.linalg import Chain, LinMap, Vector, identity, tensor_space, unit_space
 from hopfcyc.results import compare
-from hopfcyc.symmetries import (
-    cotensor_space,
-    diag_left_coaction,
-    diag_right_coaction,
-)
+from hopfcyc.symmetries import diag_left_coaction
+
+from chain_oracle import cotensor_space_by_rows, diag_right_coaction
 
 
 def coalgebra_stability(C, M, k):
@@ -374,7 +372,7 @@ def check_sayd_over_coalgebra(C, M, n_max=2):
         return res
     dims_notes = []
     for n in range(n_max + 1):
-        sub = cotensor_space(C, M, n)
+        sub = cotensor_space_by_rows(C, M, n)
         dims_notes.append("n=%d, dim=%d" % (n, sub.dim))
         stab = coalgebra_stability(C, M, n + 1)
         for j, w in enumerate(sub.basis):

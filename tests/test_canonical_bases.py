@@ -20,7 +20,7 @@ from hopfcyc.linalg import Subspace
 from hopfcyc.symmetries import (
     adjoint_module_algebra,
     colinear_hom_space,
-    cotensor_space,
+    dual_carrier,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
     regular_comodule_algebra,
@@ -62,7 +62,8 @@ def test_colinear_and_cotensor_bases_are_canonical(name):
                 checked += 1
         for label, C in comodule_coalgebras_for(name):
             for n in range(TOP + 1):
-                assert_canonical(cotensor_space(C, M, n), (label, M.name, n))
+                assert_canonical(colinear_hom_space(dual_carrier(C), M, n, value_last=True),
+                                 (label, M.name, n))
                 checked += 1
     assert checked >= 48
 

@@ -418,7 +418,7 @@ def test_sweedler_adjoint_cotensor_system_matches_oracle(monkeypatch, field):
         return null_vectors(rows, space)
 
     monkeypatch.setattr(symmetries, "_null_vectors", record)
-    cotensor = symmetries.cotensor_space(C, M, 4)
+    cotensor = symmetries.colinear_hom_space(symmetries.dual_carrier(C), M, 4, value_last=True)
     (rows,) = systems_seen
     assert (len(rows), cotensor.ambient.dim) == (2016, 1024)
     expected = rref_oracle.rref(rows, field)

@@ -13,6 +13,7 @@ import chain_oracle
 from hopfcyc.cocyclic import (
     CocyclicConstructionError,
     _rotation,
+    _rotation_step,
     build_module_algebra_complex,
 )
 from hopfcyc.corpus import crossed_product_instances, get_hopf, hopf_names
@@ -136,7 +137,8 @@ def _rotation_images(A, M, n, front, path):
     src = tensor_power(A.space, n + 1 - front)
     columns = [{x: one} for x in range(M.dim * src.dim)]
     if path == "library":
-        return _rotation(predual_carrier(A), predual_coefficient(M), n, front)(columns)
+        K, Mk = predual_carrier(A), predual_coefficient(M)
+        return _rotation(K, Mk, n, front, _rotation_step(K, Mk, False), False)(columns)
     if path == "module":
         return chain_oracle.module_rotation(A, M, n, front)(columns)
     hom = hom_space(tensor_power(A.space, n + 1), path.space)

@@ -22,8 +22,8 @@ from hopfcyc import (
     co_opposite,
     colinear_hom_space,
     comult_comodule_coalgebra,
-    cotensor_space,
     counit_character,
+    dual_carrier,
     group_algebra,
     membership,
     regular_comodule_algebra,
@@ -104,6 +104,11 @@ class TestColinearHom:
         assert sub.dim == 7_776
 
 
+def cotensor_space(C, M, n):
+    """C^{⊗(n+1)} □_H M, the colinear maps over C* with the value leg last."""
+    return colinear_hom_space(dual_carrier(C), M, n, value_last=True)
+
+
 class TestCotensor:
     def test_regular_comodule_gives_dim_m(self, H4, H4_eps, H4_g, KZ2):
         # C = H with the comultiplication coaction: H □ M ≅ M
@@ -123,8 +128,8 @@ class TestCotensor:
         C = adjoint_comodule_coalgebra(H4)
         M = scalar_coefficients(H4, H4_eps, H4_g)
         sub = cotensor_space(C, M, 1)
+        from chain_oracle import diag_right_coaction
         from hopfcyc.linalg import Chain
-        from hopfcyc.symmetries import diag_right_coaction
 
         Cs, Hs, Ms = C.space, H4.space, M.space
         legs = [Cs, Cs, Ms]
