@@ -42,14 +42,15 @@ def _print_result(check: CheckResult, as_json=False):
     return 0 if check.passed else 1
 
 
-def _load_hopf(path, validate=True):
+def _load_hopf(path):
     d = structfile.load_file(path)
-    return d, structfile.hopf_from_dict(d, validate=validate)
+    return d, structfile.hopf_from_dict(d)
 
 
-def _load_object(path, hopf_dict, hopf, validate=True):
-    d = structfile.load_file(path)
-    return structfile.object_from_dict(d, hopf_dict, hopf, validate=validate), d
+def _load_object(path, hopf_dict, hopf, kind=None):
+    """A carrier or coefficient file, refused unless it is of ``kind`` (if given)."""
+    d = structfile.load_file(path, kind)
+    return structfile.object_from_dict(d, hopf_dict, hopf), d
 
 
 def cmd_examples(args):
@@ -91,14 +92,15 @@ def _warn_if_large(carrier_dim, coeff_dim, hopf_dim, degree):
 
 def cmd_check_coefficient(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H)
+    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     flavor = args.flavor
     if flavor == "sayd":
         return _print_result(check_sayd(coeff), args.json)
     if args.carrier is None:
         print("error: --flavor %s needs --carrier" % flavor, file=sys.stderr)
         return 2
-    carrier, cd = _load_object(args.carrier, hopf_dict, H)
+    carrier, cd = _load_object(args.carrier, hopf_dict, H, {
+        "ah-sayd": "comodule-algebra", "hc-sayd": "comodule-coalgebra"}.get(flavor))
     n = args.max_degree
     _warn_if_large(carrier.dim, coeff.dim, H.dim, n)
     if flavor == "ah-sayd":
@@ -131,8 +133,8 @@ def _build_complex(kind, carrier, coeff, N):
 
 def cmd_complex_build(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    carrier, _ = _load_object(args.carrier, hopf_dict, H)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H)
+    carrier, _ = _load_object(args.carrier, hopf_dict, H, args.kind)
+    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     _warn_if_large(carrier.dim, coeff.dim, H.dim, args.max_degree)
     try:
         X = _build_complex(args.kind, carrier, coeff, args.max_degree)
@@ -154,8 +156,8 @@ def cmd_complex_build(args):
 
 def cmd_cohomology(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    carrier, _ = _load_object(args.carrier, hopf_dict, H)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H)
+    carrier, _ = _load_object(args.carrier, hopf_dict, H, args.kind)
+    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     try:
         X = _build_complex(args.kind, carrier, coeff, args.max_degree + 1)
     except CocyclicConstructionError as err:
@@ -177,9 +179,9 @@ def cmd_cohomology(args):
 
 def cmd_cup(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    action_algebra, _ = _load_object(args.action_algebra, hopf_dict, H)
-    comodule_algebra, _ = _load_object(args.comodule_algebra, hopf_dict, H)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H)
+    action_algebra, _ = _load_object(args.action_algebra, hopf_dict, H, "module-algebra")
+    comodule_algebra, _ = _load_object(args.comodule_algebra, hopf_dict, H, "comodule-algebra")
+    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     phi_d = structfile.load_file(args.phi, "cochain")
     psi_d = structfile.load_file(args.psi, "cochain")
     p, q = phi_d["degree"], psi_d["degree"]
@@ -190,7 +192,7 @@ def cmd_cup(args):
 
     try:
         pairing = CrossedPairing(action_algebra, comodule_algebra, coeff, N=p + q)
-    except StructureError as err:
+    except (StructureError, CocyclicConstructionError) as err:
         return _print_result(err.check, args.json)
 
     from .linalg import Vector as Vec

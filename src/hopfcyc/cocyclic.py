@@ -35,7 +35,6 @@ from .symmetries import (
     ModuleComodule,
     _acting,
     _check_size_cap,
-    _once,
     colinear_hom_space,
     dual_carrier,
     predual_carrier,
@@ -234,7 +233,7 @@ def build_comodule_algebra_complex(A: ComoduleAlgebra, M: ModuleComodule, N) -> 
     coface and the cyclic operator rotate the final argument to the front
     through its coaction and act on the value."""
     return _cochain_complex("comodule-algebra", A, M, N,
-                            lambda n: _once(colinear_hom_space, A, M, n))
+                            lambda n: colinear_hom_space(A, M, n))
 
 
 def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N) -> CocyclicModule:
@@ -244,7 +243,7 @@ def build_comodule_coalgebra_complex(C: ComoduleCoalgebra, M: ModuleComodule, N)
     and rotate the first leg to the back through its coaction (τ_n)."""
     A = dual_carrier(C)
     return _cochain_complex("comodule-coalgebra", A, M, N,
-                            lambda n: _once(colinear_hom_space, A, M, n, True), value_last=True)
+                            lambda n: colinear_hom_space(A, M, n, True), value_last=True)
 
 
 def invariant_functionals(Aact: ModuleAlgebra, M: ModuleComodule, n) -> Subspace:

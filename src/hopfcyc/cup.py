@@ -3,27 +3,31 @@ product's cyclic complex, and the cup product.
 
 The pairing map Ψ sends a pair (functional on M⊗A-chains, colinear map on
 B-chains) to a functional on (A⋊B)-chains by feeding the coefficient leg the
-B-part and twisting each A-argument by inverse-antipode legs of the iterated
-B-coactions in a triangular pattern.  Its leg assignment is validated
-operationally: the test suite asserts Ψ intertwines every cocyclic operator
-on the corpus instances, and the builders fail loudly if membership breaks.
+B-part and acting on each argument a_j by S⁻¹ of the diagonal coaction leg
+of b_j⊗…⊗b_n.  Its leg assignment is validated operationally: the test suite
+asserts Ψ intertwines every cocyclic operator on the corpus instances, and
+the builders fail loudly if membership breaks.
 """
 
 from __future__ import annotations
 
-from .hopf import StructureError, algebra_axioms, trivial_hopf
+from .hopf import (StructureError, algebra_axioms, counit_character, trivial_hopf,
+                   unit_group_like)
 from .linalg import (
     Chain,
     LinMap,
     Space,
     Vector,
     tensor_map,
+    tensor_power,
     tensor_space,
     tensor_vectors,
 )
 from .symmetries import (ComoduleAlgebra, ModuleAlgebra, ModuleComodule,
-                         algebra_over_trivial_hopf, scalar_coefficients)
-from .cocyclic import CocyclicModule, build_module_algebra_complex
+                         algebra_over_trivial_hopf, check_sayd_over_algebra,
+                         diag_left_coaction, scalar_coefficients)
+from .cocyclic import (CocyclicModule, build_comodule_algebra_complex,
+                       build_module_algebra_complex, verify_cocyclic_identities)
 from .cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
 from . import results
 from .results import CheckResult, compare
@@ -35,14 +39,13 @@ class CrossedProductAlgebra:
     Associativity and unitality are verified exhaustively at construction."""
 
     def __init__(self, action_algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra, name=None):
-        if action_algebra.hopf is not comodule_algebra.hopf:
-            if action_algebra.hopf.space.labels != comodule_algebra.hopf.space.labels:
-                raise StructureError(results.failed(
-                    "crossed-product-hopf-match",
-                    "factors",
-                    action_algebra.hopf.name,
-                    comodule_algebra.hopf.name,
-                ))
+        if action_algebra.hopf.space.labels != comodule_algebra.hopf.space.labels:
+            raise StructureError(results.failed(
+                "crossed-product-hopf-match",
+                "factors",
+                action_algebra.hopf.name,
+                comodule_algebra.hopf.name,
+            ))
         if comodule_algebra.side != "left":
             raise ValueError("crossed product needs a left comodule algebra")
         self.action_algebra = action_algebra
@@ -81,14 +84,6 @@ class CrossedProductAlgebra:
             "crossed-product-associativity", "crossed-product-left-unit",
             "crossed-product-right-unit")))
 
-    def as_module_algebra(self, over=None) -> ModuleAlgebra:
-        """The underlying algebra as a module algebra over the trivial Hopf
-        algebra; its complex is the classical cyclic cochain complex."""
-        H = over if over is not None else trivial_hopf(self.space.field)
-        if H.dim != 1:
-            raise ValueError("classical complex wants the trivial Hopf algebra")
-        return algebra_over_trivial_hopf(self.space, self.mult, self.unit, H, name=self.name)
-
     def __repr__(self):
         return "CrossedProductAlgebra(%s, dim=%d)" % (self.name, self.dim)
 
@@ -97,14 +92,14 @@ def crossed_product(action_algebra, comodule_algebra, name=None):
     return CrossedProductAlgebra(action_algebra, comodule_algebra, name=name)
 
 
-def classical_complex(crossed: CrossedProductAlgebra, M=None, N=3) -> CocyclicModule:
-    """The classical cyclic cochain complex of the crossed product algebra."""
+def classical_complex(crossed: CrossedProductAlgebra, N=3) -> CocyclicModule:
+    """The classical cyclic cochain complex of the crossed product algebra:
+    its module-algebra complex over the trivial Hopf algebra."""
     Hk = trivial_hopf(crossed.space.field)
-    from .hopf import counit_character, unit_group_like
-
-    Mk = M if M is not None else scalar_coefficients(
-        Hk, counit_character(Hk), unit_group_like(Hk))
-    return build_module_algebra_complex(crossed.as_module_algebra(Hk), Mk, N)
+    A = algebra_over_trivial_hopf(crossed.space, crossed.mult, crossed.unit, Hk,
+                                  name=crossed.name)
+    Mk = scalar_coefficients(Hk, counit_character(Hk), unit_group_like(Hk))
+    return build_module_algebra_complex(A, Mk, N)
 
 
 def diagonal_complex(X: CocyclicModule, Y: CocyclicModule, N=None) -> CocyclicModule:
@@ -149,103 +144,68 @@ class CrossedPairing:
     pairing matrices Ψ_n into the classical complex of A⋊B."""
 
     def __init__(self, action_algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
-                 M: ModuleComodule, N=2, check_coefficients=True):
-        from .symmetries import _solve_once, check_sayd_over_algebra
-        from .cocyclic import build_comodule_algebra_complex, verify_cocyclic_identities
-
+                 M: ModuleComodule, N=2):
         self.action_algebra = action_algebra
         self.comodule_algebra = comodule_algebra
         self.M = M
         self.N = N
         self.hopf = action_algebra.hopf
-        with _solve_once():  # the SAYD check and the complex share their hom spaces
-            if check_coefficients:
-                side = check_sayd_over_algebra(comodule_algebra, M, n_max=min(N, 2))
-                if not side:
-                    raise StructureError(side)
-            self.crossed = CrossedProductAlgebra(action_algebra, comodule_algebra)
-            self.module_side = build_module_algebra_complex(action_algebra, M, N + 1)
-            self.comodule_side = build_comodule_algebra_complex(comodule_algebra, M, N + 1)
-        if check_coefficients:
-            ident = verify_cocyclic_identities(self.module_side)
-            if not ident:
-                raise StructureError(ident)
+        side = check_sayd_over_algebra(comodule_algebra, M, n_max=min(N, 2))
+        if not side:
+            raise StructureError(side)
+        self.crossed = CrossedProductAlgebra(action_algebra, comodule_algebra)
+        self.module_side = build_module_algebra_complex(action_algebra, M, N + 1)
+        self.comodule_side = build_comodule_algebra_complex(comodule_algebra, M, N + 1)
+        ident = verify_cocyclic_identities(self.module_side)
+        if not ident:
+            raise StructureError(ident)
         self.target = classical_complex(self.crossed, N=N + 1)
         self.diagonal = diagonal_complex(self.module_side, self.comodule_side, N + 1)
         self._psi_cache = {}
 
     def _twist_pipeline(self, n):
-        """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, which iterates the
-        coaction on b_i to depth i+1 and acts on each a_j by S⁻¹ of the
-        product of the legs that land on it, curried on its B legs: the map
-        B^{⊗(n+1)} → A^{⊗(n+1)} ⊗ (A⊗B)^{⊗(n+1)} with entry
-        (r·dim D + col, x) = P_n[(x·dim R + r), col].  ψ's B legs walked
-        through it give (ψ ⊗ id) ∘ P_n, and Ψ(φ⊗ψ) = φ ∘ (ψ ⊗ id) ∘ P_n."""
+        """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, on the legs b_0..b_n,
+        a_0..a_n for j = n down to 0: the diagonal coaction of b_j⊗…⊗b_n, its
+        H leg moved next to a_j, S⁻¹, the action on a_j.  Curried on its B
+        legs: B^{⊗(n+1)} → A^{⊗(n+1)} ⊗ (A⊗B)^{⊗(n+1)}, with entry
+        (r·dim D + col, x) = P_n[(x·dim R + r), col]."""
         Aact, B, H = self.action_algebra, self.comodule_algebra, self.hopf
         As, Bs, Hs = Aact.space, B.space, H.space
         s_inv = H.antipode_inverse()
         legs = [As, Bs] * (n + 1)
-        chain = Chain(legs)
-        order = [2 * i + 1 for i in range(n + 1)] + [2 * i for i in range(n + 1)]
-        chain.permute(order)
-        # iterate the coaction on b_i to depth i+1, right to left
-        for i in range(n, -1, -1):
-            depth = i + 1
-            it = _iterated_left_coaction(B.coaction, Hs, Bs, depth)
-            chain.apply(it, i, 1, [Hs] * depth + [Bs])
-        # current layout: blocks [H^{i+1}, b_i⟨0⟩] for i = 0..n, then A-legs
-        starts = []
-        pos = 0
-        for i in range(n + 1):
-            starts.append(pos)
-            pos += i + 2
-        W = pos
-        order = [starts[i] + i + 1 for i in range(n + 1)]
-        for j in range(n + 1):
-            order += [starts[i] + i - j for i in range(j, n + 1)]
-            order += [W + j]
-        chain.permute(order)
-        # fold each twist block: multiply depth legs, invert, act on a_j
-        p = n + 1
-        for j in range(n + 1):
-            for _ in range(n - j):
-                chain.apply(H.mult, p, 2, [Hs])
-            chain.apply(s_inv, p, 1, [Hs])
-            chain.apply(Aact.action, p, 2, [As])
-            p += 1
+        chain = Chain(legs).permute(list(range(1, 2 * n + 2, 2)) + list(range(0, 2 * n + 2, 2)))
+        for j in range(n, -1, -1):
+            k = n + 1 - j
+            order = list(range(2 * n + 3))
+            order.insert(n + 1 + j, order.pop(j))
+            chain.apply(diag_left_coaction(B, k), j, k, [Hs] + [Bs] * k).permute(order)
+            chain.apply(s_inv, n + 1 + j, 1, [Hs]).apply(Aact.action, n + 1 + j, 2, [As])
         rdim, ddim = As.dim ** (n + 1), (As.dim * Bs.dim) ** (n + 1)
-        return LinMap(tensor_space(*([Bs] * (n + 1))), tensor_space(*([As] * (n + 1)), *legs), {
+        return LinMap(tensor_power(Bs, n + 1), tensor_space(*([As] * (n + 1)), *legs), {
             (row % rdim * ddim + col, row // rdim): v for (row, col), v in chain.entries().items()})
 
     def psi_matrix(self, n) -> LinMap:
         """Ψ_n as a matrix from the degree-n diagonal space to the degree-n
         space of the crossed product's classical complex (dual coordinates);
-        column i·dim(Y_n)+j is Ψ(φ_i⊗ψ_j) on the kept subspace bases."""
-        if n in self._psi_cache:
-            return self._psi_cache[n]
-        phis = self.module_side.subspaces[n].basis
-        psis = self.comodule_side.subspaces[n].basis
-        twist = self._twist_pipeline(n)
-        walk = Chain([self.M.space] + [self.comodule_algebra.space] * (n + 1)).apply(
-            twist, 1, n + 1, [twist.codomain])
-        ddim = self.target.spaces[n].dim
-        entries = {}
-        dy = len(psis)
-        # entry r·ddim + c of ψ's image is T(r, c) for T = (ψ ⊗ id) ∘ P_n,
-        # and Ψ(φ⊗ψ)(c) = Σ_r φ(r)·T(r, c)
-        for j, image in enumerate(walk.images([psi.entries for psi in psis])):
-            rows = {}
-            for i, v in image.items():
-                r, c = divmod(i, ddim)
-                rows.setdefault(r, []).append((c, v))
-            for i, phi in enumerate(phis):
-                col = i * dy + j
-                for r, a in phi.entries.items():
-                    for c, v in rows.get(r, ()):
-                        entries[(c, col)] = entries.get((c, col), 0) + a * v
-        out = LinMap(self.diagonal.spaces[n], self.target.spaces[n], entries)
-        self._psi_cache[n] = out
-        return out
+        column i·dim(Y_n)+j is Ψ(φ_i⊗ψ_j) = φ_i ∘ (ψ_j ⊗ id) ∘ P_n on the kept
+        subspace bases: the ψ basis walked through the curried P_n, then
+        through the φ basis as one map M⊗A^{⊗(n+1)} → X_n."""
+        if n not in self._psi_cache:
+            phis, psis = self.module_side.subspaces[n], self.comodule_side.subspaces[n]
+            Xn, D = self.module_side.spaces[n], self.target.spaces[n]
+            phi_map = LinMap(phis.domain, Xn, {
+                (i, r): v for i, phi in enumerate(phis.basis) for r, v in phi.entries.items()})
+            curried = [tensor_power(self.action_algebra.space, n + 1), D]
+            walk = Chain([self.M.space, psis.domain]).apply(self._twist_pipeline(n), 1, 1, curried)
+            walk.apply(phi_map, 0, 2, [Xn])
+            dy = psis.dim
+            entries = {}
+            for j, image in enumerate(walk.images([psi.entries for psi in psis.basis])):
+                for idx, v in image.items():
+                    i, c = divmod(idx, D.dim)
+                    entries[(c, i * dy + j)] = v
+            self._psi_cache[n] = LinMap(self.diagonal.spaces[n], D, entries)
+        return self._psi_cache[n]
 
     def check_cocyclic_map(self, max_degree=None) -> CheckResult:
         """Ψ intertwines every coface, codegeneracy, and the cyclic operator
@@ -258,23 +218,22 @@ class CrossedPairing:
                 degree, self.diagonal.basis_label(degree, col))
 
         for n in range(N + 1):
-            psis = {m: self.psi_matrix(m) for m in (n - 1, n, n + 1) if 0 <= m <= N + 1}
             if n >= 1:
                 for i in range(n + 1):
-                    lhs = psis[n] @ self.diagonal.coface(n, i)
-                    rhs = self.target.coface(n, i) @ psis[n - 1]
+                    lhs = self.psi_matrix(n) @ self.diagonal.coface(n, i)
+                    rhs = self.target.coface(n, i) @ self.psi_matrix(n - 1)
                     checks.append(compare(
                         "pairing∘δ_%d = δ_%d∘pairing (deg %d)" % (i, i, n),
                         lhs, rhs, locate(n - 1)))
             if n + 1 <= N:
                 for i in range(n + 1):
-                    lhs = psis[n] @ self.diagonal.codegeneracy(n, i)
-                    rhs = self.target.codegeneracy(n, i) @ psis[n + 1]
+                    lhs = self.psi_matrix(n) @ self.diagonal.codegeneracy(n, i)
+                    rhs = self.target.codegeneracy(n, i) @ self.psi_matrix(n + 1)
                     checks.append(compare(
                         "pairing∘σ_%d = σ_%d∘pairing (deg %d)" % (i, i, n),
                         lhs, rhs, locate(n + 1)))
-            lhs = psis[n] @ self.diagonal.tau(n)
-            rhs = self.target.tau(n) @ psis[n]
+            lhs = self.psi_matrix(n) @ self.diagonal.tau(n)
+            rhs = self.target.tau(n) @ self.psi_matrix(n)
             checks.append(compare("pairing∘τ_%d = τ_%d∘pairing" % (n, n),
                                   lhs, rhs, locate(n)))
         return results.merge("pairing-cocyclic-map", checks)
@@ -295,25 +254,22 @@ class CrossedPairing:
         return phi, psi
 
     def is_cyclic_cocycle(self, complex_, vec, n):
-        b = hochschild_coboundary(complex_, n)
-        if not b.apply(vec).is_zero():
+        closed = hochschild_coboundary(complex_, n).apply(vec)
+        if not closed.is_zero():
             return results.failed("cocycle-b-closed", "degree %d" % n,
-                                  b.apply(vec), Vector(b.codomain, {}))
-        lam = cyclic_eigenvalue_operator(complex_, n)
-        if lam.apply(vec) != vec:
-            return results.failed("cocycle-cyclic-eigenvector", "degree %d" % n,
-                                  lam.apply(vec), vec)
+                                  closed, Vector(closed.space, {}))
+        turned = cyclic_eigenvalue_operator(complex_, n).apply(vec)
+        if turned != vec:
+            return results.failed("cocycle-cyclic-eigenvector", "degree %d" % n, turned, vec)
         return results.passed("cyclic-cocycle")
 
     def cup(self, phi_coords, p, psi_coords, q):
         """Ψ∘AW on a pair of cyclic cocycles; returns (cochain vector over the
         crossed product dual coordinates, CheckResult for b-closedness)."""
-        pre = self.is_cyclic_cocycle(self.module_side, phi_coords, p)
-        if not pre:
-            raise StructureError(pre)
-        pre = self.is_cyclic_cocycle(self.comodule_side, psi_coords, q)
-        if not pre:
-            raise StructureError(pre)
+        for X, vec, d in ((self.module_side, phi_coords, p), (self.comodule_side, psi_coords, q)):
+            pre = self.is_cyclic_cocycle(X, vec, d)
+            if not pre:
+                raise StructureError(pre)
         phi, psi = self.alexander_whitney(phi_coords, p, psi_coords, q)
         n = p + q
         dy = self.comodule_side.spaces[n].dim
@@ -335,11 +291,3 @@ class CrossedPairing:
         check = CheckResult(check.passed, check.condition, check.witness,
                             detail="cyclic-eigenvector: %s" % eigen)
         return out, check
-
-
-def _iterated_left_coaction(coaction, Hs, Bs, depth):
-    """B → H^{⊗depth} ⊗ B, outermost leg first."""
-    chain = Chain([Bs])
-    for i in range(depth):
-        chain.apply(coaction, i, 1, [Hs, Bs])
-    return chain.to_map()

@@ -19,9 +19,6 @@ and H⊗M on the coefficient (``_memo``).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-
 from .fields import QQ
 from .hopf import (
     Character,
@@ -609,30 +606,6 @@ def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n, value_last=Fals
     return Subspace(ambient, _equalizer(ambient, alpha, beta), dom, M.space)
 
 
-_solved = contextvars.ContextVar("subspaces built once", default=None)
-
-
-@contextlib.contextmanager
-def _solve_once():
-    """Inside this block (or a function it decorates) each ``_once`` call
-    builds its value once; nothing outlives the block."""
-    token = _solved.set({})
-    try:
-        yield
-    finally:
-        _solved.reset(token)
-
-
-def _once(fn, *args):
-    memo = _solved.get()
-    if memo is None:
-        return fn(*args)
-    key = (fn, *args)
-    if key not in memo:
-        memo[key] = fn(*args)
-    return memo[key]
-
-
 # ---------------------------------------------------------------------------
 # coefficient-condition checkers
 # ---------------------------------------------------------------------------
@@ -759,7 +732,7 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
     walked apart only for the first failing φ, for its witness."""
     verdicts = []
     for n in range(n_max + 1):
-        sub = _once(colinear_hom_space, A, M, n)
+        sub = colinear_hom_space(A, M, n)
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
             cols = [v.entries for v in sub.basis]
@@ -806,7 +779,7 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
         return compare("carrier-ayd-coalgebra", lhs, rhs, tensor_space(Cs, Ms).label)
     dims_notes, A = [], dual_carrier(C)
     for n in range(n_max + 1):
-        sub = _once(colinear_hom_space, A, M, n, True)
+        sub = colinear_hom_space(A, M, n, True)
         dims_notes.append("n=%d, dim=%d" % (n, sub.dim))
         chain = Chain([Cs] * (n + 1) + [Ms]).apply(_stability(M), n + 1, 1, [Ms])
         for j, (out, w) in enumerate(zip(chain.images([w.entries for w in sub.basis]),

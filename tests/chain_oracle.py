@@ -1,7 +1,9 @@
 """Reference oracle: the per-column ``Chain`` walk that ``Chain.entries()``
 replaces, the per-cochain ``Chain`` walks that the library's pipeline
-contractions replace, and the whole-``Chain`` diagonal coactions, cotensor
-spaces and coalgebra stability maps that the library reads from entries.
+contractions replace, the whole-``Chain`` diagonal coactions, cotensor
+spaces and coalgebra stability maps that the library reads from entries,
+and the pairing twist P_n as the iterated-coaction walk that the library's
+walk of the kept diagonal coactions replaced.
 Each function rebuilds the whole computation the slow way, exactly as it
 is written down, so a differential test can demand identical matrices from
 the fast path.
@@ -31,7 +33,6 @@ import itertools
 import gf_oracle
 from rref_oracle import SubspaceSolver
 from hopfcyc.cocyclic import _assemble
-from hopfcyc.cup import _iterated_left_coaction
 from hopfcyc.linalg import (
     Chain,
     DimensionMismatch,
@@ -107,8 +108,17 @@ def walk_entries(chain):
     return entries
 
 
+def _iterated_left_coaction(coaction, Hs, Bs, depth):
+    """B → H^{⊗depth} ⊗ B, outermost leg first."""
+    chain = Chain([Bs])
+    for i in range(depth):
+        chain.apply(coaction, i, 1, [Hs, Bs])
+    return chain.to_map()
+
+
 def twist_chain(pairing, n):
-    """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)}, the coaction on b_i
+    """P_n: (A⊗B)^{⊗(n+1)} → B^{⊗(n+1)} ⊗ A^{⊗(n+1)} as the library built it
+    before it walked the kept diagonal coactions: the coaction on b_i
     iterated to depth i+1 and each a_j acted on by S⁻¹ of the product of the
     legs that land on it."""
     Aact, B, H = pairing.action_algebra, pairing.comodule_algebra, pairing.hopf

@@ -6,6 +6,7 @@ import pytest
 
 from hopfcyc import (
     CrossedPairing,
+    GroupLike,
     StructureError,
     counit_character,
     crossed_product,
@@ -21,11 +22,13 @@ from hopfcyc import (
 )
 from hopfcyc.cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
 from hopfcyc.linalg import Vector, identity, kernel_basis
+from hopfcyc.fields import GF, QQ
 from hopfcyc.symmetries import (
+    adjoint_module_algebra,
     algebra_over_trivial_hopf,
     comodule_algebra_over_trivial_hopf,
 )
-from hopfcyc.corpus import crossed_product_instances
+from hopfcyc.corpus import crossed_product_instances, get_hopf, sweedler_sign_character
 
 import chain_oracle
 
@@ -128,9 +131,10 @@ class TestPairingMap:
                     assert got == expected
 
     def test_colinear_hom_spaces_solved_once(self, monkeypatch):
-        # the SAYD check and the comodule-algebra complex share their solves,
-        # and each degree of the module side (A over the predual with M*) and
-        # of the classical complex of A⋊B is solved once
+        # each degree of the module side (A over the predual with M*) and of
+        # the classical complex of A⋊B is solved once; the comodule side is
+        # solved at degrees 0-2 by the SAYD check and again by its complex,
+        # and at degree 3 by the complex alone
         import hopfcyc.cocyclic
         import hopfcyc.symmetries
         from hopfcyc.symmetries import predual_carrier, predual_coefficient
@@ -148,13 +152,14 @@ class TestPairingMap:
         comodule_side = [(id(B), id(M), n) for n in range(4)]
         module_side = [(id(predual_carrier(A)), id(predual_coefficient(M)), n)
                        for n in range(4)]
-        assert len(set(calls)) == len(calls) == 12
-        assert set(comodule_side + module_side) <= set(calls)
+        assert [calls.count(c) for c in comodule_side] == [2, 2, 2, 1]
+        assert len(set(calls)) == 12 and len(calls) == 15
+        assert set(module_side) <= set(calls)
         classical = sorted(set(calls) - set(comodule_side + module_side), key=lambda c: c[2])
+        assert all(calls.count(c) == 1 for c in module_side + classical)
         assert [n for _, _, n in classical] == [0, 1, 2, 3]
         assert len({(a, m) for a, m, _ in classical}) == 1
         assert pairing.check_cocyclic_map(2)
-        assert hopfcyc.symmetries._solved.get() is None
 
     def test_non_sayd_coefficient_refused_with_witness(self, H4, H4_eps, H4_one):
         from hopfcyc.symmetries import check_sayd_over_algebra, trivial_module_algebra
@@ -166,6 +171,57 @@ class TestPairingMap:
         with pytest.raises(StructureError) as err:
             CrossedPairing(trivial_module_algebra(H4), B, M, N=1)
         assert err.value.check.to_dict() == expected.to_dict()
+
+
+@pytest.fixture(scope="module", params=[(QQ, 0), (QQ, 1), (GF(7), 0), (GF(7), 1)],
+                ids=["Q-eps-g", "Q-sgn-1", "GF7-eps-g", "GF7-sgn-1"])
+def h4_pairing(request):
+    """adjoint(H4) ⋊ regular(H4) at N = 1 with a classical SAYD scalar,
+    (ε, g) or (sgn, 1): S⁻¹ ≠ S and Δ is not cocommutative, so a wrong leg
+    order or an S for S⁻¹ in the twist changes Ψ."""
+    field, k = request.param
+    H = get_hopf("sweedler-h4", field)
+    delta, sigma = [(counit_character(H), GroupLike(H, H.space.basis_vector(1), name="g")),
+                    (sweedler_sign_character(H), unit_group_like(H))][k]
+    return CrossedPairing(adjoint_module_algebra(H), regular_comodule_algebra(H),
+                          scalar_coefficients(H, delta, sigma), N=1)
+
+
+class TestNonCocommutativePairing:
+    def test_antipode_is_not_an_involution(self, h4_pairing):
+        H = h4_pairing.hopf
+        assert H.antipode_inverse().entries != H.antipode.entries
+
+    def test_psi_matches_the_matrix_by_pair(self, h4_pairing):
+        for n in range(3):
+            fast, slow = h4_pairing.psi_matrix(n), chain_oracle.psi_matrix_by_pair(h4_pairing, n)
+            assert fast.entries == slow.entries, "Ψ_%d differs" % n
+
+    def test_twist_matches_the_iterated_coaction_walk(self, h4_pairing):
+        # the old P_2 as one map, curried on its B legs like the library's
+        n, As, Bs = 2, h4_pairing.action_algebra.space, h4_pairing.comodule_algebra.space
+        rdim, ddim = As.dim ** (n + 1), (As.dim * Bs.dim) ** (n + 1)
+        slow = chain_oracle.twist_chain(h4_pairing, n).entries()
+        assert h4_pairing._twist_pipeline(n).entries == {
+            (row % rdim * ddim + col, row // rdim): v for (row, col), v in slow.items()}
+
+    def test_cocyclic_map_and_closed_cups(self, h4_pairing):
+        pairing = h4_pairing
+        assert pairing.check_cocyclic_map(1)
+        nonzero = 0
+        for p, q in ((0, 1), (1, 0)):
+            for phi in _cyclic_cocycles(pairing.module_side, p):
+                for psi in _cyclic_cocycles(pairing.comodule_side, q):
+                    out, check = pairing.cup(phi, p, psi, q)
+                    assert check.passed
+                    nonzero += not out.is_zero()
+        assert nonzero
+
+
+def _cyclic_cocycles(X, n):
+    b = hochschild_coboundary(X, n)
+    return [v for v in kernel_basis(cyclic_eigenvalue_operator(X, n) - identity(X.spaces[n]))
+            if b.apply(v).is_zero()]
 
 
 class TestCup:

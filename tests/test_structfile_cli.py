@@ -250,15 +250,14 @@ CUP_ARGS = ["cup", "--hopf", "hopf.json", "--action-algebra", "action.json",
             "--phi", "phi.json", "--psi", "psi.json"]
 
 
-def write_trivial_cup_files():
-    """The trivial-H crossed-product demo over ℚ, built by hand."""
-    from hopfcyc.corpus import crossed_product_instances
+def write_cup_files(A, B, M, hopf_name):
+    """The hopf, action, comodule and coefficient files of A⋊B with M, and
+    φ and ψ the first degree-0 basis cochains of its two sides."""
     from hopfcyc import structfile as sf
     from hopfcyc.cocyclic import invariant_functionals
     from hopfcyc.symmetries import colinear_hom_space
 
-    name, A, B, M = crossed_product_instances()[0]
-    hd = sf.hopf_to_dict(A.hopf, "trivial")
+    hd = sf.hopf_to_dict(A.hopf, hopf_name)
     sf.write_file("hopf.json", hd)
     sf.write_file("action.json", sf.structure_to_dict("module-algebra", A, "A", hd))
     sf.write_file("comodule.json", sf.structure_to_dict("comodule-algebra", B, "B", hd))
@@ -271,6 +270,23 @@ def write_trivial_cup_files():
         psis.basis[0], "psi", 0, "comodule-algebra", psis.ambient.labels, {}))
 
 
+def write_trivial_cup_files():
+    """The trivial-H crossed-product demo over ℚ, built by hand."""
+    from hopfcyc.corpus import crossed_product_instances
+
+    name, A, B, M = crossed_product_instances()[0]
+    write_cup_files(A, B, M, "trivial")
+
+
+def run_hcc(args):
+    """The installed entry point, in its own process."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "hopfcyc.cli"] + args,
+                          capture_output=True, text=True, env=env)
+
+
 class TestCupCli:
     def test_cup_of_traces(self, workdir, capsys):
         write_trivial_cup_files()
@@ -278,6 +294,23 @@ class TestCupCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "cup cochain" in out and "PASS" in out
+
+    def test_module_side_escape_is_a_verdict(self, workdir):
+        # the regular-coaction coefficient is carrier-SAYD over the trivial
+        # comodule algebra of kS3, but the adjoint module-algebra complex is
+        # not well-defined: exit 1 with the verdict and its witness
+        from hopfcyc.symmetries import (adjoint_module_algebra,
+                                        regular_coaction_trivial_action,
+                                        trivial_comodule_algebra)
+
+        H = get_hopf("kS3")
+        write_cup_files(adjoint_module_algebra(H), trivial_comodule_algebra(H),
+                        regular_coaction_trivial_action(H), "kS3")
+        for json_flag in ([], ["--json"]):
+            proc = run_hcc(json_flag + CUP_ARGS)
+            assert proc.returncode == 1
+            assert proc.stderr == ""
+            assert "well-defined" in proc.stdout and "coface δ_1" in proc.stdout
 
     @pytest.mark.parametrize("cochain", ["phi", "psi"])
     def test_cup_refuses_a_cochain_over_another_field(self, workdir, capsys, cochain):
@@ -296,6 +329,65 @@ class TestCupCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: field GF(3) does not match the Hopf file's Q\n"
+
+
+# a file of another kind in each role of each command that loads carriers
+# and coefficients: the kind it should have and the one it has
+WRONG_KIND_CASES = {
+    "check-ah-sayd-coalgebra-carrier": (
+        ["check", "coefficient", "--flavor", "ah-sayd", "--hopf", "kZ2.json",
+         "--carrier", "kZ2.adjoint-comodule-coalgebra.json", "--coeff", "kZ2.coeff-eps-unit.json"],
+        "comodule-algebra", "comodule-coalgebra"),
+    "check-hc-sayd-algebra-carrier": (
+        ["check", "coefficient", "--flavor", "hc-sayd", "--hopf", "kZ2.json",
+         "--carrier", "kZ2.regular-comodule-algebra.json", "--coeff", "kZ2.coeff-eps-unit.json"],
+        "comodule-coalgebra", "comodule-algebra"),
+    "check-sayd-carrier-as-coeff": (
+        ["check", "coefficient", "--flavor", "sayd", "--hopf", "kZ2.json",
+         "--coeff", "kZ2.regular-comodule-algebra.json"],
+        "module-comodule", "comodule-algebra"),
+    "complex-build-algebra-as-coalgebra": (
+        ["complex", "build", "--kind", "comodule-coalgebra", "--hopf", "kZ2.json",
+         "--carrier", "kZ2.regular-comodule-algebra.json", "--coeff", "kZ2.coeff-eps-unit.json"],
+        "comodule-coalgebra", "comodule-algebra"),
+    "complex-build-carrier-as-coeff": (
+        ["complex", "build", "--kind", "comodule-algebra", "--hopf", "kZ2.json",
+         "--carrier", "kZ2.regular-comodule-algebra.json",
+         "--coeff", "kZ2.translation-module-algebra.json"],
+        "module-comodule", "module-algebra"),
+    "cohomology-module-algebra-as-comodule-algebra": (
+        ["cohomology", "--theory", "cyclic", "--kind", "comodule-algebra", "--hopf", "kZ2.json",
+         "--carrier", "kZ2.translation-module-algebra.json", "--coeff", "kZ2.coeff-eps-unit.json"],
+        "comodule-algebra", "module-algebra"),
+    "cup-comodule-algebra-as-action": (
+        ["cup", "--hopf", "kZ2.json", "--action-algebra", "kZ2.regular-comodule-algebra.json",
+         "--comodule-algebra", "kZ2.regular-comodule-algebra.json",
+         "--coeff", "kZ2.coeff-eps-unit.json", "--phi", "phi.json", "--psi", "psi.json"],
+        "module-algebra", "comodule-algebra"),
+    "cup-module-algebra-as-comodule": (
+        ["cup", "--hopf", "kZ2.json", "--action-algebra", "kZ2.translation-module-algebra.json",
+         "--comodule-algebra", "kZ2.translation-module-algebra.json",
+         "--coeff", "kZ2.coeff-eps-unit.json", "--phi", "phi.json", "--psi", "psi.json"],
+        "comodule-algebra", "module-algebra"),
+    "cup-carrier-as-coeff": (
+        ["cup", "--hopf", "kZ2.json", "--action-algebra", "kZ2.translation-module-algebra.json",
+         "--comodule-algebra", "kZ2.regular-comodule-algebra.json",
+         "--coeff", "kZ2.regular-comodule-algebra.json", "--phi", "phi.json", "--psi", "psi.json"],
+        "module-comodule", "comodule-algebra"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_CASES))
+def test_file_of_the_wrong_kind_is_refused_by_kind(workdir, capsys, case):
+    args, want, found = WRONG_KIND_CASES[case]
+    for name in ("kZ2.coeff-eps-unit", "kZ2.regular-comodule-algebra",
+                 "kZ2.adjoint-comodule-coalgebra", "kZ2.translation-module-algebra"):
+        emit(name)
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected kind %r, found %r\n" % (want, found)
 
 
 # one emitted example of each kind, the hcc invocation that reads it (FILE is
@@ -389,13 +481,8 @@ class TestMissingKeys:
         """The installed entry point, in its own process: exit 2, one line."""
         emit("kZ2.coeff-eps-unit")
         without_key("kZ2.coeff-eps-unit.json", "broken.json", "basis")
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopfcyc.cli", "check", "coefficient", "--flavor", "sayd",
-             "--hopf", "kZ2.json", "--coeff", "broken.json"],
-            capture_output=True, text=True, env=env)
+        proc = run_hcc(["check", "coefficient", "--flavor", "sayd",
+                        "--hopf", "kZ2.json", "--coeff", "broken.json"])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: broken.json: missing key 'basis'\n"
