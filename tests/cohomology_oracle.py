@@ -1,5 +1,13 @@
-"""Reference oracle for the cohomology checks: the full-product differential
-identities and the cyclic dimensions read through ``Subspace.express``.
+"""Reference oracles for the identity checks: every cocyclic identity from
+its whole product, the full-product differential identities and the cyclic
+dimensions read through ``Subspace.express``.
+
+``hopfcyc.cocyclic.verify_cocyclic_identities`` checks the τ identities and
+τ_n^{n+1} = id, then only the cosimplicial members at i = 0 (σ_jδ_i at i = 0
+or j = 0), and runs the full list only when one of those fails.
+``cocyclic_identities`` here builds and compares every identity at every
+degree, in the full list's order, so the tests can demand the same verdict,
+condition and witness.
 
 ``hopfcyc.cohomology`` keeps B_n as its factors, reads B² = 0 off the square
 middle factor, multiplies B_{n+1} ∘ b_n from the right, and tests closure of
@@ -16,6 +24,73 @@ from hopfcyc.cocyclic import CocyclicConstructionError, _abstract_space
 from hopfcyc.cohomology import CohomologyTable, cyclic_eigenvalue_operator, hochschild_coboundary
 from hopfcyc.fields import FieldError
 from hopfcyc.linalg import LinMap, Subspace, Vector, identity, kernel_basis, rank
+from hopfcyc.results import compare
+
+
+def cocyclic_identities(X):
+    """Every cosimplicial, mixed and cyclic identity up to the ladder top,
+    τ_n^{n+1} = id included, each built and compared in full; the first
+    failure in list order wins."""
+    N = X.max_degree
+    checks = []
+
+    def add(name, lhs, rhs, degree):
+        def at(col):
+            return "degree %d, basis element %d = %s" % (degree, col, X.basis_label(degree, col))
+
+        checks.append(compare(name, lhs, rhs, at))
+
+    for n in range(2, N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                add("δ_%d∘δ_%d = δ_%d∘δ_%d (deg %d)" % (j, i, i, j - 1, n - 2),
+                    X.coface(n, j) @ X.coface(n - 1, i),
+                    X.coface(n, i) @ X.coface(n - 1, j - 1),
+                    n - 2)
+    for n in range(0, N - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                add("σ_%d∘σ_%d = σ_%d∘σ_%d (deg %d)" % (j, i, i, j + 1, n + 2),
+                    X.codegeneracy(n, j) @ X.codegeneracy(n + 1, i),
+                    X.codegeneracy(n, i) @ X.codegeneracy(n + 1, j + 1),
+                    n + 2)
+    for m in range(0, N):
+        # σ_j ∘ δ_i on degree m
+        for j in range(m + 1):
+            for i in range(m + 2):
+                lhs = X.codegeneracy(m, j) @ X.coface(m + 1, i)
+                if i < j:
+                    rhs = X.coface(m, i) @ X.codegeneracy(m - 1, j - 1)
+                    name = "σ_%d∘δ_%d = δ_%d∘σ_%d (deg %d)" % (j, i, i, j - 1, m)
+                elif i in (j, j + 1):
+                    rhs = identity(X.spaces[m])
+                    name = "σ_%d∘δ_%d = id (deg %d)" % (j, i, m)
+                else:
+                    rhs = X.coface(m, i - 1) @ X.codegeneracy(m - 1, j)
+                    name = "σ_%d∘δ_%d = δ_%d∘σ_%d (deg %d)" % (j, i, i - 1, j, m)
+                add(name, lhs, rhs, m)
+    for n in range(1, N + 1):
+        add("τ_%d∘δ_0 = δ_%d (deg %d)" % (n, n, n - 1),
+            X.tau(n) @ X.coface(n, 0), X.coface(n, n), n - 1)
+        for i in range(1, n + 1):
+            add("τ_%d∘δ_%d = δ_%d∘τ_%d (deg %d)" % (n, i, i - 1, n - 1, n - 1),
+                X.tau(n) @ X.coface(n, i),
+                X.coface(n, i - 1) @ X.tau(n - 1),
+                n - 1)
+    for n in range(0, N):
+        add("τ_%d∘σ_0 = σ_%d∘τ_%d² (deg %d)" % (n, n, n + 1, n + 1),
+            X.tau(n) @ X.codegeneracy(n, 0),
+            X.codegeneracy(n, n) @ X.tau(n + 1) @ X.tau(n + 1),
+            n + 1)
+        for i in range(1, n + 1):
+            add("τ_%d∘σ_%d = σ_%d∘τ_%d (deg %d)" % (n, i, i - 1, n + 1, n + 1),
+                X.tau(n) @ X.codegeneracy(n, i),
+                X.codegeneracy(n, i - 1) @ X.tau(n + 1),
+                n + 1)
+    for n in range(0, N + 1):
+        add("τ_%d^%d = id (deg %d)" % (n, n + 1, n),
+            X.tau(n).power(n + 1), identity(X.spaces[n]), n)
+    return results.merge("cocyclic-identities", checks)
 
 
 def connes_boundary(X, n):

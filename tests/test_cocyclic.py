@@ -1,6 +1,11 @@
 """Complex builders, the identity verifier, and the HCC decision procedure."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cohomology_oracle as oracle
 
 from hopfcyc import (
     CocyclicConstructionError,
@@ -23,13 +28,20 @@ from hopfcyc import (
     unit_group_like,
     verify_cocyclic_identities,
 )
-from hopfcyc.cocyclic import CocyclicModule
+from hopfcyc import results
+from hopfcyc.cocyclic import CocyclicModule, _identities
+from hopfcyc.corpus import get_hopf
+from hopfcyc.fields import GF, QQ
+from hopfcyc.linalg import LinMap
 from hopfcyc.symmetries import (
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
     trivial_coaction_module,
     trivial_comodule_algebra,
 )
+from test_cohomology_oracle import _complexes
+
+GF7 = GF(7)
 
 
 class TestComoduleAlgebraComplex:
@@ -253,3 +265,136 @@ def test_invariant_functionals_are_size_capped():
     with pytest.raises(DegreeCapError, match="invariant functionals at degree 17 needs 262144"):
         invariant_functionals(Aact, M, 17)
     assert invariant_functionals(Aact, M, 2).dim == 4
+
+
+_REGULAR = {}
+
+
+def _regular(name, field):
+    """The regular comodule-algebra complex of ``name`` over ``field`` at
+    N = 3, with the ε-unit coefficient."""
+    if (name, field) not in _REGULAR:
+        H = get_hopf(name, field)
+        M = scalar_coefficients(H, counit_character(H), unit_group_like(H))
+        _REGULAR[name, field] = build_comodule_algebra_complex(regular_comodule_algebra(H), M, 3)
+    return _REGULAR[name, field]
+
+
+def _operator(X, op, n, i):
+    return X.tau(n) if op == "cyclic" else getattr(X, op)(n, i)
+
+
+def _replaced(X, op, n, i, f):
+    """X with one operator (``op`` one of "coface", "codegeneracy",
+    "cyclic"; ``i`` is ignored for "cyclic") replaced by the map f."""
+    cofaces = {k: list(ops) for k, ops in X.cofaces.items()}
+    codegens = {k: list(ops) for k, ops in X.codegeneracies.items()}
+    cyclic = dict(X.cyclic)
+    if op == "cyclic":
+        cyclic[n] = f
+    else:
+        (cofaces if op == "coface" else codegens)[n][i] = f
+    return CocyclicModule(X.kind, X.field, X.max_degree, X.spaces, cofaces, codegens,
+                          cyclic, X.ambient_descriptions)
+
+
+def _corrupted(X, op, n, i, entry=None, add=1):
+    """X with ``add`` added to one entry of one operator: ``entry``, or the
+    operator's first stored entry."""
+    f = _operator(X, op, n, i)
+    entries = dict(f.entries)
+    entry = min(entries) if entry is None else entry
+    entries[entry] = entries.get(entry, 0) + X.field.from_int(add)
+    return _replaced(X, op, n, i, LinMap(f.domain, f.codomain, entries))
+
+
+class TestIdentitiesOnGenerators:
+    """``verify_cocyclic_identities`` checks the τ identities, τ^{n+1} = id
+    and the members at i = 0 (σ_jδ_i at i = 0 or j = 0), and falls back to
+    the full list on a failure; its verdict must be the full-list oracle's
+    (``cohomology_oracle.cocyclic_identities``): passed flag, condition,
+    witness location and both sides."""
+
+    def test_reduced_list(self):
+        # the τ identities in the full list's order, then the members of the
+        # other families at i = 0 (σ_jδ_i: i = 0 or j = 0) in that order;
+        # the five coalgebra-ladder complexes stop at N = 4, 4, 3, 4 and 5
+        def kept(condition):
+            j, i = (int(k) for k in re.match(r"[δσ]_(\d+)∘[δσ]_(\d+)", condition).groups())
+            return i == 0 or (condition.startswith("σ") and "∘δ" in condition and j == 0)
+
+        sizes = {}
+        for _, X in _complexes("ladder"):
+            full = [r.condition for r in _identities(X, True)]
+            cyclic = [c for c in full if c.startswith("τ")]
+            assert [r.condition for r in _identities(X, False)] == cyclic + [
+                c for c in full if not c.startswith("τ") and kept(c)]
+            sizes[X.max_degree] = (len(full), len(cyclic) + sum(
+                kept(c) for c in full if not c.startswith("τ")))
+        assert sizes == {3: (52, 39), 4: (98, 64), 5: (165, 95)}
+
+    @pytest.mark.parametrize("which", ["acceptance", "ladder", "scenarios", "Q", "GF7"])
+    def test_verdicts_match_the_full_list(self, which):
+        for name, X in _complexes(which):
+            assert verify_cocyclic_identities(X) == oracle.cocyclic_identities(X), name
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("n, i", [(2, 1), (3, 1), (3, 2)])
+    def test_corrupted_inner_coface(self, field, n, i):
+        Y = _corrupted(_regular("kZ3", field), "coface", n, i)
+        got = verify_cocyclic_identities(Y)
+        assert not got.passed
+        assert got == oracle.cocyclic_identities(Y)
+        # the reduced list meets a τ identity first; only the fallback gives
+        # the full list's first failure and witness
+        assert got.condition.startswith("δ_")
+        reduced = results.merge("cocyclic-identities", _identities(Y, False))
+        assert reduced.condition.startswith("τ_")
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("n, j", [(1, 1), (2, 1), (2, 2)])
+    def test_corrupted_codegeneracy(self, field, n, j):
+        Y = _corrupted(_regular("kZ3", field), "codegeneracy", n, j)
+        got = verify_cocyclic_identities(Y)
+        assert not got.passed
+        assert got == oracle.cocyclic_identities(Y)
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corrupted_tau_is_not_periodic(self, field, n):
+        # τ_n fixes basis element 0, its first entry: adding 2 there makes
+        # τ^{n+1} read 3^{n+1} ≠ 1 at (0, 0) over ℚ and GF(7) (adding 1 would
+        # give 2³ = 1 in GF(7))
+        X = _regular("kZ3", field)
+        assert min(X.tau(n).entries) == (0, 0) and X.tau(n).entries[0, 0] == 1
+        Y = _corrupted(X, "cyclic", n, None, add=2)
+        assert Y.tau(n).power(n + 1) != identity(Y.spaces[n])
+        got = verify_cocyclic_identities(Y)
+        assert not got.passed
+        assert got == oracle.cocyclic_identities(Y)
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_tau_breaks_a_conjugation_step(self, field, n):
+        # τ_n = id keeps τ_n^{n+1} = id, but τ∘δ_i = δ_{i−1}∘τ no longer holds
+        X = _regular("kZ3", field)
+        Y = _replaced(X, "cyclic", n, None, identity(X.spaces[n]))
+        assert Y.tau(n).power(n + 1) == identity(Y.spaces[n]) != X.tau(n)
+        got = verify_cocyclic_identities(Y)
+        assert got.condition.startswith("τ_") and "∘δ_" in got.condition
+        assert got == oracle.cocyclic_identities(Y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["kZ2", "kZ3"]), st.sampled_from([QQ, GF7]), st.data())
+    def test_one_corrupted_entry(self, name, field, data):
+        X = _regular(name, field)
+        op = data.draw(st.sampled_from(["coface", "codegeneracy", "cyclic"]))
+        n = data.draw(st.integers(*{"coface": (1, 3), "codegeneracy": (0, 2),
+                                    "cyclic": (0, 3)}[op]))
+        i = data.draw(st.integers(0, n))
+        f = _operator(X, op, n, i)
+        entry = (data.draw(st.integers(0, f.codomain.dim - 1)),
+                 data.draw(st.integers(0, f.domain.dim - 1)))
+        add = data.draw(st.integers(1, 6)) * data.draw(st.sampled_from([1, -1]))
+        Y = _corrupted(X, op, n, i, entry, add)
+        assert verify_cocyclic_identities(Y) == oracle.cocyclic_identities(Y)
