@@ -8,14 +8,15 @@ comodule-algebra cochains: the module-algebra functionals are those of A
 over the predual (H^op)* with values in M*, and the comodule-coalgebra
 cotensor chains those of the dual algebra C* with the value leg last.  So
 one equalizer and one set of pipelines serve them all.  Each operator is
-one walk of a fixed pipeline from the whole basis of its source subspace
-(cochains pull back through the transposed pipeline), and
-``Subspace.express`` reads all its images in one pass.  An image that
-escapes is a well-definedness failure (reported through check_hcc as a
-verdict, or raised as CocyclicConstructionError).  The identity verifier
-checks the τ identities, τ_n^{n+1} = id (so τ is invertible) and the rest
-only at i = 0 (or j = 0 for σ_jδ_i), since their τ-conjugates give all the
-others; a failure re-checks the full list and reports its first failure.
+one walk of a fixed pipeline from the whole basis of its source subspace,
+in row layout (cochains pull back through the transposed pipeline), and
+``Subspace.express_rows`` reads all its images off the walk's output rows
+in one pass.  An image that escapes is a well-definedness failure
+(reported through check_hcc as a verdict, or raised as
+CocyclicConstructionError).  The identity verifier checks the τ
+identities, τ_n^{n+1} = id (so τ is invertible) and the rest only at i = 0
+(or j = 0 for σ_jδ_i), since their τ-conjugates give all the others; a
+failure re-checks the full list and reports its first failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .linalg import (
     Space,
     Subspace,
     Vector,
+    _row_state,
     dual_space,
     identity,
     tensor_space,
@@ -141,25 +143,28 @@ def _top_first(N, subspace):
 def _assemble(kind, field, N, subs, prefix, coface, codegeneracy, cyclic):
     """The loop shared by the three builders.  ``coface(n, i)``,
     ``codegeneracy(n, i)`` and ``cyclic(n)`` each return the operator as a
-    walk from the raw columns of its source basis to their raw images over
-    ``subs[n].ambient``; the first image that escapes ``subs[n]`` raises the
-    well-defined failure.  The basis descriptions are rendered on first read."""
+    walk (``Chain.walk``) from the row state of its source basis to the row
+    state of its images over ``subs[n].ambient``; the first image that
+    escapes ``subs[n]`` raises the well-defined failure.  Each degree's basis
+    row state is built once and each walk gets its own copy, since a walk
+    owns its input.  The basis descriptions are rendered on first read."""
     spaces = [_abstract_space(field, n, s.dim, prefix) for n, s in enumerate(subs)]
     bases = [s.basis for s in subs]
-    columns = [[v.entries for v in basis] for basis in bases]
+    rows = [_row_state([v.entries for v in basis]) for basis in bases]
 
     def matrix(op, src, n, name):
-        images = op(columns[src])
-        entries, escaped = subs[n].express(images)
+        images = op({t: dict(row) for t, row in rows[src].items()})
+        entries, escaped = subs[n].express_rows(images)
         if escaped is not None:
             raise CocyclicConstructionError(results.failed(
                 "well-defined",
                 "%s of basis element %d at degree %d" % (name, escaped, n),
-                Vector(subs[n].ambient, images[escaped]),
+                Vector(subs[n].ambient, {t: row[escaped] for t, row in images.items()
+                                         if escaped in row}),
                 "an element of the computed subspace",
                 detail="operator image escapes the subspace",
             ))
-        return LinMap(spaces[src], spaces[n], entries)
+        return LinMap._of(spaces[src], spaces[n], entries)
 
     cofaces, codegens, cyclics = {}, {}, {}
     for n in range(N + 1):
@@ -205,7 +210,7 @@ def _rotation(A, M, n, multiply_front, step, value_last):
         chain.permute([0, n + 1] + list(range(1, n + 1))).apply(step, 0, 2, [Ms, As])
     if multiply_front:
         chain.apply(A.mult, 0 if value_last else 1, 2, [As])
-    return chain.transposed().images
+    return chain.transposed().walk
 
 
 def _cochain_complex(kind, A, M, N, subspace, value_last=False):
@@ -220,11 +225,11 @@ def _cochain_complex(kind, A, M, N, subspace, value_last=False):
     def coface(n, i):
         if i == n:
             return _rotation(A, M, n, True, step, value_last)
-        return _cochains(A, M, n, value_last).apply(A.mult, a0 + i, 2, [As]).transposed().images
+        return _cochains(A, M, n, value_last).apply(A.mult, a0 + i, 2, [As]).transposed().walk
 
     def codegeneracy(n, i):
         chain = _cochains(A, M, n, value_last).apply(A.unit_map(), a0 + 1 + i, 0, [As])
-        return chain.transposed().images
+        return chain.transposed().walk
 
     return _assemble(kind, As.field, N, subs, "w" if value_last else "φ", coface,
                      codegeneracy, lambda n: _rotation(A, M, n, False, step, value_last))

@@ -8,17 +8,19 @@ collide joins them only when they are read.  Linear maps are sparse
 assembled with ``Chain``, which moves all its input columns through each
 step of the pipeline together, keyed by flat row indices.
 
-Every operator on cochains is one such walk from the raw ``{index: scalar}``
-columns of a whole source basis: a fixed pipeline walked forward from the
-cochains' coordinates (``Chain.images``), or transposed to pull cochains
-back (φ ↦ φ ∘ chain is the walk of ``Chain.transposed()`` from φ's
+Every operator on cochains is one such walk from a whole source basis in
+row layout, ``{ambient index: {basis vector k: scalar}}``: a fixed pipeline
+walked forward from the cochains' coordinates, or transposed to pull
+cochains back (φ ↦ φ ∘ chain is the walk of ``Chain.transposed()`` from φ's
 coordinates, so no fixed map is materialized).  An operator that puts φ
 between two fixed maps is walked from φ's hom coordinates too: a map after
 φ is a step on its codomain legs, and a map before it a step on its domain
-legs through that map bent or curried into one ``LinMap``.
-``Subspace.express`` then reads the coordinates of all the images over a
-canonical kernel basis in one pass, at the basis' free columns, with no
-elimination at all.
+legs through that map bent or curried into one ``LinMap``.  The walk's
+output rows go straight to ``Subspace.express_rows``, which reads the
+coordinates of all the images over a canonical kernel basis in one pass, at
+the basis' free columns, with no elimination at all.  ``Chain.images`` and
+``Subspace.express`` are the same walk and kernel on raw ``{index: scalar}``
+columns, transposed into rows and back.
 
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
@@ -502,20 +504,16 @@ class Chain:
         """The composite applied to raw ``{index: scalar}`` columns, in one walk
         from them instead of the identity: raw columns over the current legs,
         reduced and without zeros.  Inputs and kept entries are left alone."""
-        start = {}
-        for k, col in enumerate(columns):
-            for i, v in col.items():
-                start.setdefault(i, {})[k] = v
         out = [{} for _ in columns]
-        for row, cols in self._walk(start).items():
+        for row, cols in self.walk(_row_state(columns)).items():
             for k, v in cols.items():
                 out[k][row] = v
         return out
 
     def transposed(self):
         """The pipeline selfᵀ, which walks self's steps backwards, each map
-        transposed and each permutation inverted.  Its ``images`` of the
-        coordinates of functionals φ on self's legs are those of φ ∘ self,
+        transposed and each permutation inverted.  Its walk of the
+        coordinates of functionals φ on self's legs gives those of φ ∘ self,
         and self is never materialized."""
         out = Chain(self.legs, self.field)
         for step in reversed(self.steps):
@@ -534,14 +532,16 @@ class Chain:
             return self.steps[0][1].entries  # one map on every leg: its own entries
         one = self.field.one
         dims = [s.dim for s in self.source_legs]
-        state = self._walk({i: {i: one} for i in range(math.prod(dims))})
+        state = self.walk({i: {i: one} for i in range(math.prod(dims))})
         return {(row, col): v for row, cols in state.items() for col, v in cols.items()}
 
-    def _walk(self, state):
+    def walk(self, state):
         """Move every column through each step at once: ``state`` maps each flat
-        row index over the source legs to its ``{col: scalar}`` row (dicts the
-        walk then owns), and the state over the current legs is returned.
-        Over GF(p) each apply step reduces every row it added to once."""
+        row index over the source legs to its ``{col: scalar}`` row, and the
+        state over the current legs is returned, reduced and without zeros or
+        empty rows.  The walk owns ``state`` and its rows and may change them,
+        so a caller that keeps a row state walks a copy.  Over GF(p) each apply
+        step reduces every row it added to once."""
         p, one = self.field.modulus, self.field.one
         dims = [s.dim for s in self.source_legs]
         for step in self.steps:
@@ -642,6 +642,16 @@ def _leg_table(dims, strides):
 
 def _legs_space(legs, field):
     return tensor_space(*legs) if legs else unit_space(field)
+
+
+def _row_state(columns):
+    """Raw ``{index: scalar}`` columns in row layout, ``{index: {k: scalar}}``,
+    every row a new dict."""
+    rows = {}
+    for k, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[k] = v
+    return rows
 
 
 def _eliminate(row, echelon, p):
@@ -779,42 +789,56 @@ class Subspace:
 
     The basis is canonical, as ``_null_vectors`` and ``kernel_basis`` give
     it: vector k is 1 at its last index j_k, and no other vector touches
-    j_k.  So ``express`` reads coefficient k at column j_k."""
+    j_k.  So ``express_rows`` reads coefficient k at row j_k."""
 
-    __slots__ = ("ambient", "basis", "domain", "codomain", "_free")
+    __slots__ = ("ambient", "basis", "domain", "codomain", "_free", "_pivots")
 
     def __init__(self, ambient, basis, domain=None, codomain=None):
         self.ambient = ambient
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
-        self._free = None  # j_k -> k, indexed on first use
+        self._free = self._pivots = None  # indexed on first use
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def express(self, images):
-        """Coordinates of reduced raw columns over the basis in one pass:
-        ``(entries, None)`` with entry (k, i) coefficient k of image i, or
-        ``(None, i)`` for the first image i outside the span.  Coefficient k
-        is the image's entry at j_k, and the image must equal Σ c_k·b_k."""
+    def express_rows(self, rows):
+        """Coordinates over the basis of the images held in a row state
+        ``{ambient index t: {image i: scalar}}``, reduced and without zeros
+        (``Chain.walk`` leaves it so; it is only read): ``(entries, None)``
+        with entry (k, i) coefficient k of image i, or ``(None, i)`` for the
+        smallest image i outside the span.  Coefficient k is row j_k, and the
+        images lie in the span iff every other row t equals Σ_k b_k[t]·row j_k,
+        so a row at an index that no basis vector touches must be empty."""
         if self._free is None:
             self._free = _free_columns(self.basis)
-        free, p = self._free, self.ambient.field.modulus
-        entries = {}
-        for i, image in enumerate(images):
-            comb = {}
-            for j, c in image.items():
-                k = free.get(j)
-                if k is None:
-                    continue
-                entries[(k, i)] = c
-                for t, v in self.basis[k].entries.items():
-                    comb[t] = comb.get(t, 0) + c * v
-            if image != ({t: v for t, v in comb.items() if v} if p is None else _reduced(comb, p)):
-                return None, i
-        return entries, None
+            self._pivots = _pivot_rows(self.basis, self._free)
+        free, pivots, p = self._free, self._pivots, self.ambient.field.modulus
+        entries, bad = {}, set()
+        for t, row in rows.items():
+            k = free.get(t)
+            if k is not None:
+                for i, c in row.items():
+                    entries[(k, i)] = c
+            elif t not in pivots:
+                bad.update(row)
+        for t, terms in pivots.items():
+            want = {}
+            for j, b in terms:
+                for i, c in rows.get(j, {}).items():
+                    want[i] = want.get(i, 0) + b * c
+            want = {i: v for i, v in want.items() if v} if p is None else _reduced(want, p)
+            got = rows.get(t, {})
+            if want != got:
+                bad.update(i for i in want.keys() | got.keys() if want.get(i) != got.get(i))
+        return (None, min(bad)) if bad else (entries, None)
+
+    def express(self, images):
+        """``express_rows`` of reduced raw ``{index: scalar}`` columns, image i
+        the i-th column."""
+        return self.express_rows(_row_state(images))
 
     def coords(self, vec):
         """Coefficients of vec over the basis, or None if not in the span:
@@ -847,6 +871,16 @@ def _free_columns(basis):
     return free
 
 
+def _pivot_rows(basis, free):
+    """{t: [(j_k, b_k[t])]} over the indices t ≠ j_k that the vectors touch."""
+    pivots = {}
+    for j, k in free.items():
+        for t, v in basis[k].entries.items():
+            if t != j:
+                pivots.setdefault(t, []).append((j, v))
+    return pivots
+
+
 def membership(vec, basis):
     """True with exact expansion coefficients iff vec lies in span(basis).
 
@@ -854,10 +888,7 @@ def membership(vec, basis):
     independent iff columns 0 … k−1 are all pivots; then v is in the span iff
     column k is not, and coefficient j is pivot row j's entry at column k."""
     k = len(basis)
-    rows = {}
-    for j, b in enumerate([*basis, vec]):
-        for i, v in b.entries.items():
-            rows.setdefault(i, {})[j] = v
+    rows = _row_state([b.entries for b in [*basis, vec]])
     echelon = _rref(list(rows.values()), (basis[0] if basis else vec).space.field)
     dependent = set(range(k)).difference(c for c, _ in echelon)
     if dependent:

@@ -57,18 +57,28 @@ def _entry_lists(entries, n, what):
     return entries
 
 
+def _scalar(lit, field, what, item):
+    """The exact scalar that ``lit`` writes: a string or an integer.  A JSON
+    number with a fraction or an exponent was read as a float, which need not
+    equal what the file wrote, and a boolean is no scalar; both are refused."""
+    if not isinstance(lit, str) and type(lit) is not int:
+        raise ParseError("%s: scalar must be a string or an integer, found %s in %r" % (
+            what, json.dumps(lit), item))
+    try:
+        return field.parse(lit)
+    except FieldError as err:
+        raise ParseError("%s: %s" % (what, err))
+
+
 def _map_from_entries(entries, domain, codomain, field, what):
     out = {}
     for item in _entry_lists(entries, 3, what):
         r, c, lit = item
-        if not (isinstance(r, int) and isinstance(c, int)):
+        if not (type(r) is int and type(c) is int):  # a boolean is no index
             raise ParseError("%s: non-integer index in %r" % (what, item))
         if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
             raise ParseError("%s: index out of range in %r" % (what, item))
-        try:
-            out[(r, c)] = field.parse(lit)
-        except FieldError as err:
-            raise ParseError("%s: %s" % (what, err))
+        out[(r, c)] = _scalar(lit, field, what, item)
     return LinMap(domain, codomain, out)
 
 
@@ -76,12 +86,9 @@ def _vec_from_entries(entries, space, field, what):
     out = {}
     for item in _entry_lists(entries, 2, what):
         i, lit = item
-        if not isinstance(i, int) or not (0 <= i < space.dim):
+        if type(i) is not int or not (0 <= i < space.dim):
             raise ParseError("%s: index out of range in %r" % (what, item))
-        try:
-            out[i] = field.parse(lit)
-        except FieldError as err:
-            raise ParseError("%s: %s" % (what, err))
+        out[i] = _scalar(lit, field, what, item)
     return Vector(space, out)
 
 

@@ -614,7 +614,7 @@ def module_rotation(Aact, M, n, multiply_front):
     chain.permute(order).apply(Aact.action, 1, 2, [As])
     if multiply_front:
         chain.apply(Aact.mult, 1, 2, [As])
-    return chain.transposed().images
+    return chain.transposed().walk
 
 
 def module_algebra_complex_by_coproduct(Aact, M, N):
@@ -627,11 +627,11 @@ def module_algebra_complex_by_coproduct(Aact, M, N):
     def coface(n, i):
         if i == n:
             return module_rotation(Aact, M, n, True)
-        return Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As]).transposed().images
+        return Chain([Ms] + [As] * (n + 1)).apply(Aact.mult, 1 + i, 2, [As]).transposed().walk
 
     def codegeneracy(n, i):
         return Chain([Ms] + [As] * (n + 1)).apply(
-            Aact.unit_map(), 2 + i, 0, [As]).transposed().images
+            Aact.unit_map(), 2 + i, 0, [As]).transposed().walk
 
     return _assemble("module-algebra", As.field, N, subs, "φ", coface, codegeneracy,
                      lambda n: module_rotation(Aact, M, n, False))
@@ -655,20 +655,20 @@ def comodule_coalgebra_complex_by_cotensor(C, M, N):
     def coface(n, i):
         chain = Chain([Cs] * n + [Ms])
         if i < n:
-            return chain.apply(C.comult, i, 1, [Cs, Cs]).images
+            return chain.apply(C.comult, i, 1, [Cs, Cs]).walk
         # c₀⊗…⊗c_{n−1}⊗m ↦ c₀⁽²⁾⊗c₁⊗…⊗c_{n−1}⊗c₀⁽¹⁾⟨0⟩⊗m◁c₀⁽¹⁾⟨1⟩
         chain.apply(C.comult, 0, 1, [Cs, Cs]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c01_0, c01_1, c02, c1..c_{n−1}, m
         order = [2] + list(range(3, n + 2)) + [0, n + 2, 1]
-        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).walk
 
     def codegeneracy(n, i):
-        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).images
+        return Chain([Cs] * (n + 2) + [Ms]).apply(C.counit, i + 1, 1, []).walk
 
     def cyclic(n):
         chain = Chain([Cs] * (n + 1) + [Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
         # legs: c0_0, c0_1, c1..cn, m
         order = list(range(2, n + 2)) + [0, n + 2, 1]
-        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).images
+        return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).walk
 
     return _assemble("comodule-coalgebra", Cs.field, N, subs, "w", coface, codegeneracy, cyclic)

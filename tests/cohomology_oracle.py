@@ -141,16 +141,19 @@ def cyclic_dims(X, top=None):
     for n in range(top + 1):
         b = hochschild_coboundary(X, n)
         basis, src = subs[n].basis, _abstract_space(X.field, n, subs[n].dim, "c")
-        cols = (b @ LinMap(src, b.domain, {(i, col): v for col, vec in enumerate(basis)
-                                          for i, v in vec.entries.items()})).by_col()
-        images = [dict(cols.get(col, ())) for col in range(len(basis))]
-        entries, escaped = subs[n + 1].express(images)
+        lifted = b @ LinMap(src, b.domain, {(i, col): v for col, vec in enumerate(basis)
+                                            for i, v in vec.entries.items()})
+        images = {}
+        for (i, col), v in lifted.entries.items():
+            images.setdefault(i, {})[col] = v
+        entries, escaped = subs[n + 1].express_rows(images)
         if escaped is not None:
             raise CocyclicConstructionError(results.failed(
                 "cyclic-subcomplex-closed",
                 "b of cyclic basis element %d = %s at degree %d"
                 % (escaped, basis[escaped].describe(), n),
-                Vector(b.codomain, images[escaped]),
+                Vector(b.codomain, {i: row[escaped] for i, row in images.items()
+                                    if escaped in row}),
                 "an element of the cyclic subcomplex at degree %d" % (n + 1),
                 detail="b leaves the cyclic subcomplex; the input is not cocyclic"))
         ranks.append(rank(LinMap(

@@ -1,9 +1,9 @@
 """The batched operator paths against the per-cochain paths they replaced,
-kept in ``chain_oracle``: ``Subspace.express`` against the per-image
-coordinate loop, the transposed walk against φ ∘ chain, the carrier-SAYD
-walks against the per-map contraction, the carrier-SAYD check, the complex
-matrices and Ψ against their per-map and per-pair forms; over ℚ, GF(7) and
-GF(2)."""
+kept in ``chain_oracle``: ``Subspace.express`` and its row kernel
+``express_rows`` against the per-image coordinate loop, the transposed walk
+against φ ∘ chain, the carrier-SAYD walks against the per-map contraction,
+the carrier-SAYD check, the complex matrices and Ψ against their per-map and
+per-pair forms; over ℚ, GF(7) and GF(2)."""
 
 import copy
 
@@ -99,9 +99,65 @@ def subspaces_and_images(draw):
 @given(subspaces_and_images())
 def test_express_matches_per_image_coords(case):
     sub, images = case
-    assert sub.express([v.entries for v in images]) == chain_oracle.coords_by_image(sub, images)
+    _express_every_way(sub, images)
     for image in images:
         assert sub.coords(image) == chain_oracle.subspace_coords(sub, image)
+
+
+def _rows(images):
+    """The row state {ambient index: {image i: scalar}} of a list of Vectors."""
+    rows = {}
+    for i, image in enumerate(images):
+        for t, c in image.entries.items():
+            rows.setdefault(t, {})[i] = c
+    return rows
+
+
+def _express_every_way(sub, images):
+    """``express`` and ``express_rows`` of ``images``, checked equal to the
+    per-image loop, which is returned."""
+    oracle = chain_oracle.coords_by_image(sub, images)
+    assert sub.express([v.entries for v in images]) == oracle
+    assert sub.express_rows(_rows(images)) == oracle
+    return oracle
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+class TestRowKernel:
+    """``Subspace.express_rows`` on hand-made row states."""
+
+    def test_full_ambient_has_no_pivot_columns(self, field):
+        sp = space(4, "e", field)
+        sub = Subspace(sp, [sp.basis_vector(j) for j in range(4)])
+        n = field.from_int
+        images = [Vector(sp, {0: n(2), 3: n(-1)}), Vector(sp, {}), Vector(sp, {1: n(5), 2: n(3)})]
+        entries, escaped = _express_every_way(sub, images)
+        assert escaped is None
+        assert entries == {(0, 0): n(2), (3, 0): n(-1), (1, 2): n(5), (2, 2): n(3)}
+
+    def test_untouched_pivot_column_must_be_empty(self, field):
+        # b0 = 3e0 + e1 and b1 = e3: no basis vector touches column 2
+        sp, n = space(4, "e", field), field.from_int
+        b0, b1 = Vector(sp, {0: n(3), 1: n(1)}), Vector(sp, {3: n(1)})
+        sub = Subspace(sp, [b0, b1])
+        inside = b0.scaled(n(5)) + b1.scaled(n(-2))  # 15 ≡ 1 over GF(7)
+        assert _express_every_way(sub, [inside]) == (
+            {(0, 0): n(5), (1, 0): n(-2)}, None)
+        assert _express_every_way(sub, [inside, inside + sp.basis_vector(2)]) == (None, 1)
+        assert _express_every_way(sub, [sp.basis_vector(2)]) == (None, 0)
+
+    @pytest.mark.parametrize("first", ["untouched", "pivot"])
+    def test_smallest_escaping_image_is_reported(self, field, first):
+        # images 2 and 4 escape, one at the untouched column 2 and one at the
+        # pivot column 0 of b0, in either order
+        sp, n = space(4, "e", field), field.from_int
+        b0, b1 = Vector(sp, {0: n(3), 1: n(1)}), Vector(sp, {3: n(1)})
+        sub = Subspace(sp, [b0, b1])
+        at_untouched = b1 + sp.basis_vector(2)
+        at_pivot = b0 + sp.basis_vector(0)
+        escapes = [at_untouched, at_pivot] if first == "untouched" else [at_pivot, at_untouched]
+        images = [b0, b1.scaled(n(2)), escapes[0], b0 + b1, escapes[1]]
+        assert _express_every_way(sub, images) == (None, 2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -128,6 +128,16 @@ def _predual_coefficient_with_s(M):
                           coeff.coaction, validate=False)
 
 
+def _dual_basis_images(walk, count, one):
+    """The walk from the row state of the ``count`` dual basis functionals,
+    read back as one column per functional."""
+    columns = [{} for _ in range(count)]
+    for y, row in walk({x: {x: one} for x in range(count)}).items():
+        for x, v in row.items():
+            columns[x][y] = v
+    return columns
+
+
 def _rotation_images(A, M, n, front, path):
     """Images of every dual basis functional of M⊗A^{⊗(src+1)}, src = n − 1
     for the last coface δ_n (``front``) and n for τ_n, along ``path``: the
@@ -135,16 +145,17 @@ def _rotation_images(A, M, n, front, path):
     ``wrap_chain`` over the predual with the coefficient ``path``."""
     one = A.space.field.one
     src = tensor_power(A.space, n + 1 - front)
-    columns = [{x: one} for x in range(M.dim * src.dim)]
+    count = M.dim * src.dim
     if path == "library":
         K, Mk = predual_carrier(A), predual_coefficient(M)
-        return _rotation(K, Mk, n, front, _rotation_step(K, Mk, False), False)(columns)
+        return _dual_basis_images(
+            _rotation(K, Mk, n, front, _rotation_step(K, Mk, False), False), count, one)
     if path == "module":
-        return chain_oracle.module_rotation(A, M, n, front)(columns)
+        return _dual_basis_images(chain_oracle.module_rotation(A, M, n, front), count, one)
     hom = hom_space(tensor_power(A.space, n + 1), path.space)
     return [linmap_to_vector(chain_oracle.wrap_chain(
         predual_carrier(A), path, LinMap(src, path.space, {divmod(x, src.dim): one}), n, front),
-        hom).entries for x in range(M.dim * src.dim)]
+        hom).entries for x in range(count)]
 
 
 @pytest.mark.parametrize("field", (QQ, GF(7)), ids=lambda f: f.name)

@@ -100,6 +100,22 @@ class TestCliExitCodes:
         assert main(["check", "hopf", "sweedler-h4.json"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_check_hopf_refuses_a_scalar_that_is_not_exact(self, workdir, capsys):
+        # json reads 1.00000000000000000001 as 1.0, so this file used to pass
+        emit("sweedler-h4")
+        d = structfile.load_file("sweedler-h4.json")
+        entry = next(e for e in d["tensors"]["mult"] if e[2] == "1")
+        shown = entry[:2] + [1.0]
+        entry[2] = "@raw@"
+        (workdir / "broken.json").write_text(
+            json.dumps(d).replace('"@raw@"', "1.00000000000000000001"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", "hopf", "broken.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: mult: scalar must be a string or an integer, found 1.0 in %r\n" % (shown,))
+
     def test_check_hopf_fail(self, workdir, capsys):
         emit("sweedler-h4")
         d = structfile.load_file("sweedler-h4.json")
@@ -514,7 +530,9 @@ WRONG_TYPES = [
 class TestWrongTypes:
     """A file whose field, dim, basis or degree has the wrong type, or whose tensor
     entries are not lists, exits 2 with one line that names the file and the
-    key; it never reaches a ``TypeError``."""
+    key; it never reaches a ``TypeError``.  A float scalar (JSON reads a number
+    with a fraction as the nearest float) or a boolean index or scalar exits 2
+    with one line that names the tensor."""
 
     @pytest.mark.parametrize("example", sorted(MISSING_KEY_CASES))
     def test_structure_file_with_a_wrong_type(self, workdir, capsys, example):
@@ -539,7 +557,13 @@ class TestWrongTypes:
         for value, message in [(5, "entries must be a list, found 5"),
                                ({"0": 1}, 'entries must be a list, found {"0": 1}'),
                                ([7], "malformed entry 7"),
-                               (["0,0,1"], "malformed entry '0,0,1'")]:
+                               (["0,0,1"], "malformed entry '0,0,1'"),
+                               ([[0, 0, 1.5]], "scalar must be a string or an integer, "
+                                               "found 1.5 in [0, 0, 1.5]"),
+                               ([[0, 0, True]], "scalar must be a string or an integer, "
+                                                "found true in [0, 0, True]"),
+                               ([[False, 0, "1"]], "non-integer index in [False, 0, '1']"),
+                               ([[0, True, "1"]], "non-integer index in [0, True, '1']")]:
             with_value("%s.json" % example, "broken.json", "tensors." + tensor, value)
             capsys.readouterr()
             assert main([a if a != "FILE" else "broken.json" for a in argv]) == 2, value
@@ -559,12 +583,17 @@ class TestWrongTypes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: %s.json: %s\n" % (cochain, message)
-        write_trivial_cup_files()
-        with_value("%s.json" % cochain, "%s.json" % cochain, "coordinates", [["0", "1"]])
-        capsys.readouterr()
-        assert main(CUP_ARGS) == 2
-        assert capsys.readouterr().err == (
-            "error: %s: index out of range in ['0', '1']\n" % cochain)
+        for coordinates, message in [
+                ([["0", "1"]], "index out of range in ['0', '1']"),
+                ([[False, "1"]], "index out of range in [False, '1']"),
+                ([[True, "1"]], "index out of range in [True, '1']"),
+                ([[0, 1.5]], "scalar must be a string or an integer, found 1.5 in [0, 1.5]"),
+                ([[0, True]], "scalar must be a string or an integer, found true in [0, True]")]:
+            write_trivial_cup_files()
+            with_value("%s.json" % cochain, "%s.json" % cochain, "coordinates", coordinates)
+            capsys.readouterr()
+            assert main(CUP_ARGS) == 2, coordinates
+            assert capsys.readouterr().err == "error: %s: %s\n" % (cochain, message)
 
     def test_hcc_prints_no_traceback(self, workdir):
         """The installed entry point, in its own process: exit 2, one line."""
