@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 every check passed, 1 a check failed (the report carries the
-witness), 2 usage or parse error.  Reports are deterministic: fixed witness
+witness), 2 usage, parse or write error.  Reports are deterministic: fixed witness
 ordering and canonical rational formatting; ``--json`` switches the report
 body to JSON.  No color is ever emitted, so NO_COLOR is honored trivially.
 """
@@ -25,6 +25,8 @@ from .cocyclic import (
     verify_cocyclic_identities,
 )
 from .cohomology import cyclic_dims, hochschild_dims
+from .cup import CrossedPairing
+from .linalg import Vector
 from .symmetries import (
     DegreeCapError,
     check_sayd,
@@ -145,9 +147,7 @@ def cmd_complex_build(args):
         check = verify_cocyclic_identities(X)
         code = _print_result(check, args.json)
     if args.out:
-        payload = structfile.canonical_bytes(X.to_dict())
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        structfile.write_file(args.out, X.to_dict())
         print("wrote %s" % args.out)
     elif not args.verify:
         print(json.dumps(X.to_dict(), sort_keys=True, indent=1, ensure_ascii=False))
@@ -188,15 +188,10 @@ def cmd_cup(args):
     for d in (phi_d, psi_d):  # coordinates are parsed in the Hopf algebra's field
         structfile.field_of(d, H)
     field = H.field
-    from .cup import CrossedPairing
-
     try:
         pairing = CrossedPairing(action_algebra, comodule_algebra, coeff, N=p + q)
     except (StructureError, CocyclicConstructionError) as err:
         return _print_result(err.check, args.json)
-
-    from .linalg import Vector as Vec
-
     phis = pairing.module_side.subspaces[p]
     psis = pairing.comodule_side.subspaces[q]
     phi_amb = structfile._vec_from_entries(phi_d["coordinates"], phis.ambient, field, "phi")
@@ -206,8 +201,8 @@ def cmd_cup(args):
         print("error: cochain does not lie in its complex's degree-%d space"
               % (p if pc is None else q), file=sys.stderr)
         return 2
-    phi_vec = Vec(pairing.module_side.spaces[p], pc)
-    psi_vec = Vec(pairing.comodule_side.spaces[q], qc)
+    phi_vec = Vector(pairing.module_side.spaces[p], pc)
+    psi_vec = Vector(pairing.comodule_side.spaces[q], qc)
     try:
         out, check = pairing.cup(phi_vec, p, psi_vec, q)
     except StructureError as err:
@@ -365,7 +360,8 @@ def main(argv=None):
         print("error: input fails its structural axioms", file=sys.stderr)
         print(err.check.describe(), file=sys.stderr)
         return 2
-    except (FieldError, DegreeCapError) as err:
+    except (FieldError, DegreeCapError, OSError) as err:
+        # OSError: a file or directory that --out names cannot be written
         print("error: %s" % err, file=sys.stderr)
         return 2
     parser.error("unknown command")

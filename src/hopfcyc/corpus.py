@@ -40,6 +40,7 @@ from .symmetries import (
     check_sayd_over_algebra,
     check_sayd_over_coalgebra,
     comodule_algebra_over_trivial_hopf,
+    comult_comodule_coalgebra,
     algebra_over_trivial_hopf,
     regular_comodule_algebra,
     regular_action_trivial_coaction,
@@ -308,13 +309,7 @@ def scenario_commutative_coaction_algebra():
 
 def trivial_comodule_M(H):
     """M = k with trivial action and trivial coaction."""
-    from .symmetries import ModuleComodule
-    from .linalg import Chain, Space
-
-    M = Space(("m",), H.field)
-    action = Chain([M, H.space]).apply(H.counit, 1, 1, []).to_map()
-    coaction = Chain([M]).apply(H.unit_map(), 0, 0, [H.space]).to_map()
-    return ModuleComodule(H, M, action, coaction, name="k(triv,triv)")
+    return scalar_coefficients(H, counit_character(H), unit_group_like(H), name="k(triv,triv)")
 
 
 def scenario_cocommutative_coaction_algebra():
@@ -384,8 +379,6 @@ def scenario_commutative_coaction_coalgebra():
                                   C, regular_coaction_trivial_action(H), n_max=2)))
     # negative control: the comultiplication comodule over a noncommutative
     # group algebra (a comodule only; the checker consumes just the coaction)
-    from .symmetries import comult_comodule_coalgebra
-
     neg = check_commutative_coaction_coalgebra(comult_comodule_coalgebra(get_hopf("kS3")))
     out.append(CheckResult(not neg.passed,
                            "kS3/comult-comodule :: commutativity fails as expected",
@@ -407,8 +400,6 @@ def scenario_cocommutative_coaction_coalgebra():
             M = trivial_coaction_module(H, H.mult, space=H.space, name="H(mult,triv)")
             out.append(_named("%s/U/regular-action" % bname,
                               check_hcc("comodule-coalgebra", U, M, N=2)))
-    from .symmetries import comult_comodule_coalgebra
-
     neg = check_cocommutative_coaction_coalgebra(
         comult_comodule_coalgebra(get_hopf("kS3")), n_max=1)
     out.append(CheckResult(not neg.passed,

@@ -338,8 +338,8 @@ class GroupLike:
         pre = self._verify_comult()
         if not pre:
             return pre
-        left = _left_multiplication(H, self.sigma).apply(self.sigma_inverse)
-        right = _left_multiplication(H, self.sigma_inverse).apply(self.sigma)
+        left = _multiplication(H, self.sigma, "left").apply(self.sigma_inverse)
+        right = _multiplication(H, self.sigma_inverse, "left").apply(self.sigma)
         if left != H.unit:
             return results.failed("group-like-inverse", self.name, left, H.unit)
         if right != H.unit:
@@ -354,58 +354,36 @@ def unit_group_like(H):
     return GroupLike(H, H.unit, H.unit, name="1")
 
 
-def _left_multiplication(H, vec):
-    """h ↦ vec·h as a matrix on H."""
-    d = H.dim
-    entries = {}
-    for i, coeff in vec.entries.items():
-        for (r, c), v in H.mult.entries.items():
-            a, b = divmod(c, d)
-            if a == i:
-                key = (r, b)
-                entries[key] = entries.get(key, H.field.zero) + coeff * v
-    return LinMap(H.space, H.space, {k: v for k, v in entries.items() if v})
-
-
-def _right_multiplication(H, vec):
-    """h ↦ h·vec as a matrix on H."""
-    d = H.dim
-    entries = {}
-    for i, coeff in vec.entries.items():
-        for (r, c), v in H.mult.entries.items():
-            a, b = divmod(c, d)
-            if b == i:
-                key = (r, a)
-                entries[key] = entries.get(key, H.field.zero) + coeff * v
-    return LinMap(H.space, H.space, {k: v for k, v in entries.items() if v})
+def _multiplication(H, vec, side):
+    """h ↦ vec·h (side="left") or h ↦ h·vec (side="right") as a matrix on H,
+    in one pass over the entries of H's product."""
+    d, coeffs, entries = H.dim, vec.entries, {}
+    for (r, c), v in H.mult.entries.items():
+        a, b = divmod(c, d)
+        if side == "right":
+            a, b = b, a
+        coeff = coeffs.get(a)
+        if coeff:
+            entries[(r, b)] = entries.get((r, b), 0) + coeff * v
+    return LinMap(H.space, H.space, entries)
 
 
 def conjugation(H, sigma: GroupLike):
     """h ↦ σ⁻¹·h·σ as a matrix."""
-    return _left_multiplication(H, sigma.sigma_inverse) @ _right_multiplication(H, sigma.sigma)
+    return (_multiplication(H, sigma.sigma_inverse, "left")
+            @ _multiplication(H, sigma.sigma, "right"))
 
 
 def twisted_antipode(H, delta: Character, convention="first-leg"):
     """S_δ(h) = δ(h⁽¹⁾)S(h⁽²⁾)  (default), or δ(h⁽²⁾)S(h⁽¹⁾) with
-    convention="second-leg".  S_ε = S exactly under both."""
-    Hs = H.space
-    if convention == "first-leg":
-        chain = (
-            Chain([Hs])
-            .apply(H.comult, 0, 1, [Hs, Hs])
-            .apply(delta.delta, 0, 1, [])
-            .apply(H.antipode, 0, 1, [Hs])
-        )
-    elif convention == "second-leg":
-        chain = (
-            Chain([Hs])
-            .apply(H.comult, 0, 1, [Hs, Hs])
-            .apply(delta.delta, 1, 1, [])
-            .apply(H.antipode, 0, 1, [Hs])
-        )
-    else:
+    convention="second-leg": the convention names the leg of Δh that δ
+    reads.  S_ε = S exactly under both."""
+    legs = {"first-leg": 0, "second-leg": 1}
+    if convention not in legs:
         raise ValueError("unknown twisted-antipode convention %r" % convention)
-    return chain.to_map()
+    Hs = H.space
+    return (Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs])
+            .apply(delta.delta, legs[convention], 1, []).apply(H.antipode, 0, 1, [Hs]).to_map())
 
 
 def check_modular_pair(H, delta: Character, sigma: GroupLike) -> CheckResult:

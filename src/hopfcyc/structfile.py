@@ -70,25 +70,30 @@ def _scalar(lit, field, what, item):
         raise ParseError("%s: %s" % (what, err))
 
 
+def _indices(item, dims, what):
+    """The leading entries of ``item``, one index below each of ``dims``:
+    integers (a boolean is no index), then in range."""
+    index = tuple(item[:len(dims)])
+    if not all(type(i) is int for i in index):
+        raise ParseError("%s: non-integer index in %r" % (what, item))
+    if not all(0 <= i < d for i, d in zip(index, dims)):
+        raise ParseError("%s: index out of range in %r" % (what, item))
+    return index
+
+
 def _map_from_entries(entries, domain, codomain, field, what):
     out = {}
     for item in _entry_lists(entries, 3, what):
-        r, c, lit = item
-        if not (type(r) is int and type(c) is int):  # a boolean is no index
-            raise ParseError("%s: non-integer index in %r" % (what, item))
-        if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
-            raise ParseError("%s: index out of range in %r" % (what, item))
-        out[(r, c)] = _scalar(lit, field, what, item)
+        r, c = _indices(item, (codomain.dim, domain.dim), what)
+        out[(r, c)] = _scalar(item[2], field, what, item)
     return LinMap(domain, codomain, out)
 
 
 def _vec_from_entries(entries, space, field, what):
     out = {}
     for item in _entry_lists(entries, 2, what):
-        i, lit = item
-        if type(i) is not int or not (0 <= i < space.dim):
-            raise ParseError("%s: index out of range in %r" % (what, item))
-        out[i] = _scalar(lit, field, what, item)
+        (i,) = _indices(item, (space.dim,), what)
+        out[i] = _scalar(item[1], field, what, item)
     return Vector(space, out)
 
 

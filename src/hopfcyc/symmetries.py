@@ -11,10 +11,12 @@ Each coefficient subspace is the equalizer of two stated maps, solved by
 coalgebra C are the colinear maps over its dual algebra (``dual_carrier``).
 Each carrier condition is an identity between two tensor pipelines; the
 four coaction (co)commutativity checks build theirs with
-``_products_agree``.  The carrier-SAYD check over an algebra walks the
-colinear cochains' hom coordinates, with each fixed map kept on the object
-it depends on: the bent coaction on the carrier (``_diag``), the maps on M
-and H⊗M on the coefficient (``_memo``).
+``_products_agree``.  Each coefficient identity is written once, as a map
+kept on M (``_memo``): the action and the AYD sides L, R on H⊗M
+(``_acting``, ``_ayd_sides``), L − R (``_ayd_difference``) and s_M on M
+(``_stability``).  The carrier-SAYD check over an algebra walks the
+colinear cochains' hom coordinates through them, with the bent coaction
+kept on the carrier (``_diag``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .hopf import (
     Character,
     GroupLike,
     StructureError,
-    _left_multiplication,
-    _right_multiplication,
+    _multiplication,
     algebra_axioms,
     check_modular_pair,
     co_opposite,
@@ -245,11 +246,10 @@ class ModuleComodule:
         self.action = action
         self.coaction = coaction
         self.name = name
-        # maps built once and kept: the suffixes on H⊗M that act on a
-        # cochain's value, "act" h⊗m ↦ m◁h (_acting) and "ayd" the difference
-        # of the two carrier AYD sides (_ayd_difference), and "stab" the
-        # stability map m ↦ m⟨0⟩◁m⟨−1⟩ on M (_stability), and "predual" the
-        # coefficient over the predual (predual_coefficient)
+        # maps built once and kept: on H⊗M "act" h⊗m ↦ m◁h (_acting), "ayd"
+        # the AYD sides (L, R) (_ayd_sides) and "ayd-difference" L − R
+        # (_ayd_difference); on M "stab" m ↦ m⟨0⟩◁m⟨−1⟩ (_stability); and
+        # "predual" the coefficient over the predual (predual_coefficient)
         self._memo = {}
         if validate:
             check = self.verify()
@@ -611,41 +611,12 @@ def colinear_hom_space(A: ComoduleAlgebra, M: ModuleComodule, n, value_last=Fals
 # ---------------------------------------------------------------------------
 
 
-def _append_act(chain, M):
-    """Append h⊗m ↦ m◁h on the last two legs (H, M) of ``chain``."""
-    p = len(chain.legs) - 2
-    return chain.permute(list(range(p)) + [p + 1, p]).apply(M.action, p, 2, [M.space])
-
-
-def _append_ayd_lhs(chain, M):
-    """Append h⊗m ↦ λ_M(m◁h), the left side of the AYD identity, on the last
-    two legs (H, M) of ``chain``."""
-    p = len(chain.legs) - 2
-    return _append_act(chain, M).apply(M.coaction, p, 1, [M.hopf.space, M.space])
-
-
-def _append_ayd_rhs(chain, M):
-    """Append h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾, the right side of the AYD
-    identity, on the last two legs (H, M) of ``chain``."""
-    H, Hs, Ms = M.hopf, M.hopf.space, M.space
-    p = len(chain.legs) - 2
-    return (
-        chain.apply(H.iterated_comult(2), p, 1, [Hs] * 3)
-        .apply(M.coaction, p + 3, 1, [Hs, Ms])
-        .permute(list(range(p)) + [p + 2, p + 3, p, p + 4, p + 1])
-        .apply(H.antipode, p, 1, [Hs])
-        .apply(H.mult, p, 2, [Hs])
-        .apply(H.mult, p, 2, [Hs])
-        .apply(M.action, p + 1, 2, [Ms])
-    )
-
-
 def check_sayd(M: ModuleComodule) -> CheckResult:
     """Classical stability and anti-Yetter-Drinfeld compatibility:
     coaction(m◁h) = S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾  and  m⟨0⟩◁m⟨−1⟩ = m."""
     Hs, Ms = M.hopf.space, M.space
-    lhs = _append_ayd_lhs(Chain([Ms, Hs]).permute([1, 0]), M).to_map()
-    rhs = _append_ayd_rhs(Chain([Ms, Hs]).permute([1, 0]), M).to_map()
+    flip = leg_permutation([Ms, Hs], [1, 0])
+    lhs, rhs = (side @ flip for side in _ayd_sides(M))
     ayd = compare("anti-yetter-drinfeld", lhs, rhs, tensor_space(Ms, Hs).label)
     if not ayd:
         return ayd
@@ -659,38 +630,43 @@ def _stability(M):
     """s_M: m ↦ m⟨0⟩◁m⟨−1⟩ on M, built once and kept on M."""
     if "stab" not in M._memo:
         Hs, Ms = M.hopf.space, M.space
-        M._memo["stab"] = _append_act(Chain([Ms]).apply(M.coaction, 0, 1, [Hs, Ms]), M).to_map()
+        M._memo["stab"] = (Chain([Ms]).apply(M.coaction, 0, 1, [Hs, Ms]).permute([1, 0])
+                           .apply(M.action, 0, 2, [Ms]).to_map())
     return M._memo["stab"]
 
 
-def _acting_suffix(M):
-    """h⊗m ↦ m◁h on H⊗M, the pipeline that acts on a cochain's value."""
-    return _append_act(Chain([M.hopf.space, M.space]), M)
-
-
 def _acting(M):
-    """The map of ``_acting_suffix``, built once and kept on M."""
+    """h⊗m ↦ m◁h on H⊗M, the map that acts on a cochain's value, built once
+    and kept on M."""
     if "act" not in M._memo:
-        M._memo["act"] = _acting_suffix(M).to_map()
+        M._memo["act"] = (Chain([M.hopf.space, M.space]).permute([1, 0])
+                          .apply(M.action, 0, 2, [M.space]).to_map())
     return M._memo["act"]
 
 
-def _ayd_suffixes(M):
-    """The coefficient sides of the carrier-relative AYD identity, each a
-    pipeline on H⊗M: L, h⊗m ↦ λ_M(m◁h), and R,
-    h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾.  They depend on neither the degree
-    nor the carrier."""
-    legs = [M.hopf.space, M.space]
-    return _append_ayd_lhs(Chain(legs), M), _append_ayd_rhs(Chain(legs), M)
+def _ayd_sides(M):
+    """The two sides of the AYD identity as maps on H⊗M, built once and kept
+    on M: L, h⊗m ↦ λ_M(m◁h), and R, h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾.
+    They depend on neither the degree nor the carrier."""
+    if "ayd" not in M._memo:
+        H, Hs, Ms = M.hopf, M.hopf.space, M.space
+        lhs = (Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
+               .apply(M.coaction, 0, 1, [Hs, Ms]))
+        rhs = (Chain([Hs, Ms]).apply(H.iterated_comult(2), 0, 1, [Hs] * 3)
+               .apply(M.coaction, 3, 1, [Hs, Ms]).permute([2, 3, 0, 4, 1])
+               .apply(H.antipode, 0, 1, [Hs]).apply(H.mult, 0, 2, [Hs])
+               .apply(H.mult, 0, 2, [Hs]).apply(M.action, 1, 2, [Ms]))
+        M._memo["ayd"] = (lhs.to_map(), rhs.to_map())
+    return M._memo["ayd"]
 
 
 def _ayd_difference(M):
-    """L − R on H⊗M, built once and kept on M: by linearity the two AYD
-    sides of a cochain φ differ by the one walk of φ through it."""
-    if "ayd" not in M._memo:
-        lhs, rhs = _ayd_suffixes(M)
-        M._memo["ayd"] = lhs.to_map() - rhs.to_map()
-    return M._memo["ayd"]
+    """L − R on H⊗M from the kept ``_ayd_sides``, kept on M: by linearity the
+    two AYD sides of a cochain φ differ by the one walk of φ through it."""
+    if "ayd-difference" not in M._memo:
+        lhs, rhs = _ayd_sides(M)
+        M._memo["ayd-difference"] = lhs - rhs
+    return M._memo["ayd-difference"]
 
 
 def _bent_coaction(A):
@@ -748,8 +724,8 @@ def check_sayd_over_algebra(A: ComoduleAlgebra, M: ModuleComodule, n_max=2) -> C
                 return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))
 
             HM, ddim, sides = tensor_space(A.hopf.space, M.space), phi.domain.dim, []
-            for side in _ayd_suffixes(M):
-                image = _carrier_ayd(A, M, n, side.to_map()).images([vec.entries])[0]
+            for side in _ayd_sides(M):
+                image = _carrier_ayd(A, M, n, side).images([vec.entries])[0]
                 sides.append(LinMap(phi.domain, HM, {divmod(i, ddim): v for i, v in image.items()}))
             res = compare("carrier-ayd-algebra", *sides, at, detail=dims_note)
             if res:
@@ -774,8 +750,8 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
     Hs, Ms, Cs = C.hopf.space, M.space, C.space
     if (Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
             .apply(_ayd_difference(M), 1, 2, [Hs, Ms]).entries()):
-        lhs = _append_ayd_lhs(Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs]), M).to_map()
-        rhs = _append_ayd_rhs(Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs]), M).to_map()
+        lhs, rhs = (Chain([Cs, Ms]).apply(C.coaction, 0, 1, [Cs, Hs])
+                    .apply(side, 1, 2, [Hs, Ms]).to_map() for side in _ayd_sides(M))
         return compare("carrier-ayd-coalgebra", lhs, rhs, tensor_space(Cs, Ms).label)
     dims_notes, A = [], dual_carrier(C)
     for n in range(n_max + 1):
@@ -824,7 +800,8 @@ def check_involution_over_coalgebra(C: ComoduleCoalgebra, delta: Character,
         return mp
     s_d = twisted_antipode(H, delta, convention=convention)
     lhs = Chain([Cs]).apply(C.coaction, 0, 1, [Cs, Hs]).apply(s_d @ s_d, 1, 1, [Hs]).to_map()
-    conj = _left_multiplication(H, sigma.sigma) @ _right_multiplication(H, sigma.sigma_inverse)
+    conj = (_multiplication(H, sigma.sigma, "left")
+            @ _multiplication(H, sigma.sigma_inverse, "right"))
     rhs = Chain([Cs]).apply(C.coaction, 0, 1, [Cs, Hs]).apply(conj, 1, 1, [Hs]).to_map()
     res = compare("involution-coalgebra", lhs, rhs, Cs.label)
     if res:

@@ -23,10 +23,15 @@ became the comodule-algebra complex over the predual: the invariant
 functionals as the equalizer of an iterated coproduct of H walked over every
 input, and the last coface and τ_n written with the module action.
 
-The last section keeps the comodule-coalgebra complex as it was built before
+The next section keeps the comodule-coalgebra complex as it was built before
 it became the comodule-algebra complex of the dual algebra C*: the cotensor
 chains C^{⊗(n+1)} □_H M as the equalizer of ρ_diag⊗id and id⊗λ_M, and every
-operator as a forward walk on C^{⊗(n+1)}⊗M."""
+operator as a forward walk on C^{⊗(n+1)}⊗M.
+
+The last section keeps the appenders that the library's coefficient maps
+kept on M replaced: the action and the two AYD sides appended to the last
+two legs (H, M) of a Chain that the caller passes in, and every kept map
+built from them afresh."""
 
 import itertools
 
@@ -53,13 +58,7 @@ from hopfcyc.linalg import (
     vector_to_linmap,
 )
 from hopfcyc.results import compare, passed
-from hopfcyc.symmetries import (
-    _append_act,
-    _append_ayd_lhs,
-    _append_ayd_rhs,
-    _equalizer,
-    colinear_hom_space,
-)
+from hopfcyc.symmetries import _equalizer, colinear_hom_space
 
 
 def _flatten(dims, tup):
@@ -521,9 +520,9 @@ def carrier_sayd_pipelines(A, M, n):
     legs = [As] * (n + 1)
     coact = Chain(legs).apply(A.left_coaction(), 0, 1, [Hs, As])
     diag = Chain(legs).apply(diag_left_coaction(A, n + 1), 0, n + 1, [Hs] + legs)
-    return ((coact, 1, n + 1, _append_ayd_lhs(Chain([Hs, Ms]), M)),
-            (coact, 1, n + 1, _append_ayd_rhs(Chain([Hs, Ms]), M)),
-            (diag, 1, n + 1, _append_act(Chain([Hs, Ms]), M)))
+    return ((coact, 1, n + 1, append_ayd_lhs(Chain([Hs, Ms]), M)),
+            (coact, 1, n + 1, append_ayd_rhs(Chain([Hs, Ms]), M)),
+            (diag, 1, n + 1, append_act(Chain([Hs, Ms]), M)))
 
 
 def check_sayd_over_algebra_by_map(A, M, n_max=2):
@@ -672,3 +671,44 @@ def comodule_coalgebra_complex_by_cotensor(C, M, N):
         return chain.permute(order).apply(M.action, n + 1, 2, [Ms]).walk
 
     return _assemble("comodule-coalgebra", Cs.field, N, subs, "w", coface, codegeneracy, cyclic)
+
+
+def append_act(chain, M):
+    """Append h⊗m ↦ m◁h on the last two legs (H, M) of ``chain``."""
+    p = len(chain.legs) - 2
+    return chain.permute(list(range(p)) + [p + 1, p]).apply(M.action, p, 2, [M.space])
+
+
+def append_ayd_lhs(chain, M):
+    """Append h⊗m ↦ λ_M(m◁h), the left side of the AYD identity, on the last
+    two legs (H, M) of ``chain``."""
+    p = len(chain.legs) - 2
+    return append_act(chain, M).apply(M.coaction, p, 1, [M.hopf.space, M.space])
+
+
+def append_ayd_rhs(chain, M):
+    """Append h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾, the right side of the AYD
+    identity, on the last two legs (H, M) of ``chain``."""
+    H, Hs, Ms = M.hopf, M.hopf.space, M.space
+    p = len(chain.legs) - 2
+    return (
+        chain.apply(H.iterated_comult(2), p, 1, [Hs] * 3)
+        .apply(M.coaction, p + 3, 1, [Hs, Ms])
+        .permute(list(range(p)) + [p + 2, p + 3, p, p + 4, p + 1])
+        .apply(H.antipode, p, 1, [Hs])
+        .apply(H.mult, p, 2, [Hs])
+        .apply(H.mult, p, 2, [Hs])
+        .apply(M.action, p + 1, 2, [Ms])
+    )
+
+
+def coefficient_maps(M):
+    """The maps the library keeps on M, each built by the appenders on fresh
+    Chains: the action and the AYD sides L and R on H⊗M, L − R, and the
+    stability map m ↦ m⟨0⟩◁m⟨−1⟩ on M."""
+    Hs, Ms = M.hopf.space, M.space
+    act = append_act(Chain([Hs, Ms]), M).to_map()
+    lhs = append_ayd_lhs(Chain([Hs, Ms]), M).to_map()
+    rhs = append_ayd_rhs(Chain([Hs, Ms]), M).to_map()
+    stab = append_act(Chain([Ms]).apply(M.coaction, 0, 1, [Hs, Ms]), M).to_map()
+    return {"act": act, "lhs": lhs, "rhs": rhs, "difference": lhs - rhs, "stab": stab}

@@ -9,6 +9,11 @@ The four coaction (co)commutativity checkers are written out the same way,
 each with both sides spelled in full, as they were before they shared one
 two-pipeline helper.
 
+The multiplication matrices of an element and the twisted antipode are
+written out as they were before they became one pass over the product's
+entries and one pipeline: one pass per entry of the element, for each side,
+and one pipeline per convention.
+
 The one deliberate difference from those bodies: ``verify_module_algebra``
 also checks the right unit law (``algebra-right-unit``), right after the
 left one; without it an algebra with only a left unit passed."""
@@ -512,3 +517,52 @@ def check_cocommutative_coaction_coalgebra(C, n_max=2):
         if not res:
             return res
     return results.passed("cocommutative-coaction-coalgebra", detail=C.name)
+
+
+def left_multiplication(H, vec):
+    """h ↦ vec·h as a matrix on H, one pass over the product per entry of vec."""
+    d = H.dim
+    entries = {}
+    for i, coeff in vec.entries.items():
+        for (r, c), v in H.mult.entries.items():
+            a, b = divmod(c, d)
+            if a == i:
+                key = (r, b)
+                entries[key] = entries.get(key, H.field.zero) + coeff * v
+    return LinMap(H.space, H.space, {k: v for k, v in entries.items() if v})
+
+
+def right_multiplication(H, vec):
+    """h ↦ h·vec as a matrix on H, one pass over the product per entry of vec."""
+    d = H.dim
+    entries = {}
+    for i, coeff in vec.entries.items():
+        for (r, c), v in H.mult.entries.items():
+            a, b = divmod(c, d)
+            if b == i:
+                key = (r, a)
+                entries[key] = entries.get(key, H.field.zero) + coeff * v
+    return LinMap(H.space, H.space, {k: v for k, v in entries.items() if v})
+
+
+def twisted_antipode(H, delta, convention="first-leg"):
+    """S_δ(h) = δ(h⁽¹⁾)S(h⁽²⁾), or δ(h⁽²⁾)S(h⁽¹⁾) with convention="second-leg",
+    one pipeline written out per convention."""
+    Hs = H.space
+    if convention == "first-leg":
+        chain = (
+            Chain([Hs])
+            .apply(H.comult, 0, 1, [Hs, Hs])
+            .apply(delta.delta, 0, 1, [])
+            .apply(H.antipode, 0, 1, [Hs])
+        )
+    elif convention == "second-leg":
+        chain = (
+            Chain([Hs])
+            .apply(H.comult, 0, 1, [Hs, Hs])
+            .apply(delta.delta, 1, 1, [])
+            .apply(H.antipode, 0, 1, [Hs])
+        )
+    else:
+        raise ValueError("unknown twisted-antipode convention %r" % convention)
+    return chain.to_map()

@@ -44,7 +44,7 @@ from hopfcyc.linalg import (
 from hopfcyc.symmetries import (
     ModuleComodule,
     _ayd_difference,
-    _ayd_suffixes,
+    _ayd_sides,
     _carrier_ayd,
     _carrier_stability,
     _stability,
@@ -220,7 +220,7 @@ def test_contraction_images_match_contract(name, field):
     # from the whole colinear basis in one call, against the oracle's
     # contraction of its pipelines with one map at a time
     for aname, A, mname, M in _carrier_pairs(name, field):
-        lhs_s, rhs_s = (side.to_map() for side in _ayd_suffixes(M))
+        lhs_s, rhs_s = _ayd_sides(M)
         for n in range(3):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:

@@ -1,7 +1,9 @@
 """Pipeline contraction: the oracle's per-map contraction against a Chain
 with the map in between, and a differential test of every library operator
 that puts a cochain between two fixed maps, each a walk of the cochains'
-coordinates, against the per-cochain Chain oracle."""
+coordinates, against the per-cochain Chain oracle.  The maps kept on a
+coefficient (the action, the two AYD sides, their difference and s_M) equal
+the appender pipelines they replaced, on every corpus coefficient."""
 
 import random
 
@@ -13,17 +15,27 @@ from hopfcyc.corpus import (
     comodule_algebras_for,
     crossed_product_instances,
     get_hopf,
+    hopf_names,
+    trivial_comodule_M,
 )
 from hopfcyc.cup import CrossedPairing
 from hopfcyc.fields import GF, QQ
 from hopfcyc.linalg import Chain, DimensionMismatch, LinMap, Space, tensor_space
-from hopfcyc.hopf import counit_character, unit_group_like
+from hopfcyc.hopf import (
+    check_modular_pair,
+    counit_character,
+    enumerate_characters,
+    enumerate_group_likes,
+    unit_group_like,
+)
 from hopfcyc.symmetries import (
+    _acting,
     _ayd_difference,
-    _ayd_suffixes,
+    _ayd_sides,
     _bent_coaction,
     _carrier_ayd,
     _stability,
+    check_sayd,
     colinear_hom_space,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
@@ -180,7 +192,7 @@ def _assert_carrier_sides_match_oracle(pairs):
         # minute, so those pairs stop at degree 1 (the index arithmetic is
         # the same at every degree, and degree 2 is covered on the others)
         top = 1 if A.dim * M.dim > 16 else 2
-        lhs_s, rhs_s = (side.to_map() for side in _ayd_suffixes(M))
+        lhs_s, rhs_s = _ayd_sides(M)
         for n in range(top + 1):
             sub = colinear_hom_space(A, M, n)
             if not sub.dim:
@@ -214,55 +226,85 @@ def test_carrier_sayd_sides_match_oracle_over_gfp(name):
         [(aname, A, M.name, M) for aname, A in carriers for M in coefficients])
 
 
-def _count_materializations(monkeypatch):
-    """Record every Chain that materializes its entries, once per walk."""
-    walked = []
-    materialize = Chain._materialize
+def _every_coefficient(name, field):
+    """The corpus coefficients over one Hopf algebra, SAYD or not: the scalar
+    coefficient of every modular pair found over ``field``, the trivial one,
+    and the regular coaction and the regular action."""
+    H = get_hopf(name, field)
+    sigmas = enumerate_group_likes(H)
+    out = [scalar_coefficients(H, delta, sigma) for delta in enumerate_characters(H)
+           for sigma in sigmas if check_modular_pair(H, delta, sigma)]
+    return out + [trivial_comodule_M(H), regular_coaction_trivial_action(H),
+                  regular_action_trivial_coaction(H)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("name", hopf_names())
+def test_kept_coefficient_maps_match_the_appenders(name, field):
+    # the maps kept on M against the appender pipelines they replaced, built
+    # afresh by the oracle: the same entries on the same spaces
+    sayd = 0
+    for M in _every_coefficient(name, field):
+        want = chain_oracle.coefficient_maps(M)
+        lhs, rhs = _ayd_sides(M)
+        for have, key in ((_acting(M), "act"), (lhs, "lhs"), (rhs, "rhs"),
+                          (_ayd_difference(M), "difference"), (_stability(M), "stab")):
+            assert have == want[key], (M.name, key)
+            assert (have.domain, have.codomain) == (want[key].domain, want[key].codomain)
+        sayd += bool(check_sayd(M))
+    assert sayd
+
+
+def _recording_chains(monkeypatch):
+    """Record every Chain that materializes its entries, once per walk, and
+    every (Chain, map) pair that ``to_map`` returns."""
+    walked, built = [], []
+    materialize, to_map = Chain._materialize, Chain.to_map
 
     def counting(self):
         walked.append(self)
         return materialize(self)
 
-    monkeypatch.setattr(Chain, "_materialize", counting)
-    return walked
-
-
-def _recording(monkeypatch, module, name, made):
-    build = getattr(module, name)
-
-    def recorded(*args):
-        out = build(*args)
-        made.extend(out if isinstance(out, tuple) else [out])
+    def recording(self):
+        out = to_map(self)
+        built.append((self, out))
         return out
 
-    monkeypatch.setattr(module, name, recorded)
+    monkeypatch.setattr(Chain, "_materialize", counting)
+    monkeypatch.setattr(Chain, "to_map", recording)
+    return walked, built
 
 
 def test_coefficient_suffixes_are_materialized_once(monkeypatch):
-    # the suffixes on H⊗M (the two AYD sides, kept as their difference, and
-    # the action) are kept on the coefficient: each is built and walked once,
-    # for every degree and carrier of the check and every wrap of a complex
+    # the maps kept on the coefficient (the action and the two AYD sides on
+    # H⊗M, and s_M on M) are each one Chain, built and walked once, for every
+    # degree and carrier of the check and every wrap of a complex; L − R is
+    # computed from the kept sides and walks nothing
     from hopfcyc import symmetries
 
     H = get_hopf("kZ3")
     A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
     assert all(colinear_hom_space(A, M, n).dim for n in range(3))
-    made = []
-    _recording(monkeypatch, symmetries, "_ayd_suffixes", made)
-    _recording(monkeypatch, symmetries, "_acting_suffix", made)
-    walked = _count_materializations(monkeypatch)
+    walked, built = _recording_chains(monkeypatch)
     assert symmetries.check_sayd_over_algebra(A, M, n_max=2)
-    assert len(made) == 2  # the check reads the AYD sides; the complex adds the action
+    # the check reads the AYD sides and s_M; the complex adds the action
+    assert sorted(M._memo) == ["ayd", "ayd-difference", "stab"]
     build_comodule_algebra_complex(A, M, 3)
     assert symmetries.check_sayd_over_algebra(regular_comodule_algebra(H), M, n_max=2)
     build_comodule_algebra_complex(regular_comodule_algebra(H), M, 2)
-    assert len(made) == 3
-    assert [sum(w is c for w in walked) for c in made] == [1, 1, 1]
-    assert symmetries._ayd_difference(M) is M._memo["ayd"]
+    kept = [M._memo["act"], *M._memo["ayd"], M._memo["stab"]]
+    makers = [[chain for chain, f in built if f is g] for g in kept]
+    assert [len(chains) for chains in makers] == [1, 1, 1, 1]
+    assert [sum(w is chains[0] for w in walked) for chains in makers] == [1, 1, 1, 1]
     assert symmetries._acting(M) is M._memo["act"]
+    assert symmetries._ayd_sides(M) is M._memo["ayd"]
+    assert symmetries._ayd_difference(M) is M._memo["ayd-difference"]
+    assert symmetries._stability(M) is M._memo["stab"]
     # another coefficient with the same structure builds its own
-    build_comodule_algebra_complex(A, regular_coaction_trivial_action(H), 2)
-    assert len(made) == 4 and sum(w is made[3] for w in walked) == 1
+    other = regular_coaction_trivial_action(H)
+    build_comodule_algebra_complex(A, other, 2)
+    assert other._memo["act"] is not M._memo["act"]
+    assert sum(f is other._memo["act"] for _, f in built) == 1
 
 
 def test_failing_witness_matches_oracle(H4, H4_eps, H4_one):

@@ -202,6 +202,34 @@ class TestCliExitCodes:
                 "above the configured cap 200000") in captured.err
         assert not (workdir / "complex.json").exists()
 
+    def test_complex_build_to_a_missing_directory_exits_2(self, workdir, capsys):
+        # a file that cannot be written is one error line, not a traceback
+        emit("kZ2.regular-comodule-algebra")
+        emit("kZ2.coeff-eps-unit")
+        capsys.readouterr()
+        out = os.path.join("no-such-directory", "complex.json")
+        code = main(["complex", "build", "--kind", "comodule-algebra",
+                     "--hopf", "kZ2.json",
+                     "--carrier", "kZ2.regular-comodule-algebra.json",
+                     "--coeff", "kZ2.coeff-eps-unit.json",
+                     "--max-degree", "1", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "No such file or directory" in captured.err and out in captured.err
+
+    def test_examples_emit_into_a_file_exits_2(self, workdir, capsys):
+        # --out names a directory; an existing file there is refused, untouched
+        (workdir / "taken").write_text("kept\n")
+        capsys.readouterr()
+        assert main(["examples", "emit", "kZ2", "--out", "taken"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "File exists" in captured.err and "taken" in captured.err
+        assert (workdir / "taken").read_text() == "kept\n"
+
     def test_cohomology_tables(self, workdir, capsys):
         emit("trivial.regular-comodule-algebra")
         emit("trivial.coeff-eps-unit")
@@ -584,9 +612,9 @@ class TestWrongTypes:
             assert captured.out == ""
             assert captured.err == "error: %s.json: %s\n" % (cochain, message)
         for coordinates, message in [
-                ([["0", "1"]], "index out of range in ['0', '1']"),
-                ([[False, "1"]], "index out of range in [False, '1']"),
-                ([[True, "1"]], "index out of range in [True, '1']"),
+                ([["0", "1"]], "non-integer index in ['0', '1']"),
+                ([[False, "1"]], "non-integer index in [False, '1']"),
+                ([[True, "1"]], "non-integer index in [True, '1']"),
                 ([[0, 1.5]], "scalar must be a string or an integer, found 1.5 in [0, 1.5]"),
                 ([[0, True]], "scalar must be a string or an integer, found true in [0, True]")]:
             write_trivial_cup_files()

@@ -4,8 +4,10 @@ mutation of every tensor of the corpus structures must give the same verdict,
 witness and witness vectors, and every corpus coefficient the same SAYD
 verdicts.  The four coaction (co)commutativity checkers must agree with
 their written-out copies on every corpus carrier, over ℚ and GF(32003), and
-on every one-entry mutation of its coaction.  A few failing verdicts are
-also pinned as literal text."""
+on every one-entry mutation of its coaction.  The multiplication matrices
+and the twisted antipode must equal their written-out copies on every zoo
+Hopf algebra over ℚ and GF(3).  A few failing verdicts are also pinned as
+literal text."""
 
 import copy
 
@@ -16,11 +18,19 @@ from hopfcyc.corpus import (
     crossed_product_instances,
     get_bicrossed,
     get_hopf,
+    hopf_names,
     modular_pairs,
 )
 from hopfcyc.cup import CrossedProductAlgebra
 from hopfcyc.fields import GF, QQ
-from hopfcyc.hopf import co_opposite, verify_hopf
+from hopfcyc.hopf import (
+    _multiplication,
+    co_opposite,
+    enumerate_characters,
+    enumerate_group_likes,
+    twisted_antipode,
+    verify_hopf,
+)
 from hopfcyc.linalg import LinMap, Space, Vector, tensor_space
 from hopfcyc.symmetries import (
     ComoduleAlgebra,
@@ -187,6 +197,41 @@ def test_sayd_verdicts_match_oracle(name):
     # over a commutative and cocommutative H every coefficient here is SAYD
     if not (H.is_commutative() and H.is_cocommutative()):
         assert failing, "no failing SAYD verdict over %s" % name
+
+
+# ---------------------------------------------------------------------------
+# multiplication matrices and the twisted antipode
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3)), ids=lambda f: f.name)
+@pytest.mark.parametrize("name", hopf_names())
+def test_multiplication_matrices_match_oracle(name, field):
+    # every basis element, every group-like and its inverse, and one element
+    # with every coefficient nonzero, so that a product entry collects terms
+    # from several entries of the element
+    H = get_hopf(name, field)
+    elements = [H.space.basis_vector(i) for i in range(H.dim)]
+    elements += [v for g in enumerate_group_likes(H) for v in (g.sigma, g.sigma_inverse)]
+    elements.append(Vector(H.space, {i: field.from_int(i + 1) for i in range(H.dim)}))
+    for vec in elements:
+        for side, written in (("left", oracle.left_multiplication),
+                              ("right", oracle.right_multiplication)):
+            assert _multiplication(H, vec, side) == written(H, vec), (side, vec.describe())
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3)), ids=lambda f: f.name)
+@pytest.mark.parametrize("name", hopf_names())
+def test_twisted_antipode_matches_oracle(name, field):
+    H = get_hopf(name, field)
+    characters = enumerate_characters(H)
+    assert characters
+    for delta in characters:
+        for convention in ("first-leg", "second-leg"):
+            assert twisted_antipode(H, delta, convention=convention) == \
+                oracle.twisted_antipode(H, delta, convention), (delta.name, convention)
+    with pytest.raises(ValueError, match="unknown twisted-antipode convention"):
+        twisted_antipode(H, characters[0], convention="middle-leg")
 
 
 # ---------------------------------------------------------------------------
