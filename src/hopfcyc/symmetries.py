@@ -12,11 +12,13 @@ coalgebra C are the colinear maps over its dual algebra (``dual_carrier``).
 Each carrier condition is an identity between two tensor pipelines; the
 four coaction (co)commutativity checks build theirs with
 ``_products_agree``.  Each coefficient identity is written once, as a map
-kept on M (``_memo``): the action and the AYD sides L, R on H⊗M
-(``_acting``, ``_ayd_sides``), L − R (``_ayd_difference``) and s_M on M
-(``_stability``).  The carrier-SAYD check over an algebra walks the
-colinear cochains' hom coordinates through them, with the bent coaction
-kept on the carrier (``_diag``).
+on H⊗M or M: the action (``_acting``), the AYD sides L, R
+(``_ayd_sides``), L − R (``_ayd_difference``) and s_M (``_stability``).
+All but the pair (L, R) are kept on M (``_memo``); the pair is built where
+it is read, by the classical check and a failing witness.  The
+carrier-SAYD check over an algebra walks the colinear cochains' hom
+coordinates through them, with the bent coaction kept on the carrier
+(``_diag``).
 """
 
 from __future__ import annotations
@@ -246,9 +248,9 @@ class ModuleComodule:
         self.action = action
         self.coaction = coaction
         self.name = name
-        # maps built once and kept: on H⊗M "act" h⊗m ↦ m◁h (_acting), "ayd"
-        # the AYD sides (L, R) (_ayd_sides) and "ayd-difference" L − R
-        # (_ayd_difference); on M "stab" m ↦ m⟨0⟩◁m⟨−1⟩ (_stability); and
+        # maps built once and kept: on H⊗M "act" h⊗m ↦ m◁h (_acting) and
+        # "ayd" L − R of the AYD sides (_ayd_difference); on M "stab"
+        # m ↦ m⟨0⟩◁m⟨−1⟩ (_stability); and
         # "predual" the coefficient over the predual (predual_coefficient)
         self._memo = {}
         if validate:
@@ -645,28 +647,26 @@ def _acting(M):
 
 
 def _ayd_sides(M):
-    """The two sides of the AYD identity as maps on H⊗M, built once and kept
-    on M: L, h⊗m ↦ λ_M(m◁h), and R, h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾.
-    They depend on neither the degree nor the carrier."""
-    if "ayd" not in M._memo:
-        H, Hs, Ms = M.hopf, M.hopf.space, M.space
-        lhs = (Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
-               .apply(M.coaction, 0, 1, [Hs, Ms]))
-        rhs = (Chain([Hs, Ms]).apply(H.iterated_comult(2), 0, 1, [Hs] * 3)
-               .apply(M.coaction, 3, 1, [Hs, Ms]).permute([2, 3, 0, 4, 1])
-               .apply(H.antipode, 0, 1, [Hs]).apply(H.mult, 0, 2, [Hs])
-               .apply(H.mult, 0, 2, [Hs]).apply(M.action, 1, 2, [Ms]))
-        M._memo["ayd"] = (lhs.to_map(), rhs.to_map())
-    return M._memo["ayd"]
+    """The two sides of the AYD identity as maps on H⊗M: L, h⊗m ↦ λ_M(m◁h),
+    and R, h⊗m ↦ S(h⁽³⁾)m⟨−1⟩h⁽¹⁾ ⊗ m⟨0⟩◁h⁽²⁾.  They depend on neither the
+    degree nor the carrier; only their difference is kept on M."""
+    H, Hs, Ms = M.hopf, M.hopf.space, M.space
+    lhs = (Chain([Hs, Ms]).permute([1, 0]).apply(M.action, 0, 2, [Ms])
+           .apply(M.coaction, 0, 1, [Hs, Ms]))
+    rhs = (Chain([Hs, Ms]).apply(H.iterated_comult(2), 0, 1, [Hs] * 3)
+           .apply(M.coaction, 3, 1, [Hs, Ms]).permute([2, 3, 0, 4, 1])
+           .apply(H.antipode, 0, 1, [Hs]).apply(H.mult, 0, 2, [Hs])
+           .apply(H.mult, 0, 2, [Hs]).apply(M.action, 1, 2, [Ms]))
+    return lhs.to_map(), rhs.to_map()
 
 
 def _ayd_difference(M):
-    """L − R on H⊗M from the kept ``_ayd_sides``, kept on M: by linearity the
-    two AYD sides of a cochain φ differ by the one walk of φ through it."""
-    if "ayd-difference" not in M._memo:
+    """L − R on H⊗M, built once and kept on M: by linearity the two AYD
+    sides of a cochain φ differ by the one walk of φ through it."""
+    if "ayd" not in M._memo:
         lhs, rhs = _ayd_sides(M)
-        M._memo["ayd-difference"] = lhs - rhs
-    return M._memo["ayd-difference"]
+        M._memo["ayd"] = lhs - rhs
+    return M._memo["ayd"]
 
 
 def _bent_coaction(A):

@@ -276,29 +276,38 @@ def _recording_chains(monkeypatch):
 
 
 def test_coefficient_suffixes_are_materialized_once(monkeypatch):
-    # the maps kept on the coefficient (the action and the two AYD sides on
-    # H⊗M, and s_M on M) are each one Chain, built and walked once, for every
-    # degree and carrier of the check and every wrap of a complex; L − R is
-    # computed from the kept sides and walks nothing
+    # the maps kept on the coefficient (the action and L − R on H⊗M, and s_M
+    # on M) are built once, for every degree and carrier of the check and
+    # every wrap of a complex: the action, s_M and each AYD side are one
+    # Chain, walked once, and L − R is computed from the two sides
     from hopfcyc import symmetries
 
     H = get_hopf("kZ3")
     A, M = regular_comodule_algebra(H), regular_coaction_trivial_action(H)
     assert all(colinear_hom_space(A, M, n).dim for n in range(3))
     walked, built = _recording_chains(monkeypatch)
+    sides, ayd_sides = [], symmetries._ayd_sides
+
+    def recording_sides(M):
+        sides.append(ayd_sides(M))
+        return sides[-1]
+
+    monkeypatch.setattr(symmetries, "_ayd_sides", recording_sides)
     assert symmetries.check_sayd_over_algebra(A, M, n_max=2)
-    # the check reads the AYD sides and s_M; the complex adds the action
-    assert sorted(M._memo) == ["ayd", "ayd-difference", "stab"]
+    # the check reads L − R and s_M; the complex adds the action
+    assert sorted(M._memo) == ["ayd", "stab"]
     build_comodule_algebra_complex(A, M, 3)
     assert symmetries.check_sayd_over_algebra(regular_comodule_algebra(H), M, n_max=2)
     build_comodule_algebra_complex(regular_comodule_algebra(H), M, 2)
-    kept = [M._memo["act"], *M._memo["ayd"], M._memo["stab"]]
-    makers = [[chain for chain, f in built if f is g] for g in kept]
+    assert len(sides) == 1
+    lhs, rhs = sides[0]
+    assert M._memo["ayd"] == lhs - rhs
+    made = [M._memo["act"], lhs, rhs, M._memo["stab"]]
+    makers = [[chain for chain, f in built if f is g] for g in made]
     assert [len(chains) for chains in makers] == [1, 1, 1, 1]
     assert [sum(w is chains[0] for w in walked) for chains in makers] == [1, 1, 1, 1]
     assert symmetries._acting(M) is M._memo["act"]
-    assert symmetries._ayd_sides(M) is M._memo["ayd"]
-    assert symmetries._ayd_difference(M) is M._memo["ayd-difference"]
+    assert symmetries._ayd_difference(M) is M._memo["ayd"]
     assert symmetries._stability(M) is M._memo["stab"]
     # another coefficient with the same structure builds its own
     other = regular_coaction_trivial_action(H)
