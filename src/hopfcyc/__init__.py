@@ -21,7 +21,6 @@ from .linalg import (
     leg_permutation,
     membership,
     rank,
-    tensor_map,
     tensor_power,
     tensor_space,
     unit_space,
@@ -99,8 +98,6 @@ from .cup import (
     CrossedPairing,
     CrossedProductAlgebra,
     classical_complex,
-    crossed_product,
-    diagonal_complex,
 )
 from .results import CheckResult, Witness
 

@@ -50,9 +50,14 @@ def _load_hopf(path):
 
 
 def _load_object(path, hopf_dict, hopf, kind=None):
-    """A carrier or coefficient file, refused unless it is of ``kind`` (if given)."""
+    """A carrier or coefficient file, refused unless it is of ``kind`` (if given)
+    or if it is a right comodule algebra, which no command reads."""
     d = structfile.load_file(path, kind)
-    return structfile.object_from_dict(d, hopf_dict, hopf), d
+    X = structfile.object_from_dict(d, hopf_dict, hopf)
+    if d["kind"] == "comodule-algebra" and X.side != "left":
+        raise structfile.ParseError("%s: a comodule-algebra carrier must be a left "
+                                    "comodule algebra, found side %r" % (path, X.side))
+    return X, d
 
 
 def cmd_examples(args):
@@ -114,9 +119,6 @@ def cmd_check_coefficient(args):
         if kind not in ("comodule-algebra", "comodule-coalgebra"):
             print("error: hcc needs a comodule-algebra or comodule-coalgebra carrier",
                   file=sys.stderr)
-            return 2
-        if kind == "comodule-algebra" and carrier.side != "left":
-            print("error: the hcc check needs a left comodule algebra", file=sys.stderr)
             return 2
         return _print_result(check_hcc(kind, carrier, coeff, N=n), args.json)
     print("error: unknown flavor %r" % flavor, file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Crossed products, the diagonal complex, the pairing map into the crossed
-product's cyclic complex, and the cup product.
+"""Crossed products, the pairing map into the crossed product's cyclic
+complex, and the cup product.
 
 The pairing map Ψ sends a pair (functional on M⊗A-chains, colinear map on
 B-chains) to a functional on (A⋊B)-chains by feeding the coefficient leg the
 B-part and acting on each argument a_j by S⁻¹ of the diagonal coaction leg
-of b_j⊗…⊗b_n.  Its leg assignment is validated operationally: the test suite
+of b_j⊗…⊗b_n, as one matrix Ψ_n on X_n⊗Y_n (X the module side, Y the
+comodule side).  Its leg assignment is validated operationally: the test suite
 asserts Ψ intertwines every cocyclic operator on the corpus instances, and
 the builders fail loudly if membership breaks.
 """
@@ -18,7 +19,6 @@ from .linalg import (
     LinMap,
     Space,
     Vector,
-    tensor_map,
     tensor_power,
     tensor_space,
     tensor_vectors,
@@ -63,11 +63,8 @@ class CrossedProductAlgebra:
             .apply(action_algebra.action, 1, 2, [A])
             .apply(action_algebra.mult, 0, 2, [A])
             .apply(comodule_algebra.mult, 1, 2, [B])
-            .to_map()
         )
-        self.mult = chain.with_spaces(
-            tensor_space(self.space, self.space), self.space
-        )
+        self.mult = LinMap(tensor_space(self.space, self.space), self.space, chain.entries())
         self.unit = Vector(self.space, tensor_vectors(
             action_algebra.unit, comodule_algebra.unit).entries)
         self.name = name or "%s⋊%s" % (action_algebra.name, comodule_algebra.name)
@@ -88,10 +85,6 @@ class CrossedProductAlgebra:
         return "CrossedProductAlgebra(%s, dim=%d)" % (self.name, self.dim)
 
 
-def crossed_product(action_algebra, comodule_algebra, name=None):
-    return CrossedProductAlgebra(action_algebra, comodule_algebra, name=name)
-
-
 def classical_complex(crossed: CrossedProductAlgebra, N=3) -> CocyclicModule:
     """The classical cyclic cochain complex of the crossed product algebra:
     its module-algebra complex over the trivial Hopf algebra."""
@@ -100,43 +93,6 @@ def classical_complex(crossed: CrossedProductAlgebra, N=3) -> CocyclicModule:
                                   name=crossed.name)
     Mk = scalar_coefficients(Hk, counit_character(Hk), unit_group_like(Hk))
     return build_module_algebra_complex(A, Mk, N)
-
-
-def diagonal_complex(X: CocyclicModule, Y: CocyclicModule, N=None) -> CocyclicModule:
-    """Degreewise tensor product with operators δ⊗δ, σ⊗σ, τ⊗τ."""
-    if N is None:
-        N = min(X.max_degree, Y.max_degree)
-    if N > min(X.max_degree, Y.max_degree):
-        raise ValueError("diagonal complex degree exceeds the factors")
-    spaces = []
-    for n in range(N + 1):
-        labels = tuple(
-            "%s⊗%s" % (a, b) for a in X.spaces[n].labels for b in Y.spaces[n].labels
-        )
-        spaces.append(Space(labels, X.field))
-
-    def descriptions():
-        return [["(%s)⊗(%s)" % (da, db)
-                 for da in X.ambient_descriptions[n]
-                 for db in Y.ambient_descriptions[n]]
-                for n in range(N + 1)]
-
-    cofaces = {
-        n: [tensor_map(X.coface(n, i), Y.coface(n, i)).with_spaces(
-            spaces[n - 1], spaces[n]) for i in range(n + 1)]
-        for n in range(1, N + 1)
-    }
-    codegens = {
-        n: [tensor_map(X.codegeneracy(n, i), Y.codegeneracy(n, i)).with_spaces(
-            spaces[n + 1], spaces[n]) for i in range(n + 1)]
-        for n in range(N)
-    }
-    cyclic = {
-        n: tensor_map(X.tau(n), Y.tau(n)).with_spaces(spaces[n], spaces[n])
-        for n in range(N + 1)
-    }
-    return CocyclicModule("diagonal", X.field, N, spaces, cofaces, codegens,
-                          cyclic, descriptions)
 
 
 class CrossedPairing:
@@ -160,7 +116,6 @@ class CrossedPairing:
         if not ident:
             raise StructureError(ident)
         self.target = classical_complex(self.crossed, N=N + 1)
-        self.diagonal = diagonal_complex(self.module_side, self.comodule_side, N + 1)
         self._psi_cache = {}
 
     def _twist_pipeline(self, n):
@@ -185,14 +140,14 @@ class CrossedPairing:
             (row % rdim * ddim + col, row // rdim): v for (row, col), v in chain.entries().items()})
 
     def psi_matrix(self, n) -> LinMap:
-        """Ψ_n as a matrix from the degree-n diagonal space to the degree-n
-        space of the crossed product's classical complex (dual coordinates);
+        """Ψ_n as a matrix from X_n⊗Y_n to the degree-n space of the crossed
+        product's classical complex (dual coordinates);
         column i·dim(Y_n)+j is Ψ(φ_i⊗ψ_j) = φ_i ∘ (ψ_j ⊗ id) ∘ P_n on the kept
         subspace bases: the ψ basis walked through the curried P_n, then
         through the φ basis as one map M⊗A^{⊗(n+1)} → X_n."""
         if n not in self._psi_cache:
             phis, psis = self.module_side.subspaces[n], self.comodule_side.subspaces[n]
-            Xn, D = self.module_side.spaces[n], self.target.spaces[n]
+            Xn, Yn, D = (C.spaces[n] for C in (self.module_side, self.comodule_side, self.target))
             phi_map = LinMap(phis.domain, Xn, {
                 (i, r): v for i, phi in enumerate(phis.basis) for r, v in phi.entries.items()})
             curried = [tensor_power(self.action_algebra.space, n + 1), D]
@@ -204,38 +159,39 @@ class CrossedPairing:
                 for idx, v in image.items():
                     i, c = divmod(idx, D.dim)
                     entries[(c, i * dy + j)] = v
-            self._psi_cache[n] = LinMap(self.diagonal.spaces[n], D, entries)
+            self._psi_cache[n] = LinMap(tensor_space(Xn, Yn), D, entries)
         return self._psi_cache[n]
 
     def check_cocyclic_map(self, max_degree=None) -> CheckResult:
-        """Ψ intertwines every coface, codegeneracy, and the cyclic operator
-        between the diagonal complex and the crossed product's complex."""
+        """Ψ_n∘(f⊗g) = T∘Ψ_m for every coface, codegeneracy and cyclic operator,
+        f of X, g of Y and T of the crossed product's complex: the left side is
+        one Chain on X_m⊗Y_m (f, g, then Ψ_n), so f⊗g is never formed."""
         N = self.N if max_degree is None else max_degree
+        X, Y, D = self.module_side, self.comodule_side, self.target
         checks = []
 
-        def locate(degree):
-            return lambda col: "degree %d, basis %s" % (
-                degree, self.diagonal.basis_label(degree, col))
+        def check(condition, m, n, f, g, T):
+            lhs = (Chain([X.spaces[m], Y.spaces[m]])
+                   .apply(f, 0, 1, [X.spaces[n]]).apply(g, 1, 1, [Y.spaces[n]])
+                   .apply(self.psi_matrix(n), 0, 2, [D.spaces[n]]).to_map())
+
+            def locate(col):
+                i, j = divmod(col, Y.spaces[m].dim)
+                return "degree %d, basis (%s)⊗(%s)" % (
+                    m, X.basis_label(m, i), Y.basis_label(m, j))
+
+            checks.append(compare(condition, lhs, T @ self.psi_matrix(m), locate))
 
         for n in range(N + 1):
             if n >= 1:
                 for i in range(n + 1):
-                    lhs = self.psi_matrix(n) @ self.diagonal.coface(n, i)
-                    rhs = self.target.coface(n, i) @ self.psi_matrix(n - 1)
-                    checks.append(compare(
-                        "pairing∘δ_%d = δ_%d∘pairing (deg %d)" % (i, i, n),
-                        lhs, rhs, locate(n - 1)))
+                    check("pairing∘δ_%d = δ_%d∘pairing (deg %d)" % (i, i, n), n - 1, n,
+                          X.coface(n, i), Y.coface(n, i), D.coface(n, i))
             if n + 1 <= N:
                 for i in range(n + 1):
-                    lhs = self.psi_matrix(n) @ self.diagonal.codegeneracy(n, i)
-                    rhs = self.target.codegeneracy(n, i) @ self.psi_matrix(n + 1)
-                    checks.append(compare(
-                        "pairing∘σ_%d = σ_%d∘pairing (deg %d)" % (i, i, n),
-                        lhs, rhs, locate(n + 1)))
-            lhs = self.psi_matrix(n) @ self.diagonal.tau(n)
-            rhs = self.target.tau(n) @ self.psi_matrix(n)
-            checks.append(compare("pairing∘τ_%d = τ_%d∘pairing" % (n, n),
-                                  lhs, rhs, locate(n)))
+                    check("pairing∘σ_%d = σ_%d∘pairing (deg %d)" % (i, i, n), n + 1, n,
+                          X.codegeneracy(n, i), Y.codegeneracy(n, i), D.codegeneracy(n, i))
+            check("pairing∘τ_%d = τ_%d∘pairing" % (n, n), n, n, X.tau(n), Y.tau(n), D.tau(n))
         return results.merge("pairing-cocyclic-map", checks)
 
     def alexander_whitney(self, phi_coords, p, psi_coords, q):
@@ -272,13 +228,7 @@ class CrossedPairing:
                 raise StructureError(pre)
         phi, psi = self.alexander_whitney(phi_coords, p, psi_coords, q)
         n = p + q
-        dy = self.comodule_side.spaces[n].dim
-        pair = Vector(self.diagonal.spaces[n], {
-            i * dy + j: vi * vj
-            for i, vi in phi.entries.items()
-            for j, vj in psi.entries.items()
-        })
-        out = self.psi_matrix(n).apply(pair)
+        out = self.psi_matrix(n).apply(tensor_vectors(phi, psi))
         b = hochschild_coboundary(self.target, n)
         closed = b.apply(out)
         if closed.is_zero():

@@ -78,15 +78,6 @@ class HopfAlgebra:
             self._memo[key] = out
         return self._memo[key]
 
-    def multiply_legs(self, k):
-        """H^{⊗k} → H, left-to-right product; k=0 gives the unit map."""
-        if k == 0:
-            return self.unit_map()
-        chain = Chain([self.space] * k)
-        for _ in range(k - 1):
-            chain.apply(self.mult, 0, 2, [self.space])
-        return chain.to_map()
-
     def antipode_inverse(self):
         """S⁻¹, memoized per instance."""
         if "S⁻¹" not in self._memo:

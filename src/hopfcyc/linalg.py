@@ -379,14 +379,6 @@ class LinMap:
     def is_zero(self):
         return not self.entries
 
-    def with_spaces(self, domain=None, codomain=None):
-        """Relabel domain/codomain (dims must agree); entries are shared."""
-        domain = domain if domain is not None else self.domain
-        codomain = codomain if codomain is not None else self.codomain
-        if domain.dim != self.domain.dim or codomain.dim != self.codomain.dim:
-            raise DimensionMismatch("relabel to different dimensions")
-        return LinMap(domain, codomain, self.entries)
-
     def power(self, k):
         if k < 0:
             raise ValueError("negative power")
@@ -408,22 +400,6 @@ class LinMap:
 def identity(space):
     one = space.field.one
     return LinMap(space, space, {(i, i): one for i in range(space.dim)})
-
-
-def zero_map(domain, codomain):
-    return LinMap(domain, codomain, {})
-
-
-def tensor_map(f, g):
-    """f ⊗ g with the row-major index convention on both sides."""
-    dom = tensor_space(f.domain, g.domain)
-    cod = tensor_space(f.codomain, g.codomain)
-    entries = {}
-    gdr, gdc = g.codomain.dim, g.domain.dim
-    for (rf, cf), vf in f.entries.items():
-        for (rg, cg), vg in g.entries.items():
-            entries[(rf * gdr + rg, cf * gdc + cg)] = vf * vg
-    return LinMap(dom, cod, entries)
 
 
 def leg_permutation(legs, order):
@@ -488,10 +464,6 @@ class Chain:
         self.legs = [self.legs[j] for j in order]
         self._entries = None
         return self
-
-    def rotate_last_to_front(self):
-        n = len(self.legs)
-        return self.permute([n - 1] + list(range(n - 1)))
 
     def entries(self):
         """The composite's ``(row, col) -> scalar`` entries; no labeled spaces.
@@ -851,9 +823,6 @@ class Subspace:
     def map(self, vec):
         return vector_to_linmap(vec, self.domain, self.codomain)
 
-    def maps(self):
-        return [self.map(v) for v in self.basis]
-
 
 def _free_columns(basis):
     """{j_k: k} for a canonical basis; raises if the basis is not one."""
@@ -968,14 +937,6 @@ def vector_to_linmap(vec, domain, codomain):
     return LinMap(domain, codomain, entries)
 
 
-def linmap_to_vector(f, hom_space):
-    entries = {}
-    ddim = f.domain.dim
-    for (r, c), v in f.entries.items():
-        entries[r * ddim + c] = v
-    return Vector(hom_space, entries)
-
-
 def hom_space(domain, codomain):
     """Hom(domain, codomain) as a labeled space; index = row·dim(domain)+col,
     label y←x.  When no factor label holds ←, each label splits at ← back
@@ -990,9 +951,3 @@ def dual_space(domain):
     """Linear functionals on domain; coordinate i is the functional e_i ↦ 1,
     labeled ``domain.label(i) + "*"`` and joined only when read."""
     return Space(None, domain.field, factors=(domain, Space(("*",), domain.field)), sep="")
-
-
-def vector_to_functional(vec, domain):
-    """Vector in dual coordinates -> LinMap domain → ground field."""
-    cod = unit_space(domain.field)
-    return LinMap(domain, cod, {(0, c): v for c, v in vec.entries.items()})

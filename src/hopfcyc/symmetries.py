@@ -51,7 +51,6 @@ from .linalg import (
     identity,
     kernel_basis,
     leg_permutation,
-    tensor_map,
     tensor_power,
     tensor_space,
     tensor_vectors,
@@ -396,9 +395,11 @@ def predual_coefficient(M: ModuleComodule) -> ModuleComodule:
     if "predual" not in M._memo:
         H, Ms = M.hopf, M.space
         K, d, md = predual(H), H.dim, Ms.dim
-        lam = tensor_map(H.antipode_inverse(), identity(Ms)) @ M.coaction
-        action = {(m, p * d + i): v for (r, m), v in lam.entries.items()
-                  for i, p in (divmod(r, md),)}
+        s_inv, action = H.antipode_inverse().by_col(), {}
+        for (r, m), v in M.coaction.entries.items():  # (S⁻¹⊗id)∘λ_M, bent
+            h, p = divmod(r, md)
+            for i, w in s_inv.get(h, ()):
+                action[(m, p * d + i)] = action.get((m, p * d + i), 0) + w * v
         coaction = {(i * md + m, r): v for (r, c), v in M.action.entries.items()
                     for m, i in (divmod(c, d),)}
         M._memo["predual"] = ModuleComodule(

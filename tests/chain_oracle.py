@@ -28,20 +28,27 @@ it became the comodule-algebra complex of the dual algebra C*: the cotensor
 chains C^{⊗(n+1)} □_H M as the equalizer of ρ_diag⊗id and id⊗λ_M, and every
 operator as a forward walk on C^{⊗(n+1)}⊗M.
 
-The last section keeps the appenders that the library's coefficient maps
+The next section keeps the appenders that the library's coefficient maps
 kept on M replaced: the action and the two AYD sides appended to the last
 two legs (H, M) of a Chain that the caller passes in, and every kept map
-built from them afresh."""
+built from them afresh.
+
+The last section keeps the pairing check as it was before it walked each
+identity as one Chain on X⊗Y: the diagonal complex, every operator the
+Kronecker product of the two sides' matrices, and the check written on it.
+
+The helpers just below are conversions that only the tests read."""
 
 import itertools
 
 import gf_oracle
 from rref_oracle import SubspaceSolver
-from hopfcyc.cocyclic import _assemble
+from hopfcyc.cocyclic import CocyclicModule, _assemble
 from hopfcyc.linalg import (
     Chain,
     DimensionMismatch,
     LinMap,
+    Space,
     Subspace,
     Vector,
     _free_columns,
@@ -50,15 +57,34 @@ from hopfcyc.linalg import (
     dual_space,
     hom_space,
     kernel_basis,
-    linmap_to_vector,
     tensor_power,
     tensor_space,
     unit_space,
-    vector_to_functional,
     vector_to_linmap,
 )
-from hopfcyc.results import compare, passed
+from hopfcyc.results import compare, merge, passed
 from hopfcyc.symmetries import _equalizer, colinear_hom_space
+
+
+def linmap_to_vector(f, hom_space):
+    """A map as a vector of ``hom_space``, in hom coordinates."""
+    return Vector(hom_space, hom_coords(f))
+
+
+def vector_to_functional(vec, domain):
+    """A vector in dual coordinates as the functional domain → ground field."""
+    return LinMap(domain, unit_space(domain.field), {(0, c): v for c, v in vec.entries.items()})
+
+
+def subspace_maps(sub):
+    """The basis of a Subspace of a hom or dual space, as maps."""
+    return [sub.map(v) for v in sub.basis]
+
+
+def rotate_last_to_front(chain):
+    """Append to ``chain`` the permutation that moves its last leg first."""
+    n = len(chain.legs)
+    return chain.permute([n - 1] + list(range(n - 1)))
 
 
 def _flatten(dims, tup):
@@ -169,14 +195,15 @@ def psi_matrix(pairing, n):
             func = psi_on_pair(pairing, phi_vec, psi_vec, n)
             for (_, c), v in func.entries.items():
                 entries[(c, i * len(psis) + j)] = v
-    return LinMap(pairing.diagonal.spaces[n], pairing.target.spaces[n], entries)
+    return LinMap(tensor_space(pairing.module_side.spaces[n], pairing.comodule_side.spaces[n]),
+                  pairing.target.spaces[n], entries)
 
 
 def wrap_chain(A, M, phi, n, multiply_front):
     """The last coface (multiply_front) or the cyclic operator of the
     comodule-algebra complex applied to one colinear map φ."""
     Hs, Ms, As = A.hopf.space, M.space, A.space
-    chain = Chain([As] * (n + 1)).rotate_last_to_front().apply(
+    chain = rotate_last_to_front(Chain([As] * (n + 1))).apply(
         A.left_coaction(), 0, 1, [Hs, As])
     if multiply_front:
         chain.apply(A.mult, 1, 2, [As])
@@ -198,7 +225,7 @@ def wrap_matrices(A, M, N):
                 mats.append(None)
                 continue
             entries = {}
-            for k, phi in enumerate(subs[src].maps()):
+            for k, phi in enumerate(subspace_maps(subs[src])):
                 image = linmap_to_vector(wrap_chain(A, M, phi, n, front), subs[n].ambient)
                 coords = solver.coords(image)
                 assert coords is not None, "image of φ_%d escapes at degree %d" % (k, n)
@@ -534,7 +561,7 @@ def check_sayd_over_algebra_by_map(A, M, n_max=2):
         dims_note = "n=%d, dim=%d" % (n, sub.dim)
         if sub.dim:
             lhs_p, rhs_p, stab_p = carrier_sayd_pipelines(A, M, n)
-        for k, phi in enumerate(sub.maps()):
+        for k, phi in enumerate(subspace_maps(sub)):
             def at(col):
                 return "n=%d, φ_%d, input %s" % (n, k, phi.domain.label(col))
 
@@ -553,7 +580,7 @@ def psi_matrix_by_pair(pairing, n):
     """``CrossedPairing.psi_matrix`` as it was: each ψ contracted into the
     twist pipeline as a map, then one functional product per (φ, ψ)."""
     phis = pairing.module_side.subspaces[n].basis
-    psis = pairing.comodule_side.subspaces[n].maps()
+    psis = subspace_maps(pairing.comodule_side.subspaces[n])
     Ms, As = pairing.M.space, pairing.action_algebra.space
     twist = (twist_chain(pairing, n), 0, n + 1, Chain([Ms] + [As] * (n + 1)))
     entries = {}
@@ -565,7 +592,8 @@ def psi_matrix_by_pair(pairing, n):
             col = i * dy + j
             for (_, c), v in func.entries.items():
                 entries[(c, col)] = v
-    return LinMap(pairing.diagonal.spaces[n], pairing.target.spaces[n], entries)
+    return LinMap(tensor_space(pairing.module_side.spaces[n], pairing.comodule_side.spaces[n]),
+                  pairing.target.spaces[n], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -712,3 +740,73 @@ def coefficient_maps(M):
     rhs = append_ayd_rhs(Chain([Hs, Ms]), M).to_map()
     stab = append_act(Chain([Ms]).apply(M.coaction, 0, 1, [Hs, Ms]), M).to_map()
     return {"act": act, "lhs": lhs, "rhs": rhs, "difference": lhs - rhs, "stab": stab}
+
+
+# ---------------------------------------------------------------------------
+# the pairing check as it was: the diagonal complex X⊗Y with Kronecker-product
+# operators δ_i⊗δ_i, σ_i⊗σ_i and τ⊗τ, and Ψ compared on it
+# ---------------------------------------------------------------------------
+
+
+def tensor_map(f, g):
+    """f ⊗ g with the row-major index convention on both sides."""
+    dom = tensor_space(f.domain, g.domain)
+    cod = tensor_space(f.codomain, g.codomain)
+    entries = {}
+    gdr, gdc = g.codomain.dim, g.domain.dim
+    for (rf, cf), vf in f.entries.items():
+        for (rg, cg), vg in g.entries.items():
+            entries[(rf * gdr + rg, cf * gdc + cg)] = vf * vg
+    return LinMap(dom, cod, entries)
+
+
+def diagonal_complex(X, Y, N):
+    """Degreewise tensor product of two cocyclic modules up to degree N, with
+    operators δ⊗δ, σ⊗σ, τ⊗τ and basis descriptions (da)⊗(db)."""
+    if N > min(X.max_degree, Y.max_degree):
+        raise ValueError("diagonal complex degree exceeds the factors")
+    spaces = [Space(tuple("%s⊗%s" % (a, b) for a in X.spaces[n].labels
+                          for b in Y.spaces[n].labels), X.field) for n in range(N + 1)]
+
+    def relabeled(f, domain, codomain):
+        return LinMap(domain, codomain, f.entries)
+
+    def descriptions():
+        return [["(%s)⊗(%s)" % (da, db) for da in X.ambient_descriptions[n]
+                 for db in Y.ambient_descriptions[n]] for n in range(N + 1)]
+
+    cofaces = {n: [relabeled(tensor_map(X.coface(n, i), Y.coface(n, i)), spaces[n - 1], spaces[n])
+                   for i in range(n + 1)] for n in range(1, N + 1)}
+    codegens = {n: [relabeled(tensor_map(X.codegeneracy(n, i), Y.codegeneracy(n, i)),
+                              spaces[n + 1], spaces[n]) for i in range(n + 1)]
+                for n in range(N)}
+    cyclic = {n: relabeled(tensor_map(X.tau(n), Y.tau(n)), spaces[n], spaces[n])
+              for n in range(N + 1)}
+    return CocyclicModule("diagonal", X.field, N, spaces, cofaces, codegens, cyclic,
+                          descriptions)
+
+
+def check_cocyclic_map_on_diagonal(pairing, N):
+    """``CrossedPairing.check_cocyclic_map(N)`` as it was: Ψ_n ∘ (f⊗g) with
+    f⊗g the diagonal complex's Kronecker product, compared with T ∘ Ψ_m and
+    located by the diagonal's basis labels."""
+    diagonal, target = diagonal_complex(pairing.module_side, pairing.comodule_side, N), pairing.target
+    psi, checks = pairing.psi_matrix, []
+
+    def locate(degree):
+        return lambda col: "degree %d, basis %s" % (degree, diagonal.basis_label(degree, col))
+
+    for n in range(N + 1):
+        if n >= 1:
+            for i in range(n + 1):
+                checks.append(compare("pairing∘δ_%d = δ_%d∘pairing (deg %d)" % (i, i, n),
+                                      psi(n) @ diagonal.coface(n, i),
+                                      target.coface(n, i) @ psi(n - 1), locate(n - 1)))
+        if n + 1 <= N:
+            for i in range(n + 1):
+                checks.append(compare("pairing∘σ_%d = σ_%d∘pairing (deg %d)" % (i, i, n),
+                                      psi(n) @ diagonal.codegeneracy(n, i),
+                                      target.codegeneracy(n, i) @ psi(n + 1), locate(n + 1)))
+        checks.append(compare("pairing∘τ_%d = τ_%d∘pairing" % (n, n), psi(n) @ diagonal.tau(n),
+                              target.tau(n) @ psi(n), locate(n)))
+    return merge("pairing-cocyclic-map", checks)

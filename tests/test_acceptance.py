@@ -272,7 +272,8 @@ def test_criterion_7_cup_product():
     X, Y = pairing.module_side, pairing.comodule_side
     from hopfcyc.cocyclic import invariant_functionals
     from hopfcyc.symmetries import colinear_hom_space
-    from hopfcyc.linalg import vector_to_functional, vector_to_linmap
+    from chain_oracle import vector_to_functional
+    from hopfcyc.linalg import vector_to_linmap
     from fractions import Fraction
 
     phis = invariant_functionals(A, M, 0)

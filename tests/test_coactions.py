@@ -31,7 +31,6 @@ from hopfcyc.linalg import (
     LinMap,
     Space,
     Vector,
-    linmap_to_vector,
     solve_linear,
     tensor_power,
     tensor_space,
@@ -253,7 +252,8 @@ def test_precompose_matches_matmul(field):
             assert len(images) == subs[src].dim
             for vec, image in zip(subs[src].basis, images):
                 assert image == op(vec).entries
-                assert op(vec) == linmap_to_vector(subs[src].map(vec) @ fixed, subs[n].ambient)
+                assert op(vec) == chain_oracle.linmap_to_vector(subs[src].map(vec) @ fixed,
+                                                                 subs[n].ambient)
                 checked += 1
     assert checked > 100
 

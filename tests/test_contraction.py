@@ -200,7 +200,7 @@ def _assert_carrier_sides_match_oracle(pairs):
             cols = [v.entries for v in sub.basis]
             walked = [_carrier_ayd(A, M, n, suffix).images(cols)
                       for suffix in (lhs_s, rhs_s, _ayd_difference(M))]
-            for k, phi in enumerate(sub.maps()):
+            for k, phi in enumerate(chain_oracle.subspace_maps(sub)):
                 lhs, rhs = chain_oracle.carrier_ayd_sides(A, M, phi, n)
                 for images, want in zip(walked, (lhs, rhs, lhs - rhs)):
                     assert images[k] == chain_oracle.hom_coords(want), (aname, mname, n)
@@ -328,7 +328,7 @@ def test_failing_witness_matches_oracle(H4, H4_eps, H4_one):
     res = check_sayd_over_algebra(A, M, n_max=2)
     assert not res.passed
     for n in range(3):
-        for phi in colinear_hom_space(A, M, n).maps():
+        for phi in chain_oracle.subspace_maps(colinear_hom_space(A, M, n)):
             lhs, rhs = chain_oracle.carrier_ayd_sides(A, M, phi, n)
             for lhs, rhs in ((lhs, rhs), (chain_oracle.stability_map(A, M, phi, n), phi)):
                 col = maps_first_difference(lhs, rhs)

@@ -1,4 +1,5 @@
-"""Crossed products, the diagonal complex, the pairing map, and cup products."""
+"""Crossed products, the diagonal complex (kept in the oracle), the pairing
+map, and cup products."""
 
 from fractions import Fraction
 
@@ -6,12 +7,11 @@ import pytest
 
 from hopfcyc import (
     CrossedPairing,
+    CrossedProductAlgebra,
     GroupLike,
     StructureError,
     counit_character,
-    crossed_product,
     cyclic_group,
-    diagonal_complex,
     group_algebra,
     regular_comodule_algebra,
     scalar_coefficients,
@@ -21,7 +21,7 @@ from hopfcyc import (
     verify_cocyclic_identities,
 )
 from hopfcyc.cohomology import cyclic_eigenvalue_operator, hochschild_coboundary
-from hopfcyc.linalg import Vector, identity, kernel_basis
+from hopfcyc.linalg import LinMap, Vector, identity, kernel_basis
 from hopfcyc.fields import GF, QQ
 from hopfcyc.symmetries import (
     adjoint_module_algebra,
@@ -48,7 +48,7 @@ def twisted_pairing():
 class TestCrossedProduct:
     def test_trivial_hopf_gives_componentwise_product(self):
         _, A, B, _ = crossed_product_instances()[0]
-        xp = crossed_product(A, B)
+        xp = CrossedProductAlgebra(A, B)
         assert xp.dim == A.dim * B.dim
         # (a⋊b)(a′⋊b′) = aa′⋊bb′ when the coaction is trivial
         d = xp.dim
@@ -67,32 +67,62 @@ class TestCrossedProduct:
 
     def test_twisted_instance_associative(self):
         _, A, B, _ = crossed_product_instances()[1]
-        xp = crossed_product(A, B)  # constructor verifies all basis triples
+        xp = CrossedProductAlgebra(A, B)  # constructor verifies all basis triples
         assert xp.dim == 4
 
     def test_hopf_mismatch_rejected(self, KZ2, KZ3):
         from hopfcyc.symmetries import trivial_module_algebra, trivial_comodule_algebra
 
         with pytest.raises(StructureError):
-            crossed_product(trivial_module_algebra(KZ2),
-                            trivial_comodule_algebra(KZ3))
+            CrossedProductAlgebra(trivial_module_algebra(KZ2),
+                                  trivial_comodule_algebra(KZ3))
 
 
 class TestDiagonalComplex:
     def test_trivial_diagonal(self, trivial_pairing):
         X = trivial_pairing.module_side
-        D = diagonal_complex(X, X, 2)
+        D = chain_oracle.diagonal_complex(X, X, 2)
         assert D.dims() == [d * d for d in X.dims()[:3]]
         assert verify_cocyclic_identities(D)
 
     def test_twisted_diagonal_identities(self, twisted_pairing):
-        assert verify_cocyclic_identities(twisted_pairing.diagonal)
+        X, Y = twisted_pairing.module_side, twisted_pairing.comodule_side
+        assert verify_cocyclic_identities(
+            chain_oracle.diagonal_complex(X, Y, twisted_pairing.N + 1))
+
+
+def _verdicts_with_one_entry_broken(pairing, N, ops, i, key):
+    """``check_cocyclic_map(N)`` and the diagonal oracle's verdict with 1 added
+    to entry ``key`` of the target operator ``ops[i]``, restored after."""
+    kept = ops[i]
+    ops[i] = LinMap(kept.domain, kept.codomain, {**kept.entries, key: kept.entries[key] + 1})
+    try:
+        return (pairing.check_cocyclic_map(N),
+                chain_oracle.check_cocyclic_map_on_diagonal(pairing, N))
+    finally:
+        ops[i] = kept
 
 
 class TestPairingMap:
     def test_intertwines_all_operators(self, trivial_pairing, twisted_pairing):
         assert trivial_pairing.check_cocyclic_map(2)
         assert twisted_pairing.check_cocyclic_map(2)
+
+    @pytest.mark.parametrize("slot", ["cofaces[2][1]", "codegeneracies[1][1]", "cyclic[1]"])
+    def test_failing_witness_matches_the_diagonal_oracle(self, trivial_pairing,
+                                                         twisted_pairing, slot):
+        # one target operator broken at its smallest (row, col) entry: the
+        # verdict of the walk on X⊗Y (condition, location and both sides)
+        # is the one of Ψ compared over the Kronecker products
+        for pairing in (trivial_pairing, twisted_pairing):
+            T = pairing.target
+            ops = {"cofaces[2][1]": T.cofaces[2], "codegeneracies[1][1]": T.codegeneracies[1],
+                   "cyclic[1]": T.cyclic}[slot]
+            got, want = _verdicts_with_one_entry_broken(pairing, 2, ops, 1, min(ops[1].entries))
+            assert not got and got.witness.location.startswith("degree ")
+            assert got.to_dict() == want.to_dict()
+            assert pairing.check_cocyclic_map(2).to_dict() == \
+                chain_oracle.check_cocyclic_map_on_diagonal(pairing, 2).to_dict()
 
     def test_degree_zero_formula(self, twisted_pairing):
         # Ψ(φ⊗ψ)(a⋊b) = φ(ψ(b⟨0⟩) ⊗ S⁻¹(b⟨−1⟩)▷a): expand by hand for the
@@ -105,7 +135,8 @@ class TestPairingMap:
 
         phis = invariant_functionals(A, M, 0).basis
         psis = colinear_hom_space(B, M, 0).basis
-        from hopfcyc.linalg import vector_to_functional, vector_to_linmap
+        from chain_oracle import vector_to_functional
+        from hopfcyc.linalg import vector_to_linmap
 
         for phi_vec in phis:
             for psi_vec in psis:
@@ -205,6 +236,16 @@ class TestNonCocommutativePairing:
         assert h4_pairing._twist_pipeline(n).entries == {
             (row % rdim * ddim + col, row // rdim): v for (row, col), v in slow.items()}
 
+    def test_failing_witness_matches_the_diagonal_oracle(self, h4_pairing):
+        # X_n and Y_n differ in dimension here, so a witness located on the
+        # wrong factor shows; each operator is broken in a column Ψ reaches
+        T = h4_pairing.target
+        for ops, i, m in ((T.cofaces[1], 1, 0), (T.codegeneracies[0], 0, 1), (T.cyclic, 1, 1)):
+            reached = {r for r, _ in h4_pairing.psi_matrix(m).entries}
+            key = min(k for k in ops[i].entries if k[1] in reached)
+            got, want = _verdicts_with_one_entry_broken(h4_pairing, 1, ops, i, key)
+            assert not got and got.to_dict() == want.to_dict()
+
     def test_cocyclic_map_and_closed_cups(self, h4_pairing):
         pairing = h4_pairing
         assert pairing.check_cocyclic_map(1)
@@ -243,7 +284,8 @@ class TestCup:
                 out, check = pairing.cup(phi, 0, psi, 0)
                 assert check.passed
                 # expected: the product functional φ(a)ψ(b) on all basis pairs
-                from hopfcyc.linalg import vector_to_functional, vector_to_linmap
+                from chain_oracle import vector_to_functional
+                from hopfcyc.linalg import vector_to_linmap
 
                 phi_f = vector_to_functional(phis.basis[i], phis.domain)
                 psi_f = vector_to_linmap(psis.basis[j], B.space, pairing.M.space)
@@ -291,7 +333,8 @@ class TestCup:
         X, Y = pairing.module_side, pairing.comodule_side
         from hopfcyc.cocyclic import invariant_functionals
         from hopfcyc.symmetries import colinear_hom_space
-        from hopfcyc.linalg import vector_to_functional, vector_to_linmap
+        from chain_oracle import vector_to_functional
+        from hopfcyc.linalg import vector_to_linmap
 
         A, B = pairing.action_algebra, pairing.comodule_algebra
         phis = invariant_functionals(A, pairing.M, 2)

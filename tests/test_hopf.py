@@ -250,8 +250,18 @@ class TestCoOpposite:
         assert (Hc.antipode @ H4.antipode) == identity(H4.space)
 
 
+def multiply_legs(H, k):
+    """H^{⊗k} → H, left-to-right product; k=0 gives the unit map."""
+    if k == 0:
+        return H.unit_map()
+    chain = Chain([H.space] * k)
+    for _ in range(k - 1):
+        chain.apply(H.mult, 0, 2, [H.space])
+    return chain.to_map()
+
+
 def test_multiply_legs_and_iterated_comult(H4):
-    m3 = H4.multiply_legs(3)
+    m3 = multiply_legs(H4, 3)
     d2 = H4.iterated_comult(2)
     # m∘Δ-legs collapses to counit-scaled identity patterns: (m3∘Δ²) = id·(εε..)
     # sanity: Δ² then multiply all legs = id (antipode-free Sweedler identity

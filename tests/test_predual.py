@@ -26,7 +26,7 @@ from hopfcyc.hopf import (
     predual,
     verify_hopf,
 )
-from hopfcyc.linalg import LinMap, hom_space, linmap_to_vector, tensor_power, tensor_space
+from hopfcyc.linalg import LinMap, hom_space, tensor_power, tensor_space
 from hopfcyc.symmetries import (
     ModuleComodule,
     adjoint_module_algebra,
@@ -153,7 +153,7 @@ def _rotation_images(A, M, n, front, path):
     if path == "module":
         return _dual_basis_images(chain_oracle.module_rotation(A, M, n, front), count, one)
     hom = hom_space(tensor_power(A.space, n + 1), path.space)
-    return [linmap_to_vector(chain_oracle.wrap_chain(
+    return [chain_oracle.linmap_to_vector(chain_oracle.wrap_chain(
         predual_carrier(A), path, LinMap(src, path.space, {divmod(x, src.dim): one}), n, front),
         hom).entries for x in range(count)]
 

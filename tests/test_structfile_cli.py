@@ -637,6 +637,53 @@ class TestWrongTypes:
         assert proc.stderr == "error: broken.json: 'dim' must be an integer, found \"2\"\n"
 
 
+class TestRightComoduleAlgebra:
+    """A right comodule-algebra carrier is refused where its file is loaded,
+    after it parses and passes its axioms: exit 2 and one error line for
+    every command that reads one, where the checks, complexes and crossed
+    products used to stop with a traceback."""
+
+    FILES = ["--hopf", "bicrossed-s3-f3.json",
+             "--carrier", "bicrossed-s3-f3.function-comodule-algebra.json",
+             "--coeff", "bicrossed-s3-f3.coeff-eps-unit.json"]
+    MESSAGE = ("error: bicrossed-s3-f3.function-comodule-algebra.json: a comodule-algebra "
+               "carrier must be a left comodule algebra, found side 'right'\n")
+
+    @pytest.fixture()
+    def files(self, workdir):
+        from hopfcyc.symmetries import trivial_module_algebra
+
+        emit("bicrossed-s3-f3.function-comodule-algebra")
+        emit("bicrossed-s3-f3.coeff-eps-unit")
+        hd = structfile.load_file("bicrossed-s3-f3.json")
+        H = structfile.hopf_from_dict(hd)
+        structfile.write_file("action.json", structfile.structure_to_dict(
+            "module-algebra", trivial_module_algebra(H), "A", hd))
+
+    @pytest.mark.parametrize("command", [
+        ["check", "coefficient", "--flavor", "ah-sayd"] + FILES,
+        ["check", "coefficient", "--flavor", "hcc"] + FILES,
+        ["complex", "build", "--kind", "comodule-algebra"] + FILES,
+        ["cohomology", "--theory", "cyclic", "--kind", "comodule-algebra"] + FILES,
+        ["cup", "--hopf", "bicrossed-s3-f3.json", "--action-algebra", "action.json",
+         "--comodule-algebra", "bicrossed-s3-f3.function-comodule-algebra.json",
+         "--coeff", "bicrossed-s3-f3.coeff-eps-unit.json", "--phi", "phi.json", "--psi", "psi.json"],
+    ], ids=["ah-sayd", "hcc", "complex", "cohomology", "cup"])
+    def test_right_carrier_exits_2(self, files, capsys, command):
+        capsys.readouterr()
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.MESSAGE
+
+    def test_hcc_prints_no_traceback(self, files):
+        """The installed entry point, in its own process: exit 2, one line."""
+        proc = run_hcc(["complex", "build", "--kind", "comodule-algebra"] + self.FILES)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == self.MESSAGE
+
+
 class TestNegativeDegree:
     """A negative --max-degree is refused before any file is read: exit 2 and
     argparse's one-line message, where it used to pass vacuously (a PASS
