@@ -39,7 +39,6 @@ from .hopf import (
     enumerate_group_likes,
     function_hopf,
     group_algebra,
-    solve_antipode,
     sweedler_h4,
     trivial_hopf,
     twisted_antipode,

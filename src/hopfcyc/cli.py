@@ -57,7 +57,7 @@ def _load_object(path, hopf_dict, hopf, kind=None):
     if d["kind"] == "comodule-algebra" and X.side != "left":
         raise structfile.ParseError("%s: a comodule-algebra carrier must be a left "
                                     "comodule algebra, found side %r" % (path, X.side))
-    return X, d
+    return X
 
 
 def cmd_examples(args):
@@ -99,15 +99,21 @@ def _warn_if_large(carrier_dim, coeff_dim, hopf_dim, degree):
 
 def cmd_check_coefficient(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
+    coeff = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     flavor = args.flavor
     if flavor == "sayd":
         return _print_result(check_sayd(coeff), args.json)
     if args.carrier is None:
         print("error: --flavor %s needs --carrier" % flavor, file=sys.stderr)
         return 2
-    carrier, cd = _load_object(args.carrier, hopf_dict, H, {
-        "ah-sayd": "comodule-algebra", "hc-sayd": "comodule-coalgebra"}.get(flavor))
+    kind = {"ah-sayd": "comodule-algebra", "hc-sayd": "comodule-coalgebra"}.get(flavor)
+    if flavor == "hcc":
+        kind = structfile.load_file(args.carrier).get("kind")
+        if kind not in ("comodule-algebra", "comodule-coalgebra"):
+            print("error: hcc needs a comodule-algebra or comodule-coalgebra carrier",
+                  file=sys.stderr)
+            return 2
+    carrier = _load_object(args.carrier, hopf_dict, H, kind)
     n = args.max_degree
     _warn_if_large(carrier.dim, coeff.dim, H.dim, n)
     if flavor == "ah-sayd":
@@ -115,11 +121,6 @@ def cmd_check_coefficient(args):
     if flavor == "hc-sayd":
         return _print_result(check_sayd_over_coalgebra(carrier, coeff, n_max=n), args.json)
     if flavor == "hcc":
-        kind = cd.get("kind")
-        if kind not in ("comodule-algebra", "comodule-coalgebra"):
-            print("error: hcc needs a comodule-algebra or comodule-coalgebra carrier",
-                  file=sys.stderr)
-            return 2
         return _print_result(check_hcc(kind, carrier, coeff, N=n), args.json)
     print("error: unknown flavor %r" % flavor, file=sys.stderr)
     return 2
@@ -137,8 +138,8 @@ def _build_complex(kind, carrier, coeff, N):
 
 def cmd_complex_build(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    carrier, _ = _load_object(args.carrier, hopf_dict, H, args.kind)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
+    carrier = _load_object(args.carrier, hopf_dict, H, args.kind)
+    coeff = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     _warn_if_large(carrier.dim, coeff.dim, H.dim, args.max_degree)
     try:
         X = _build_complex(args.kind, carrier, coeff, args.max_degree)
@@ -158,8 +159,8 @@ def cmd_complex_build(args):
 
 def cmd_cohomology(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    carrier, _ = _load_object(args.carrier, hopf_dict, H, args.kind)
-    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
+    carrier = _load_object(args.carrier, hopf_dict, H, args.kind)
+    coeff = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     try:
         X = _build_complex(args.kind, carrier, coeff, args.max_degree + 1)
     except CocyclicConstructionError as err:
@@ -181,9 +182,9 @@ def cmd_cohomology(args):
 
 def cmd_cup(args):
     hopf_dict, H = _load_hopf(args.hopf)
-    action_algebra, _ = _load_object(args.action_algebra, hopf_dict, H, "module-algebra")
-    comodule_algebra, _ = _load_object(args.comodule_algebra, hopf_dict, H, "comodule-algebra")
-    coeff, _ = _load_object(args.coeff, hopf_dict, H, "module-comodule")
+    action_algebra = _load_object(args.action_algebra, hopf_dict, H, "module-algebra")
+    comodule_algebra = _load_object(args.comodule_algebra, hopf_dict, H, "comodule-algebra")
+    coeff = _load_object(args.coeff, hopf_dict, H, "module-comodule")
     phi_d = structfile.load_file(args.phi, "cochain")
     psi_d = structfile.load_file(args.psi, "cochain")
     p, q = phi_d["degree"], psi_d["degree"]

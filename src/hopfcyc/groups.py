@@ -166,7 +166,8 @@ class ExactFactorization:
 
     For u in U and f in F the product u·f factorizes as (u▷f)(u◁f) with
     u▷f in F and u◁f in U.  ▷ is a left action of U on the set F, ◁ a right
-    action of F on the set U.
+    action of F on the set U.  ``f_pos`` and ``u_pos`` map each element of F
+    and of U to its position in ``left`` and ``right``.
     """
 
     def __init__(self, group, left_labels, right_labels):
@@ -190,8 +191,8 @@ class ExactFactorization:
         if len(factor) != group.order:
             raise GroupError("subgroups do not factor the group")
         self._factor = factor
-        self._f_pos = {f: i for i, f in enumerate(self.left)}
-        self._u_pos = {u: i for i, u in enumerate(self.right)}
+        self.f_pos = {f: i for i, f in enumerate(self.left)}
+        self.u_pos = {u: i for i, u in enumerate(self.right)}
 
     def factorize(self, g):
         """g = f·u uniquely; returns (f, u) as group element indices."""

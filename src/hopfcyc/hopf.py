@@ -21,7 +21,6 @@ from .linalg import (
     identity,
     inverse_map,
     maps_first_difference,
-    solve_linear,
     tensor_space,
     tensor_vectors,
     unit_space,
@@ -365,16 +364,11 @@ def conjugation(H, sigma: GroupLike):
             @ _multiplication(H, sigma.sigma, "right"))
 
 
-def twisted_antipode(H, delta: Character, convention="first-leg"):
-    """S_δ(h) = δ(h⁽¹⁾)S(h⁽²⁾)  (default), or δ(h⁽²⁾)S(h⁽¹⁾) with
-    convention="second-leg": the convention names the leg of Δh that δ
-    reads.  S_ε = S exactly under both."""
-    legs = {"first-leg": 0, "second-leg": 1}
-    if convention not in legs:
-        raise ValueError("unknown twisted-antipode convention %r" % convention)
+def twisted_antipode(H, delta: Character):
+    """S_δ(h) = δ(h⁽¹⁾)S(h⁽²⁾); S_ε = S."""
     Hs = H.space
     return (Chain([Hs]).apply(H.comult, 0, 1, [Hs, Hs])
-            .apply(delta.delta, legs[convention], 1, []).apply(H.antipode, 0, 1, [Hs]).to_map())
+            .apply(delta.delta, 0, 1, []).apply(H.antipode, 0, 1, [Hs]).to_map())
 
 
 def check_modular_pair(H, delta: Character, sigma: GroupLike) -> CheckResult:
@@ -390,43 +384,6 @@ def check_modular_pair(H, delta: Character, sigma: GroupLike) -> CheckResult:
         Vector(unit_space(H.field), {0: one}),
         detail="δ(σ) ≠ 1",
     )
-
-
-def solve_antipode(space, mult, unit_vec, comult, counit):
-    """Solve m∘(S⊗id)∘Δ = unit∘ε for S (linear in S); unique when it exists."""
-    d = space.dim
-    field = space.field
-    # unknown S[z, h1]; flat index z*d + h1
-    rows = []
-    rhs = []
-    mult_cols = mult.by_col()
-    comult_cols = comult.by_col()
-    eps = {c: v for (_, c), v in counit.entries.items()}
-    for h in range(d):
-        coeffs_per_y = {}
-        for hh, dv in comult_cols.get(h, ()):
-            h1, h2 = divmod(hh, d)
-            for z in range(d):
-                for y, mv in mult_cols.get(z * d + h2, ()):
-                    key = (y, z * d + h1)
-                    coeffs_per_y[key] = coeffs_per_y.get(key, field.zero) + dv * mv
-        for y in range(d):
-            row = {
-                zh1: v for (yy, zh1), v in coeffs_per_y.items() if yy == y and v
-            }
-            rows.append(row)
-            target = eps.get(h, field.zero) * unit_vec.entries.get(y, field.zero)
-            rhs.append(target)
-    sol = solve_linear(rows, rhs, d * d, field)
-    if sol is None:
-        raise StructureError(
-            results.failed("antipode-solvable", "bialgebra", "no antipode", "required")
-        )
-    entries = {}
-    for flat, v in sol.items():
-        z, h1 = divmod(flat, d)
-        entries[(z, h1)] = v
-    return LinMap(space, space, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -530,80 +487,47 @@ def sweedler_h4(field=QQ):
 
 
 class BicrossedProduct:
-    """k^F ⋈ k[U] from an exact factorization G = F·U.
+    """k^F ⋈ k[U] from an exact factorization G = F·U, with e_f⋈u at basis
+    index ``flat(f, u)``.
 
     Algebra: smash product for the left U-action on F (u·e_f = e_{u▷f});
-    coalgebra: cosmash for the right F-coaction on U read off u◁f.  The
-    antipode is solved from the bialgebra data and the whole structure is
-    re-verified, so a factorization that reaches the constructor always
-    yields an honest Hopf algebra.
+    coalgebra: cosmash for the right F-coaction on U read off u◁f.  Every
+    structure tensor is written in closed form from the factorization:
+    (e_f⋈u)(e_g⋈v) = δ_{f,u▷g} e_f⋈uv, 1 = Σ_f e_f⋈1,
+    Δ(e_f⋈u) = Σ_{ab=f} e_a⋈(u◁b⁻¹) ⊗ e_b⋈u, ε(e_f⋈u) = δ_{f,1}, and the
+    bismash antipode S(e_f⋈u) = e_a⋈b with ab = (fu)⁻¹ (Takeuchi, 1981).
+    The HopfAlgebra constructor audits every axiom, so a factorization that
+    reaches it always yields an honest Hopf algebra.
     """
 
     def __init__(self, factorization: ExactFactorization, field=QQ, name=None):
-        self.factorization = factorization
-        fz = factorization
-        group = fz.group
-        nf, nu = len(fz.left), len(fz.right)
-        labels = tuple(
-            "δ%s⋈%s" % (group.labels[f], group.labels[u])
-            for f in fz.left
-            for u in fz.right
-        )
-        space = Space(labels, field)
-        one = field.one
-        fpos = {f: i for i, f in enumerate(fz.left)}
-        upos = {u: i for i, u in enumerate(fz.right)}
-
-        def flat(fi, ui):
-            return fi * nu + ui
-
-        d = nf * nu
-        mult_entries = {}
-        for fi, f in enumerate(fz.left):
-            for ui, u in enumerate(fz.right):
-                for gi, g in enumerate(fz.left):
-                    for vi, v in enumerate(fz.right):
-                        if fpos[fz.act_left(u, g)] != fi:
-                            continue
-                        uv = upos[group.mul(u, v)]
-                        col = flat(fi, ui) * d + flat(gi, vi)
-                        mult_entries[(flat(fi, uv), col)] = one
-        mult = LinMap(tensor_space(space, space), space, mult_entries)
-        unit = Vector(
-            space, {flat(fi, upos[group.identity]): one for fi in range(nf)}
-        )
-        comult_entries = {}
-        for fi, f in enumerate(fz.left):
-            for ui, u in enumerate(fz.right):
-                for ai, a in enumerate(fz.left):
-                    for bi, b in enumerate(fz.left):
-                        if group.mul(a, b) != f:
-                            continue
-                        # left leg carries u ◁ b⁻¹
-                        ub = upos[fz.act_right(u, group.inv(b))]
-                        row = flat(ai, ub) * d + flat(bi, ui)
-                        comult_entries[(row, flat(fi, ui))] = one
-        comult = LinMap(space, tensor_space(space, space), comult_entries)
-        counit = LinMap(
-            space,
-            unit_space(field),
-            {(0, flat(fpos[group.identity], ui)): one for ui in range(nu)},
-        )
-        antipode = solve_antipode(space, mult, unit, comult, counit)
+        self.factorization = fz = factorization
+        group, F, U = fz.group, fz.left, fz.right
+        space = Space(
+            tuple("δ%s⋈%s" % (group.labels[f], group.labels[u]) for f in F for u in U), field)
+        d, e, one, flat = space.dim, group.identity, field.one, self.flat
+        mult = {(flat(f, group.mul(u, v)), flat(f, u) * d + flat(g, v)): one
+                for u in U for g in F for f in (fz.act_left(u, g),) for v in U}
+        comult = {(flat(a, fz.act_right(u, group.inv(b))) * d + flat(b, u),
+                   flat(group.mul(a, b), u)): one for a in F for b in F for u in U}
+        antipode = {(flat(*fz.factorize(group.inv(group.mul(f, u)))), flat(f, u)): one
+                    for f in F for u in U}
+        HH = tensor_space(space, space)
         self.hopf = HopfAlgebra(
             space,
-            mult,
-            unit,
-            comult,
-            counit,
-            antipode,
+            LinMap(HH, space, mult),
+            Vector(space, {flat(f, e): one for f in F}),
+            LinMap(space, HH, comult),
+            LinMap(space, unit_space(field), {(0, flat(e, u)): one for u in U}),
+            LinMap(space, space, antipode),
             name=name
             or "k^%s⋈k[%s]" % ("{" + ",".join(fz.f_labels()) + "}", "{" + ",".join(fz.u_labels()) + "}"),
         )
-        self.space = space
-        self.field = field
-        self.nf, self.nu = nf, nu
-        self.flat = flat
+
+    def flat(self, f, u):
+        """The basis index of e_f⋈u, for group elements f in F and u in U."""
+        fz = self.factorization
+        return fz.f_pos[f] * len(fz.right) + fz.u_pos[u]
 
 
 def bicrossed_product(group, left_labels, right_labels, field=QQ, name=None):

@@ -27,9 +27,9 @@ one elimination kernel, ``_eliminate``, which visits only the leads a row
 actually holds.  The forward pass first files every row with one nonzero
 entry as a pivot and strikes its column from the other rows (most equalizer
 rows hold one entry), then files the rest in descending order of their
-lead column, which keeps the filed rows short.  ``solve_linear``,
-``kernel_basis``, ``membership`` and ``inverse_map`` each read their answer
-off one ``_rref`` of an augmented or transposed system.
+lead column, which keeps the filed rows short.  ``kernel_basis``,
+``membership`` and ``inverse_map`` each read their answer off one ``_rref``
+of an augmented or transposed system.
 
 Over GF(p) a scalar is a bare ``int``; each kernel accumulates unreduced
 ints and reduces once per step (the ``LinMap`` and ``Vector`` constructors,
@@ -873,27 +873,6 @@ def span_dim(vectors):
     if not vectors:
         return 0
     return len(_echelon([v.entries for v in vectors], vectors[0].space.field))
-
-
-def solve_linear(rows, rhs, ncols, field):
-    """One solution x of the sparse system rows·x = rhs, or None.
-
-    rows: list of dict col->scalar; rhs: list of scalars aligned with rows.
-    """
-    aug = []
-    RHS = ncols  # augmented column index
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[RHS] = b
-        aug.append(r)
-    echelon = _rref(aug, field)
-    solution = {}
-    for c, row in echelon:
-        if c == RHS:
-            return None  # inconsistent: pivot in augmented column
-        solution[c] = row.get(RHS, field.zero)
-    return {c: v for c, v in solution.items() if v}
 
 
 def inverse_map(f):

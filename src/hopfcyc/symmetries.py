@@ -771,21 +771,21 @@ def check_sayd_over_coalgebra(C: ComoduleCoalgebra, M: ModuleComodule, n_max=2) 
     return results.passed("sayd-over-coalgebra", detail="; ".join(dims_notes))
 
 
-def _twisted_square_coaction(A: ComoduleAlgebra, delta, sigma, convention):
+def _twisted_square_coaction(A: ComoduleAlgebra, delta, sigma):
     """a ↦ σ⁻¹S_δ²(a⟨−1⟩)σ ⊗ a⟨0⟩ on A."""
     H, Hs, As = A.hopf, A.hopf.space, A.space
-    s_d = twisted_antipode(H, delta, convention=convention)
+    s_d = twisted_antipode(H, delta)
     twisted = conjugation(H, sigma) @ s_d @ s_d
     return Chain([As]).apply(A.left_coaction(), 0, 1, [Hs, As]).apply(twisted, 0, 1, [Hs]).to_map()
 
 
 def check_involution_over_algebra(A: ComoduleAlgebra, delta: Character,
-                                  sigma: GroupLike, convention="first-leg") -> CheckResult:
+                                  sigma: GroupLike) -> CheckResult:
     """σ⁻¹ S_δ²(a⟨−1⟩) σ ⊗ a⟨0⟩ = a⟨−1⟩ ⊗ a⟨0⟩ on every basis element of A."""
     mp = check_modular_pair(A.hopf, delta, sigma)
     if not mp:
         return mp
-    lhs = _twisted_square_coaction(A, delta, sigma, convention)
+    lhs = _twisted_square_coaction(A, delta, sigma)
     res = compare("involution-algebra", lhs, A.left_coaction(), A.space.label)
     if res:
         return results.passed("involution-algebra", detail="σ=%s, δ=%s" % (sigma.name, delta.name))
@@ -793,13 +793,13 @@ def check_involution_over_algebra(A: ComoduleAlgebra, delta: Character,
 
 
 def check_involution_over_coalgebra(C: ComoduleCoalgebra, delta: Character,
-                                    sigma: GroupLike, convention="first-leg") -> CheckResult:
+                                    sigma: GroupLike) -> CheckResult:
     """c⟨0⟩ ⊗ S_δ²(c⟨1⟩) = c⟨0⟩ ⊗ σ c⟨1⟩ σ⁻¹ on every basis element of C."""
     H, Hs, Cs = C.hopf, C.hopf.space, C.space
     mp = check_modular_pair(H, delta, sigma)
     if not mp:
         return mp
-    s_d = twisted_antipode(H, delta, convention=convention)
+    s_d = twisted_antipode(H, delta)
     lhs = Chain([Cs]).apply(C.coaction, 0, 1, [Cs, Hs]).apply(s_d @ s_d, 1, 1, [Hs]).to_map()
     conj = (_multiplication(H, sigma.sigma, "left")
             @ _multiplication(H, sigma.sigma_inverse, "right"))
@@ -810,8 +810,8 @@ def check_involution_over_coalgebra(C: ComoduleCoalgebra, delta: Character,
     return res
 
 
-def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
-                      convention="first-leg") -> ComoduleAlgebra:
+def stable_subalgebra(A: ComoduleAlgebra, delta: Character,
+                      sigma: GroupLike) -> ComoduleAlgebra:
     """The subalgebra on which the twisted-square antipode condition holds:
     kernel of a ↦ σ⁻¹S_δ²(a⟨−1⟩)σ⊗a⟨0⟩ − a⟨−1⟩⊗a⟨0⟩, returned as a verified
     comodule subalgebra (closure under product, unit, and coaction checked)."""
@@ -820,7 +820,7 @@ def stable_subalgebra(A: ComoduleAlgebra, delta: Character, sigma: GroupLike,
     if not mp:
         raise StructureError(mp)
     coact = A.left_coaction()
-    basis = kernel_basis(_twisted_square_coaction(A, delta, sigma, convention) - coact)
+    basis = kernel_basis(_twisted_square_coaction(A, delta, sigma) - coact)
     labels = tuple(v.describe() for v in basis)
     B = Space(labels, As.field)
     span, k = Subspace(As, basis), len(basis)
@@ -952,25 +952,15 @@ def check_cocommutative_coaction_coalgebra(C: ComoduleCoalgebra, n_max=2) -> Che
 def bicrossed_function_comodule_algebra(B) -> ComoduleAlgebra:
     """The function-algebra factor of a bicrossed product as a right comodule
     algebra: e_f ↦ Σ_{ab=f} e_a ⊗ (e_b⋈1)."""
-    fz = B.factorization
-    group = fz.group
-    field = B.field
-    nf, nu = B.nf, B.nu
-    labels = tuple("δ%s" % group.labels[f] for f in fz.left)
-    A = Space(labels, field)
+    fz, field, d = B.factorization, B.hopf.field, B.hopf.dim
+    group, pos, nf = fz.group, fz.f_pos, len(fz.left)
+    A = Space(tuple("δ%s" % group.labels[f] for f in fz.left), field)
     one = field.one
     mult = LinMap(tensor_space(A, A), A, {(a, a * nf + a): one for a in range(nf)})
     unit = Vector(A, {a: one for a in range(nf)})
-    upos_e = fz.right.index(group.identity)
-    entries = {}
-    for fi, f in enumerate(fz.left):
-        for ai, a in enumerate(fz.left):
-            for bi, b in enumerate(fz.left):
-                if group.mul(a, b) != f:
-                    continue
-                h = B.flat(bi, upos_e)
-                entries[(ai * (nf * nu) + h, fi)] = one
-    coaction = LinMap(A, tensor_space(A, B.hopf.space), entries)
+    coaction = LinMap(A, tensor_space(A, B.hopf.space), {
+        (pos[a] * d + B.flat(b, group.identity), pos[group.mul(a, b)]): one
+        for a in fz.left for b in fz.left})
     return ComoduleAlgebra(B.hopf, A, mult, unit, coaction, side="right",
                            name="F-factor")
 
@@ -978,25 +968,13 @@ def bicrossed_function_comodule_algebra(B) -> ComoduleAlgebra:
 def bicrossed_group_comodule_coalgebra(B) -> ComoduleCoalgebra:
     """The group-algebra factor of a bicrossed product as a right comodule
     coalgebra: u ↦ Σ_f (u◁f) ⊗ (e_{f⁻¹}⋈1)."""
-    fz = B.factorization
-    group = fz.group
-    field = B.field
-    nf, nu = B.nf, B.nu
-    labels = tuple(group.labels[u] for u in fz.right)
-    C = Space(labels, field)
+    fz, field, d = B.factorization, B.hopf.field, B.hopf.dim
+    group, pos, nu = fz.group, fz.u_pos, len(fz.right)
+    C = Space(tuple(group.labels[u] for u in fz.right), field)
     one = field.one
     comult = LinMap(C, tensor_space(C, C), {(u * nu + u, u): one for u in range(nu)})
     counit = LinMap(C, unit_space(field), {(0, u): one for u in range(nu)})
-    upos = {u: i for i, u in enumerate(fz.right)}
-    fpos = {f: i for i, f in enumerate(fz.left)}
-    upos_e = fz.right.index(group.identity)
-    entries = {}
-    for ui, u in enumerate(fz.right):
-        for f in fz.left:
-            uf = upos[fz.act_right(u, f)]
-            finv = fpos[group.inv(f)]
-            h = B.flat(finv, upos_e)
-            key = (uf * (nf * nu) + h, ui)
-            entries[key] = entries.get(key, field.zero) + one
-    coaction = LinMap(C, tensor_space(C, B.hopf.space), entries)
+    coaction = LinMap(C, tensor_space(C, B.hopf.space), {
+        (pos[fz.act_right(u, f)] * d + B.flat(group.inv(f), group.identity), pos[u]): one
+        for u in fz.right for f in fz.left})
     return ComoduleCoalgebra(B.hopf, C, comult, counit, coaction, name="U-factor")

@@ -14,14 +14,22 @@ written out as they were before they became one pass over the product's
 entries and one pipeline: one pass per entry of the element, for each side,
 and one pipeline per convention.
 
+The bicrossed product k^F ⋈ k[U] and its two carrier factors are built as
+they were before the closed form: product and coproduct by filtering nested
+loops over positions in F and U, each with its own position maps, and the
+antipode solved from the bialgebra data by ``solve_antipode``, a d²-unknown
+linear system read off ``rref_oracle.solve_linear``.
+
 The one deliberate difference from those bodies: ``verify_module_algebra``
 also checks the right unit law (``algebra-right-unit``), right after the
 left one; without it an algebra with only a left unit passed."""
 
+import rref_oracle
 from hopfcyc import results
-from hopfcyc.linalg import Chain, LinMap, Vector, identity, tensor_space, unit_space
+from hopfcyc.hopf import HopfAlgebra, StructureError
+from hopfcyc.linalg import Chain, LinMap, Space, Vector, identity, tensor_space, unit_space
 from hopfcyc.results import compare
-from hopfcyc.symmetries import diag_left_coaction
+from hopfcyc.symmetries import ComoduleAlgebra, ComoduleCoalgebra, diag_left_coaction
 
 from chain_oracle import cotensor_space_by_rows, diag_right_coaction
 
@@ -566,3 +574,147 @@ def twisted_antipode(H, delta, convention="first-leg"):
     else:
         raise ValueError("unknown twisted-antipode convention %r" % convention)
     return chain.to_map()
+
+
+def solve_antipode(space, mult, unit_vec, comult, counit):
+    """Solve m∘(S⊗id)∘Δ = unit∘ε for S (linear in S); unique when it exists."""
+    d = space.dim
+    field = space.field
+    # unknown S[z, h1]; flat index z*d + h1
+    rows = []
+    rhs = []
+    mult_cols = mult.by_col()
+    comult_cols = comult.by_col()
+    eps = {c: v for (_, c), v in counit.entries.items()}
+    for h in range(d):
+        coeffs_per_y = {}
+        for hh, dv in comult_cols.get(h, ()):
+            h1, h2 = divmod(hh, d)
+            for z in range(d):
+                for y, mv in mult_cols.get(z * d + h2, ()):
+                    key = (y, z * d + h1)
+                    coeffs_per_y[key] = coeffs_per_y.get(key, field.zero) + dv * mv
+        for y in range(d):
+            row = {
+                zh1: v for (yy, zh1), v in coeffs_per_y.items() if yy == y and v
+            }
+            rows.append(row)
+            target = eps.get(h, field.zero) * unit_vec.entries.get(y, field.zero)
+            rhs.append(target)
+    sol = rref_oracle.solve_linear(rows, rhs, d * d, field)
+    if sol is None:
+        raise StructureError(
+            results.failed("antipode-solvable", "bialgebra", "no antipode", "required")
+        )
+    entries = {}
+    for flat, v in sol.items():
+        z, h1 = divmod(flat, d)
+        entries[(z, h1)] = v
+    return LinMap(space, space, entries)
+
+
+def bicrossed_product(fz, field, name=None):
+    """k^F ⋈ k[U] on the basis e_f⋈u at position fi·|U| + ui: product and
+    coproduct filtered out of four nested loops, antipode solved."""
+    group = fz.group
+    nf, nu = len(fz.left), len(fz.right)
+    labels = tuple(
+        "δ%s⋈%s" % (group.labels[f], group.labels[u])
+        for f in fz.left
+        for u in fz.right
+    )
+    space = Space(labels, field)
+    one = field.one
+    fpos = {f: i for i, f in enumerate(fz.left)}
+    upos = {u: i for i, u in enumerate(fz.right)}
+
+    def flat(fi, ui):
+        return fi * nu + ui
+
+    d = nf * nu
+    mult_entries = {}
+    for fi, f in enumerate(fz.left):
+        for ui, u in enumerate(fz.right):
+            for gi, g in enumerate(fz.left):
+                for vi, v in enumerate(fz.right):
+                    if fpos[fz.act_left(u, g)] != fi:
+                        continue
+                    uv = upos[group.mul(u, v)]
+                    col = flat(fi, ui) * d + flat(gi, vi)
+                    mult_entries[(flat(fi, uv), col)] = one
+    mult = LinMap(tensor_space(space, space), space, mult_entries)
+    unit = Vector(
+        space, {flat(fi, upos[group.identity]): one for fi in range(nf)}
+    )
+    comult_entries = {}
+    for fi, f in enumerate(fz.left):
+        for ui, u in enumerate(fz.right):
+            for ai, a in enumerate(fz.left):
+                for bi, b in enumerate(fz.left):
+                    if group.mul(a, b) != f:
+                        continue
+                    # left leg carries u ◁ b⁻¹
+                    ub = upos[fz.act_right(u, group.inv(b))]
+                    row = flat(ai, ub) * d + flat(bi, ui)
+                    comult_entries[(row, flat(fi, ui))] = one
+    comult = LinMap(space, tensor_space(space, space), comult_entries)
+    counit = LinMap(
+        space,
+        unit_space(field),
+        {(0, flat(fpos[group.identity], ui)): one for ui in range(nu)},
+    )
+    antipode = solve_antipode(space, mult, unit, comult, counit)
+    return HopfAlgebra(
+        space, mult, unit, comult, counit, antipode,
+        name=name
+        or "k^%s⋈k[%s]" % ("{" + ",".join(fz.f_labels()) + "}", "{" + ",".join(fz.u_labels()) + "}"),
+    )
+
+
+def bicrossed_function_comodule_algebra(fz, H):
+    """e_f ↦ Σ_{ab=f} e_a ⊗ (e_b⋈1) on the function-algebra factor of
+    H = k^F ⋈ k[U], filtered out of three nested loops."""
+    group = fz.group
+    field = H.field
+    nf, nu = len(fz.left), len(fz.right)
+    labels = tuple("δ%s" % group.labels[f] for f in fz.left)
+    A = Space(labels, field)
+    one = field.one
+    mult = LinMap(tensor_space(A, A), A, {(a, a * nf + a): one for a in range(nf)})
+    unit = Vector(A, {a: one for a in range(nf)})
+    upos_e = fz.right.index(group.identity)
+    entries = {}
+    for fi, f in enumerate(fz.left):
+        for ai, a in enumerate(fz.left):
+            for bi, b in enumerate(fz.left):
+                if group.mul(a, b) != f:
+                    continue
+                h = bi * nu + upos_e
+                entries[(ai * (nf * nu) + h, fi)] = one
+    coaction = LinMap(A, tensor_space(A, H.space), entries)
+    return ComoduleAlgebra(H, A, mult, unit, coaction, side="right", name="F-factor")
+
+
+def bicrossed_group_comodule_coalgebra(fz, H):
+    """u ↦ Σ_f (u◁f) ⊗ (e_{f⁻¹}⋈1) on the group-algebra factor of
+    H = k^F ⋈ k[U]."""
+    group = fz.group
+    field = H.field
+    nf, nu = len(fz.left), len(fz.right)
+    labels = tuple(group.labels[u] for u in fz.right)
+    C = Space(labels, field)
+    one = field.one
+    comult = LinMap(C, tensor_space(C, C), {(u * nu + u, u): one for u in range(nu)})
+    counit = LinMap(C, unit_space(field), {(0, u): one for u in range(nu)})
+    upos = {u: i for i, u in enumerate(fz.right)}
+    fpos = {f: i for i, f in enumerate(fz.left)}
+    upos_e = fz.right.index(group.identity)
+    entries = {}
+    for ui, u in enumerate(fz.right):
+        for f in fz.left:
+            uf = upos[fz.act_right(u, f)]
+            h = fpos[group.inv(f)] * nu + upos_e
+            key = (uf * (nf * nu) + h, ui)
+            entries[key] = entries.get(key, field.zero) + one
+    coaction = LinMap(C, tensor_space(C, H.space), entries)
+    return ComoduleCoalgebra(H, C, comult, counit, coaction, name="U-factor")

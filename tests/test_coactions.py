@@ -31,7 +31,6 @@ from hopfcyc.linalg import (
     LinMap,
     Space,
     Vector,
-    solve_linear,
     tensor_power,
     tensor_space,
 )
@@ -56,6 +55,7 @@ from hopfcyc.symmetries import (
 from hopfcyc.groups import symmetric_group
 
 import chain_oracle
+import rref_oracle
 import structure_oracle
 from test_batched_operators import _scalars
 
@@ -309,7 +309,7 @@ def _old_solved_inverse(H, sigma):
     for (r, c), v in left.entries.items():
         rows.setdefault(r, {})[c] = v
     rhs = [H.unit.entries.get(r, H.field.zero) for r in range(H.dim)]
-    sol = solve_linear([rows.get(r, {}) for r in range(H.dim)], rhs, H.dim, H.field)
+    sol = rref_oracle.solve_linear([rows.get(r, {}) for r in range(H.dim)], rhs, H.dim, H.field)
     return None if sol is None else Vector(H.space, sol)
 
 

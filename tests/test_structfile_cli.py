@@ -684,6 +684,24 @@ class TestRightComoduleAlgebra:
         assert proc.stderr == self.MESSAGE
 
 
+class TestHccCarrierKind:
+    """``--flavor hcc`` reads the carrier file's kind before it parses the
+    file: a file of any other kind exits 2 with the hcc-carrier line, where a
+    cochain used to stop at its Hopf content hash."""
+
+    @pytest.mark.parametrize("carrier", ["phi.json", "hopf.json", "coeff.json"],
+                             ids=["cochain", "hopf", "coefficient"])
+    def test_wrong_kind_carrier_exits_2(self, workdir, capsys, carrier):
+        write_trivial_cup_files()
+        capsys.readouterr()
+        assert main(["check", "coefficient", "--flavor", "hcc", "--hopf", "hopf.json",
+                     "--carrier", carrier, "--coeff", "coeff.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: hcc needs a comodule-algebra or "
+                                "comodule-coalgebra carrier\n")
+
+
 class TestNegativeDegree:
     """A negative --max-degree is refused before any file is read: exit 2 and
     argparse's one-line message, where it used to pass vacuously (a PASS

@@ -6,15 +6,18 @@ verdicts.  The four coaction (co)commutativity checkers must agree with
 their written-out copies on every corpus carrier, over ℚ and GF(32003), and
 on every one-entry mutation of its coaction.  The multiplication matrices
 and the twisted antipode must equal their written-out copies on every zoo
-Hopf algebra over ℚ and GF(3).  A few failing verdicts are also pinned as
-literal text."""
+Hopf algebra over ℚ and GF(3).  The closed-form bicrossed products and
+their two carrier factors must equal the written-out construction with the
+solved antipode, over ℚ, GF(2), GF(3) and GF(7).  A few failing verdicts are
+also pinned as literal text."""
 
 import copy
 
 import pytest
 
-from hopfcyc import StructureError, trivial_hopf
+from hopfcyc import StructureError, bicrossed_product, trivial_hopf
 from hopfcyc.corpus import (
+    bicrossed_names,
     crossed_product_instances,
     get_bicrossed,
     get_hopf,
@@ -60,7 +63,7 @@ from hopfcyc.symmetries import (
     trivial_comodule_coalgebra,
     trivial_module_algebra,
 )
-from hopfcyc.groups import cyclic_group
+from hopfcyc.groups import cyclic_group, symmetric_group
 
 import structure_oracle as oracle
 
@@ -227,11 +230,40 @@ def test_twisted_antipode_matches_oracle(name, field):
     characters = enumerate_characters(H)
     assert characters
     for delta in characters:
-        for convention in ("first-leg", "second-leg"):
-            assert twisted_antipode(H, delta, convention=convention) == \
-                oracle.twisted_antipode(H, delta, convention), (delta.name, convention)
-    with pytest.raises(ValueError, match="unknown twisted-antipode convention"):
-        twisted_antipode(H, characters[0], convention="middle-leg")
+        assert twisted_antipode(H, delta) == oracle.twisted_antipode(H, delta), delta.name
+
+
+# two factorizations beside the corpus ones: S3 = {e,(13)}·⟨(123)⟩, whose
+# U is normal, and the abelian Z6 = {e,t3}·{e,t2,t4}
+EXTRA_FACTORIZATIONS = {
+    "s3-(13)": (symmetric_group(3), ["e", "(13)"], ["e", "(123)", "(132)"]),
+    "z6": (cyclic_group(6), ["e", "t3"], ["e", "t2", "t4"]),
+}
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(7)), ids=lambda f: f.name)
+@pytest.mark.parametrize("name", bicrossed_names() + list(EXTRA_FACTORIZATIONS))
+def test_bicrossed_closed_form_matches_solved_antipode(name, field):
+    if name in EXTRA_FACTORIZATIONS:
+        B = bicrossed_product(*EXTRA_FACTORIZATIONS[name], field=field)
+    else:
+        B = get_bicrossed(name, field)
+    H, fz = B.hopf, B.factorization
+    written = oracle.bicrossed_product(fz, field)
+    assert (H.space.labels, H.name) == (written.space.labels, written.name)
+    for tensor in ("mult", "unit", "comult", "counit", "antipode"):
+        assert getattr(H, tensor) == getattr(written, tensor), tensor
+
+    A, A_written = (bicrossed_function_comodule_algebra(B),
+                    oracle.bicrossed_function_comodule_algebra(fz, H))
+    C, C_written = (bicrossed_group_comodule_coalgebra(B),
+                    oracle.bicrossed_group_comodule_coalgebra(fz, H))
+    for X, Y, tensors in ((A, A_written, ("mult", "unit", "coaction")),
+                          (C, C_written, ("comult", "counit", "coaction"))):
+        assert (X.space.labels, X.name) == (Y.space.labels, Y.name)
+        for tensor in tensors:
+            assert getattr(X, tensor) == getattr(Y, tensor), (X.name, tensor)
+    assert A.side == A_written.side
 
 
 # ---------------------------------------------------------------------------
