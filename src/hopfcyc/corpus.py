@@ -124,8 +124,8 @@ def sweedler_sign_character(H4):
 
 
 def modular_pairs(name, max_pairs=6):
-    """Modular pairs (δ, σ) for a corpus Hopf algebra, by exhaustive search
-    over {0, ±1}-patterned characters and group-likes."""
+    """Modular pairs (δ, σ) for a corpus Hopf algebra over ℚ, from the
+    complete lists of characters and group-likes, in their order."""
     H = get_hopf(name)
     pairs = []
     sigmas = enumerate_group_likes(H)

@@ -9,8 +9,10 @@ exposes the same audit as a verdict with counterexample witnesses.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
-from .fields import QQ
+from .fields import GF, QQ, _is_prime
 from .groups import ExactFactorization, Group
 from .linalg import (
     Chain,
@@ -21,6 +23,7 @@ from .linalg import (
     identity,
     inverse_map,
     maps_first_difference,
+    membership,
     tensor_space,
     tensor_vectors,
     unit_space,
@@ -568,44 +571,203 @@ def predual(H):
     return H._memo["predual"]
 
 
-# the {0, ±1} search tries 3^dim candidates
-SEARCH_DIM_CAP = 6
+def _trim(f, p):
+    """f as a list, reduced mod p over GF(p), without trailing zeros."""
+    f = list(f) if p is None else [v % p for v in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def _search_characters(field, d, products, unit):
-    """Every character with basis values in {0, 1, -1}, in ``itertools.product``
-    order, of the d-dimensional algebra whose product sends basis pair (i, j)
-    to ``products[i·d + j]`` (pairs (r, v)) and whose unit has the entries
-    ``unit``.  Each value is drawn once, as −1 = 1 over GF(2)."""
-    if d > SEARCH_DIM_CAP:
-        raise ValueError("character search capped at dimension %d" % SEARCH_DIM_CAP)
-    values = dict.fromkeys((field.zero, field.one, field.from_int(-1)))
-    return [combo for combo in itertools.product(values, repeat=d)
-            if _is_character(field, products, unit, combo)]
+def _poly_divmod(f, g, field):
+    """Quotient and remainder of f by g (coefficients low degree first, g's
+    leading one nonzero)."""
+    p, f, n = field.modulus, list(f), len(g) - 1
+    inv, q = field.inv(g[-1]), [0] * max(len(f) - n, 0)
+    for k in range(len(f) - n - 1, -1, -1):
+        c = f[k + n] * inv
+        q[k] = c = c if p is None else c % p
+        if c:
+            for j, v in enumerate(g):
+                f[k + j] -= c * v
+    return q, _trim(f[:n], p)
+
+
+def _poly_gcd(f, g, field):
+    """The monic greatest common divisor of f and g (g trimmed)."""
+    while g:
+        f, g = g, _poly_divmod(f, g, field)[1]
+    return _poly_divmod(f, [f[-1]], field)[0]
+
+
+def _poly_pow_mod(f, e, m, field):
+    """f^e mod m, by squaring, for f of lower degree than m."""
+    def mul_mod(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _poly_divmod(out, m, field)[1]
+
+    out = [1]
+    while e:
+        if e & 1:
+            out = mul_mod(out, f)
+        f, e = mul_mod(f, f), e >> 1
+    return out
+
+
+def _roots_mod(f, p):
+    """The distinct roots in GF(p) of f (ints, low degree first, leading
+    coefficient prime to p): 0 if x | f, and the others from
+    g = gcd(f, x^p − x), split by gcd(g, (x + a)^((p−1)/2) − 1) with the
+    shifts a = 0, 1, 2, … (Cantor and Zassenhaus, Math. Comp. 36, 1981).  A
+    root r lands in that factor iff r + a is a nonzero square; for odd p, at
+    least (p − 1)/2 of the shifts a < p part any two roots, and over GF(2) g
+    has at most the root 1."""
+    F, f = GF(p), _trim(f, p)
+    roots = [0] if not f[0] else []
+    while not f[0]:
+        f = f[1:]
+    if len(f) < 3:  # a constant, or one linear factor
+        return roots + [-f[0] * pow(f[1], -1, p) % p for _ in f[1:]]
+    xp = _poly_pow_mod([0, 1], p, f, F) + [0, 0]
+    xp[1] -= 1  # x^p − x mod f
+    stack = [(_poly_gcd(f, _trim(xp, p), F), 0)]
+    while stack:
+        g, a = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            h = _poly_pow_mod([a, 1], (p - 1) // 2, g, F) + [0]
+            h[0] -= 1
+            h = _poly_gcd(g, _trim(h, p), F)
+            if 1 < len(h) < len(g):
+                stack += [(h, a + 1), (_poly_divmod(g, h, F)[0], a + 1)]
+            else:
+                stack.append((g, a + 1))
+    return roots
+
+
+def _rational_roots(f):
+    """The distinct rational roots of f (rational coefficients, low degree
+    first).  Past the root 0, they are the roots of the squarefree part s,
+    taken to integer coefficients, modulo the first odd prime p that keeps s
+    squarefree with its degree, each lifted p-adically by Newton's step past
+    2(|s_0| + 1)·|lc s|, rationally reconstructed (Wang, Guy and Davenport,
+    SIGSAM Bull. 1982) and checked exactly.  A root a/b in lowest terms has
+    |a| ≤ |s_0| and b ≤ |lc s|, so none is missed."""
+    roots = [0] if not f[0] else []
+    while not f[0]:
+        f = f[1:]
+    if len(f) < 3:  # a constant, or one linear factor
+        return roots + [_normal(Fraction(-f[0], f[1])) for _ in f[1:]]
+    df = [k * v for k, v in enumerate(f)][1:]
+    s = _poly_divmod(f, _poly_gcd(f, df, QQ), QQ)[0]
+    den = math.lcm(*(Fraction(v).denominator for v in s))
+    s = [int(v * den) for v in s]
+    ds = [k * v for k, v in enumerate(s)][1:]
+    p = 3
+    while not (s[-1] % p and len(_poly_gcd(s, _trim(ds, p), GF(p))) == 1):
+        p = next(q for q in itertools.count(p + 2, 2) if _is_prime(q))
+
+    def value(g, x, n):  # g(x) mod n, by Horner's rule
+        out = 0
+        for v in reversed(g):
+            out = (out * x + v) % n
+        return out
+
+    for r in _roots_mod(s, p):
+        n = p
+        while n <= 2 * (abs(s[0]) + 1) * abs(s[-1]):
+            n *= n
+            r = (r - value(s, r, n) * pow(value(ds, r, n), -1, n)) % n
+        r0, r1, t0, t1 = n, r, 0, 1  # extended Euclid until r1 ≤ |s_0|
+        while r1 > abs(s[0]):
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        x = Fraction(r1, t1)
+        if not sum(v * x ** k for k, v in enumerate(s)):
+            roots.append(_normal(x))
+    return roots
+
+
+def _normal(x):
+    """A rational as ``QQ`` keeps it: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _minimal_polynomial(space, products, unit, i):
+    """The monic minimal polynomial of basis element i (low degree first) in
+    the algebra given as in ``_characters``: the first power of e_i that
+    ``membership`` finds in the span of the lower ones."""
+    d, powers = space.dim, [Vector(space, unit)]
+    while True:
+        nxt = {}
+        for a, x in powers[-1].entries.items():
+            for r, v in products.get(a * d + i, ()):
+                nxt[r] = nxt.get(r, 0) + x * v
+        vec = Vector(space, nxt)
+        inside, coeffs = membership(vec, powers)
+        if inside:
+            return tuple(-coeffs.get(j, 0) for j in range(len(powers))) + (1,)
+        powers.append(vec)
+
+
+def _characters(space, products, unit):
+    """Every character, as a tuple of basis values, of the algebra on
+    ``space`` whose product sends basis pair (i, j) to ``products[i·d + j]``
+    (pairs (r, v)) and whose unit has the entries ``unit``.  χ(e_i) is a
+    root of the minimal polynomial of e_i, so a depth-first walk gives each
+    index one of those roots, in the order 0, 1, −1, then the other roots
+    ascending, and checks χ(1) = 1 and each χ(e_i e_j) = χ(e_i)χ(e_j) as
+    soon as every index it reads is assigned.  The list is lexicographic in
+    that value order, so the characters with values in {0, 1, −1} come in
+    ``itertools.product`` order."""
+    field, d = space.field, space.dim
+    p = field.modulus
+    rank = {v: k for k, v in enumerate(dict.fromkeys((0, 1, field.from_int(-1))))}
+    roots_of, candidates = {}, []
+    for i in range(d):
+        m = _minimal_polynomial(space, products, unit, i)
+        if m not in roots_of:
+            roots = _roots_mod(m, p) if p else _rational_roots(m)
+            roots_of[m] = sorted(roots, key=lambda v: (rank.get(v, 3), v))
+        candidates.append(roots_of[m])
+    checks = [[] for _ in range(d)]  # each at the largest index it reads
+    checks[max(unit)].append((list(unit.items()), None, None))
+    for i in range(d):
+        for j in range(d):
+            terms = products.get(i * d + j, ())
+            checks[max(i, j, *(r for r, _ in terms))].append((terms, i, j))
+    out, values = [], [None] * d
+
+    def walk(k):
+        for x in candidates[k]:
+            values[k] = x
+            for terms, i, j in checks[k]:
+                miss = sum(v * values[r] for r, v in terms) - (
+                    1 if i is None else values[i] * values[j])
+                if miss % p if p else miss:
+                    break
+            else:
+                if k + 1 < d:
+                    walk(k + 1)
+                else:
+                    out.append(tuple(values))
+
+    walk(0)
+    return out
 
 
 def enumerate_characters(H):
-    """All characters of H whose basis values lie in {0, 1, -1}, by exhaustive
-    search.  Over Q this captures every character of the zoo: group algebras
-    have ±1-valued characters (one-dimensional rational representations),
-    function algebras have 0/1-valued evaluations, and the bismash products
-    mix the two."""
-    return [Character.from_values(H, list(combo), name=_char_name(H, combo))
-            for combo in _search_characters(H.field, H.dim, H.mult.by_col(), H.unit.entries)]
-
-
-def _is_character(field, products, unit, values):
-    """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs of an algebra given as in
-    ``_search_characters``, on raw entries (no witness), over GF(p) reduced."""
-    p, d = field.modulus, len(values)
-    at_unit = sum(v * values[i] for i, v in unit.items())
-    if p is None:
-        return at_unit == 1 and all(
-            sum(v * values[r] for r, v in products.get(i * d + j, ())) == a * b
-            for i, a in enumerate(values) for j, b in enumerate(values))
-    return at_unit % p == 1 and all(
-        (sum(v * values[r] for r, v in products.get(i * d + j, ())) - a * b) % p == 0
-        for i, a in enumerate(values) for j, b in enumerate(values))
+    """Every character of H, in the order of ``_characters``: exact and
+    complete over ℚ and GF(p) at any dimension.  The zoo's characters are
+    ±1-valued on group elements and 0/1-valued on the idempotents of function
+    algebras, except where the field holds more roots of unity: over GF(7),
+    k[Z3] also has t ↦ 2 and t ↦ 4."""
+    return [Character.from_values(H, list(values), name=_char_name(H, values))
+            for values in _characters(H.space, H.mult.by_col(), H.unit.entries)]
 
 
 def _char_name(H, combo):
@@ -618,9 +780,9 @@ def _char_name(H, combo):
 
 def _dual_product_and_unit(H):
     """The product and unit of H*, whose characters are the group-likes of H,
-    as ``_search_characters`` takes them: Δ's entries grouped by row (the
-    columns of Δᵀ) and ε's entries.  The algebra of ``predual(H)``, read
-    without building the predual."""
+    as ``_characters`` takes them: Δ's entries grouped by row (the columns of
+    Δᵀ) and ε's entries.  The algebra of ``predual(H)``, read without
+    building the predual."""
     products = {}
     for (r, c), v in H.comult.entries.items():
         products.setdefault(r, []).append((c, v))
@@ -628,11 +790,12 @@ def _dual_product_and_unit(H):
 
 
 def enumerate_group_likes(H):
-    """All group-likes with coefficients in {0, 1, -1}, found as the characters
-    of H* (product Δᵀ, unit ε); captures the group elements of k[G], the
-    multiplicative characters inside k^G, and the bismash group-likes."""
+    """Every group-like of H, found as the characters of H* (product Δᵀ,
+    unit ε) in the order of ``_characters``: the group elements of k[G], the
+    multiplicative characters inside k^G (over GF(7), k^Z3 has three), and
+    the bismash group-likes."""
     out = []
-    for combo in _search_characters(H.field, H.dim, *_dual_product_and_unit(H)):
-        vec = Vector(H.space, {i: v for i, v in enumerate(combo) if v})
+    for values in _characters(H.space, *_dual_product_and_unit(H)):
+        vec = Vector(H.space, {i: v for i, v in enumerate(values) if v})
         out.append(GroupLike(H, vec, name=vec.describe()))
     return out

@@ -20,9 +20,17 @@ loops over positions in F and U, each with its own position maps, and the
 antipode solved from the bialgebra data by ``solve_antipode``, a d²-unknown
 linear system read off ``rref_oracle.solve_linear``.
 
+The character search is kept as it was before the minimal-polynomial
+routine: every assignment of 0, 1 and −1 to the basis, 3^d candidates in
+``itertools.product`` order, each checked on raw entries.  It is complete
+only where every character takes those values, and it is the reference for
+the lists' names, values and order there.
+
 The one deliberate difference from those bodies: ``verify_module_algebra``
 also checks the right unit law (``algebra-right-unit``), right after the
 left one; without it an algebra with only a left unit passed."""
+
+import itertools
 
 import rref_oracle
 from hopfcyc import results
@@ -718,3 +726,27 @@ def bicrossed_group_comodule_coalgebra(fz, H):
             entries[key] = entries.get(key, field.zero) + one
     coaction = LinMap(C, tensor_space(C, H.space), entries)
     return ComoduleCoalgebra(H, C, comult, counit, coaction, name="U-factor")
+
+
+def search_characters(field, d, products, unit):
+    """Every character with basis values in {0, 1, -1}, in ``itertools.product``
+    order, of the d-dimensional algebra whose product sends basis pair (i, j)
+    to ``products[i·d + j]`` (pairs (r, v)) and whose unit has the entries
+    ``unit``.  Each value is drawn once, as −1 = 1 over GF(2)."""
+    values = dict.fromkeys((field.zero, field.one, field.from_int(-1)))
+    return [combo for combo in itertools.product(values, repeat=d)
+            if is_character(field, products, unit, combo)]
+
+
+def is_character(field, products, unit, values):
+    """δ(1) = 1 and δ(ab) = δ(a)δ(b) on basis pairs of an algebra given as in
+    ``search_characters``, on raw entries (no witness), over GF(p) reduced."""
+    p, d = field.modulus, len(values)
+    at_unit = sum(v * values[i] for i, v in unit.items())
+    if p is None:
+        return at_unit == 1 and all(
+            sum(v * values[r] for r, v in products.get(i * d + j, ())) == a * b
+            for i, a in enumerate(values) for j, b in enumerate(values))
+    return at_unit % p == 1 and all(
+        (sum(v * values[r] for r, v in products.get(i * d + j, ())) - a * b) % p == 0
+        for i, a in enumerate(values) for j, b in enumerate(values))

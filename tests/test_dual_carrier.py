@@ -105,4 +105,6 @@ def test_comodule_coalgebra_complex_matches_the_cotensor_route(field):
                 if C in coalgebras and not res.passed:
                     assert res.condition == "carrier-ayd-coalgebra", where
                     ayd_failures += 1
-    assert (escapes, ayd_failures, wide) == (46, 5, 29)
+    # over GF(7) the cube roots of unity add 16 modular-pair scalars on kZ3,
+    # dualZ3 and the two S3 bicrossed products
+    assert (escapes, ayd_failures, wide) == {QQ: (46, 5, 29), GF(7): (68, 11, 29)}[field]

@@ -33,9 +33,8 @@ from hopfcyc.fields import QQ
 from hopfcyc.groups import ExactFactorization, GroupError
 from hopfcyc.linalg import Chain, maps_first_difference
 from hopfcyc.hopf import (
-    SEARCH_DIM_CAP,
+    _characters,
     _multiplication,
-    _search_characters,
     predual,
 )
 
@@ -292,13 +291,11 @@ def test_group_likes_are_read_without_the_predual(field, monkeypatch):
     monkeypatch.setattr(corpus, "_HOPF_CACHE", {})
     for name in corpus.hopf_names():
         H = get_hopf(name, field)
-        searched = H.dim <= SEARCH_DIM_CAP
-        found = enumerate_group_likes(H) if searched else []
+        found = enumerate_group_likes(H)
         for sigma in [H.unit] + [g.sigma for g in found]:
             GroupLike(H, sigma)
         assert "predual" not in H._memo, name
-        if searched:
-            K = predual(H)
-            combos = _search_characters(H.field, H.dim, K.mult.by_col(), K.unit.entries)
-            assert [g.sigma.entries for g in found] == [
-                {i: v for i, v in enumerate(combo) if v} for combo in combos], name
+        K = predual(H)
+        combos = _characters(K.space, K.mult.by_col(), K.unit.entries)
+        assert [g.sigma.entries for g in found] == [
+            {i: v for i, v in enumerate(combo) if v} for combo in combos], name
