@@ -16,7 +16,10 @@ in one pass.  An image that escapes is a well-definedness failure
 CocyclicConstructionError).  The identity verifier checks the τ
 identities, τ_n^{n+1} = id (so τ is invertible) and the rest only at i = 0
 (or j = 0 for σ_jδ_i), since their τ-conjugates give all the others; a
-failure re-checks the full list and reports its first failure.
+failure re-checks the full list and reports its first failure.  Each side
+of an identity is a composite, a tuple of operators applied right to left,
+so no product is formed where every factor holds at most one entry per
+column (``linalg.composite_first_difference``).
 """
 
 from __future__ import annotations
@@ -280,8 +283,11 @@ def build_module_algebra_complex(Aact: ModuleAlgebra, M: ModuleComodule, N) -> C
 
 
 def _identities(X, full):
-    """Each identity as a lazy ``compare``: all with ``full``, else the checked set."""
+    """Each identity as a lazy ``compare`` of two composites (tuples of
+    operators, applied right to left): all with ``full``, else the checked
+    set."""
     N = X.max_degree
+    one = [identity(s) for s in X.spaces]
 
     def check(name, lhs, rhs, degree):
         return compare(name, lhs, rhs, lambda col: "degree %d, basis element %d = %s"
@@ -292,54 +298,54 @@ def _identities(X, full):
             for j in range(n + 1):
                 for i in range(j if full else min(j, 1)):
                     yield check("δ_%d∘δ_%d = δ_%d∘δ_%d (deg %d)" % (j, i, i, j - 1, n - 2),
-                                X.coface(n, j) @ X.coface(n - 1, i),
-                                X.coface(n, i) @ X.coface(n - 1, j - 1),
+                                (X.coface(n, j), X.coface(n - 1, i)),
+                                (X.coface(n, i), X.coface(n - 1, j - 1)),
                                 n - 2)
         for n in range(0, N - 1):
             for j in range(n + 1):
                 for i in range(j + 1 if full else 1):
                     yield check("σ_%d∘σ_%d = σ_%d∘σ_%d (deg %d)" % (j, i, i, j + 1, n + 2),
-                                X.codegeneracy(n, j) @ X.codegeneracy(n + 1, i),
-                                X.codegeneracy(n, i) @ X.codegeneracy(n + 1, j + 1),
+                                (X.codegeneracy(n, j), X.codegeneracy(n + 1, i)),
+                                (X.codegeneracy(n, i), X.codegeneracy(n + 1, j + 1)),
                                 n + 2)
         for m in range(0, N):
             # σ_j ∘ δ_i on degree m
             for j in range(m + 1):
                 for i in range(m + 2 if full or j == 0 else 1):
-                    lhs = X.codegeneracy(m, j) @ X.coface(m + 1, i)
+                    lhs = X.codegeneracy(m, j), X.coface(m + 1, i)
                     if i < j:
-                        rhs = X.coface(m, i) @ X.codegeneracy(m - 1, j - 1)
+                        rhs = X.coface(m, i), X.codegeneracy(m - 1, j - 1)
                         name = "σ_%d∘δ_%d = δ_%d∘σ_%d (deg %d)" % (j, i, i, j - 1, m)
                     elif i in (j, j + 1):
-                        rhs = identity(X.spaces[m])
+                        rhs = one[m]
                         name = "σ_%d∘δ_%d = id (deg %d)" % (j, i, m)
                     else:
-                        rhs = X.coface(m, i - 1) @ X.codegeneracy(m - 1, j)
+                        rhs = X.coface(m, i - 1), X.codegeneracy(m - 1, j)
                         name = "σ_%d∘δ_%d = δ_%d∘σ_%d (deg %d)" % (j, i, i - 1, j, m)
                     yield check(name, lhs, rhs, m)
 
     def cyclic():
         for n in range(1, N + 1):
             yield check("τ_%d∘δ_0 = δ_%d (deg %d)" % (n, n, n - 1),
-                        X.tau(n) @ X.coface(n, 0), X.coface(n, n), n - 1)
+                        (X.tau(n), X.coface(n, 0)), X.coface(n, n), n - 1)
             for i in range(1, n + 1):
                 yield check("τ_%d∘δ_%d = δ_%d∘τ_%d (deg %d)" % (n, i, i - 1, n - 1, n - 1),
-                            X.tau(n) @ X.coface(n, i),
-                            X.coface(n, i - 1) @ X.tau(n - 1),
+                            (X.tau(n), X.coface(n, i)),
+                            (X.coface(n, i - 1), X.tau(n - 1)),
                             n - 1)
         for n in range(0, N):
             yield check("τ_%d∘σ_0 = σ_%d∘τ_%d² (deg %d)" % (n, n, n + 1, n + 1),
-                        X.tau(n) @ X.codegeneracy(n, 0),
-                        X.codegeneracy(n, n) @ X.tau(n + 1) @ X.tau(n + 1),
+                        (X.tau(n), X.codegeneracy(n, 0)),
+                        (X.codegeneracy(n, n), X.tau(n + 1), X.tau(n + 1)),
                         n + 1)
             for i in range(1, n + 1):
                 yield check("τ_%d∘σ_%d = σ_%d∘τ_%d (deg %d)" % (n, i, i - 1, n + 1, n + 1),
-                            X.tau(n) @ X.codegeneracy(n, i),
-                            X.codegeneracy(n, i - 1) @ X.tau(n + 1),
+                            (X.tau(n), X.codegeneracy(n, i)),
+                            (X.codegeneracy(n, i - 1), X.tau(n + 1)),
                             n + 1)
         for n in range(0, N + 1):
             yield check("τ_%d^%d = id (deg %d)" % (n, n + 1, n),
-                        X.tau(n).power(n + 1), identity(X.spaces[n]), n)
+                        (X.tau(n),) * (n + 1), one[n], n)
 
     for part in (simplicial, cyclic) if full else (cyclic, simplicial):
         yield from part()

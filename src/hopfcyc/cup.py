@@ -23,7 +23,7 @@ from .linalg import (
     tensor_space,
     tensor_vectors,
 )
-from .symmetries import (ComoduleAlgebra, ModuleAlgebra, ModuleComodule,
+from .symmetries import (ComoduleAlgebra, ModuleAlgebra, ModuleComodule, _check_size_cap,
                          algebra_over_trivial_hopf, check_sayd_over_algebra,
                          diag_left_coaction, scalar_coefficients)
 from .cocyclic import (CocyclicModule, build_comodule_algebra_complex,
@@ -123,9 +123,11 @@ class CrossedPairing:
         a_0..a_n for j = n down to 0: the diagonal coaction of b_j⊗…⊗b_n, its
         H leg moved next to a_j, S⁻¹, the action on a_j.  Curried on its B
         legs: B^{⊗(n+1)} → A^{⊗(n+1)} ⊗ (A⊗B)^{⊗(n+1)}, with entry
-        (r·dim D + col, x) = P_n[(x·dim R + r), col]."""
+        (r·dim D + col, x) = P_n[(x·dim R + r), col].  Size-capped on its
+        (dim A · dim B)^{n+1} source columns before anything is built."""
         Aact, B, H = self.action_algebra, self.comodule_algebra, self.hopf
         As, Bs, Hs = Aact.space, B.space, H.space
+        _check_size_cap((As.dim * Bs.dim) ** (n + 1), "pairing twist P_%d" % n)
         s_inv = H.antipode_inverse()
         legs = [As, Bs] * (n + 1)
         chain = Chain(legs).permute(list(range(1, 2 * n + 2, 2)) + list(range(0, 2 * n + 2, 2)))

@@ -22,6 +22,14 @@ the basis' free columns, with no elimination at all.  ``Chain.images`` and
 ``Subspace.express`` are the same walk and kernel on raw ``{index: scalar}``
 columns, transposed into rows and back.
 
+An identity between operators compares two composites, tuples of maps
+applied right to left (``composed``).  When every factor holds at most one
+entry per column, ``composite_first_difference`` composes each side as a
+column table (``LinMap.col_table``: the one row and value of each column,
+built once and kept on the map) by list lookup, and equal tables settle
+it; in every other case, and when the tables differ, the ``@`` products are
+compared, so every verdict and witness is that of the products.
+
 Every rank, kernel, solution and arbitrary-basis expansion runs through
 one elimination kernel, ``_eliminate``, which visits only the leads a row
 actually holds.  The forward pass first files every row with one nonzero
@@ -247,7 +255,7 @@ class LinMap:
     only; labels are provenance, not identity.  Over GF(p) the constructor
     reduces every entry, so the operators accumulate unreduced ints."""
 
-    __slots__ = ("domain", "codomain", "entries", "_by_col", "_single")
+    __slots__ = ("domain", "codomain", "entries", "_by_col", "_single", "_table")
 
     def __init__(self, domain, codomain, entries=None):
         self.domain = domain
@@ -257,7 +265,7 @@ class LinMap:
             self.entries = {k: v for k, v in (entries or {}).items() if v}
         else:
             self.entries = {k: r for k, v in (entries or {}).items() if (r := v % p)}
-        self._by_col = self._single = None
+        self._by_col = self._single = self._table = None
 
     @classmethod
     def _of(cls, domain, codomain, entries):
@@ -265,7 +273,7 @@ class LinMap:
         as they are: no copy and no filtering pass."""
         f = cls.__new__(cls)
         f.domain, f.codomain, f.entries = domain, codomain, entries
-        f._by_col = f._single = None
+        f._by_col = f._single = f._table = None
         return f
 
     @property
@@ -287,6 +295,21 @@ class LinMap:
         if self._single is None:
             self._single = all(len(e) == 1 for e in self.by_col().values())
         return self._single
+
+    def col_table(self):
+        """The map as two lists, ``rows[c]`` and ``vals[c]`` (None for an
+        empty column), when no column holds two entries, else None; built in
+        one pass over ``entries`` on the first call and kept."""
+        if self._table is None:
+            rows, vals = [None] * self.domain.dim, [None] * self.domain.dim
+            self._table = rows, vals
+            for (r, c), v in self.entries.items():
+                if rows[c] is not None:
+                    self._table = False
+                    break
+                rows[c] = r
+                vals[c] = v
+        return self._table or None
 
     def column(self, c):
         return Vector(self.codomain, dict(self.by_col().get(c, ())))
@@ -378,16 +401,6 @@ class LinMap:
 
     def is_zero(self):
         return not self.entries
-
-    def power(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return identity(self.domain)
-        out = self
-        for _ in range(k - 1):
-            out = self @ out
-        return out
 
     def __repr__(self):
         return "LinMap(%d×%d, %d nonzero)" % (
@@ -904,6 +917,72 @@ def maps_first_difference(f, g):
     # no stored entry is zero, so a column differs iff one of its entries does
     return min([c for (r, c), v in fe.items() if ge.get((r, c)) != v]
                + [c for (r, c) in ge if (r, c) not in fe])
+
+
+def composed(f):
+    """A composite as one map: a ``LinMap`` as it is, and a tuple of maps
+    applied right to left ((f, g) is f∘g) as its ``@`` products, each factor
+    taken on the left of the product so far, so that every ``@`` reads the
+    kept columns (``by_col``) of a factor rather than of a fresh product."""
+    if isinstance(f, LinMap):
+        return f
+    out = f[-1]
+    for g in f[-2::-1]:
+        out = g @ out
+    return out
+
+
+def _factor_tables(maps):
+    """The column tables (``LinMap.col_table``) of a composite's factors,
+    right to left, when each holds at most one entry per column and they
+    chain up over one field; else None."""
+    tables, inner = [], None
+    for g in reversed(maps):
+        table = g.col_table()
+        if table is None or inner is not None and (
+                g.domain.dim != inner.codomain.dim or g.domain.field is not inner.domain.field):
+            return None
+        tables.append(table)
+        inner = g
+    return tables
+
+
+def _composed_table(tables, p):
+    """One column table from ``_factor_tables``, by list lookup.  Over GF(p)
+    each column's product is reduced once: p is prime, so a product of
+    nonzero residues is never 0."""
+    rows, vals = tables[0]
+    for g_rows, g_vals in tables[1:]:
+        out_rows, out_vals = [], []  # one loop beats two comprehensions
+        for r, v in zip(rows, vals):
+            if r is None or (s := g_rows[r]) is None:
+                out_rows.append(None)
+                out_vals.append(None)
+            else:
+                out_rows.append(s)
+                out_vals.append(g_vals[r] * v)
+        rows, vals = out_rows, out_vals
+    if p is not None and len(tables) > 1:
+        vals = [None if v is None else v % p for v in vals]
+    return rows, vals
+
+
+def composite_first_difference(f, g):
+    """``maps_first_difference`` of two composites (see ``composed``).  When
+    a side has two factors or more and every factor holds at most one entry
+    per column, both sides are composed as column tables, and equal tables
+    mean no difference; in every other case the ``@`` products are
+    compared."""
+    fs = (f,) if isinstance(f, LinMap) else f
+    gs = (g,) if isinstance(g, LinMap) else g
+    if len(fs) + len(gs) > 2 and fs[0].codomain.dim == gs[0].codomain.dim:
+        f_tables = _factor_tables(fs)
+        g_tables = f_tables and _factor_tables(gs)
+        if g_tables:
+            p = fs[0].field.modulus
+            if _composed_table(f_tables, p) == _composed_table(g_tables, p):
+                return None
+    return maps_first_difference(composed(fs), composed(gs))
 
 
 def vector_to_linmap(vec, domain, codomain):

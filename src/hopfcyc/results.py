@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import maps_first_difference
+from .linalg import composed, composite_first_difference, maps_first_difference
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,17 @@ def failed(condition, location, lhs, rhs, detail=""):
 
 
 def compare(condition, lhs, rhs, locate, detail=""):
-    """Pass iff the maps lhs and rhs agree; otherwise fail at their first
-    differing domain column c, located at ``locate(c)``, with both columns."""
-    col = maps_first_difference(lhs, rhs)
+    """Pass iff lhs and rhs agree, each a map or a composite (a tuple of maps
+    applied right to left, see ``linalg.composed``); otherwise fail at their
+    first differing domain column c, located at ``locate(c)``, with both
+    columns of the ``@`` products."""
+    if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+        col = composite_first_difference(lhs, rhs)
+    else:
+        col = maps_first_difference(lhs, rhs)
     if col is None:
         return passed(condition)
+    lhs, rhs = composed(lhs), composed(rhs)
     return failed(condition, locate(col), lhs.column(col), rhs.column(col), detail=detail)
 
 

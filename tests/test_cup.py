@@ -265,6 +265,27 @@ def _cyclic_cocycles(X, n):
             if b.apply(v).is_zero()]
 
 
+def test_twist_map_is_size_capped_before_any_walk(monkeypatch):
+    # P_2 over the kZ2-translation instance has (2·2)^3 = 64 source columns;
+    # one below that cap, psi_matrix refuses before any Chain walks, and P_1
+    # (16 columns) is still built
+    from hopfcyc import symmetries
+    from hopfcyc.linalg import Chain
+    from hopfcyc.symmetries import DegreeCapError
+
+    name, A, B, M = crossed_product_instances()[1]
+    pairing = CrossedPairing(A, B, M, N=2)
+    monkeypatch.setattr(symmetries, "SIZE_CAP", 63)
+    walks = []
+    walk = Chain.walk
+    monkeypatch.setattr(Chain, "walk", lambda self, state: walks.append(self) or walk(self, state))
+    with pytest.raises(DegreeCapError) as err:
+        pairing.psi_matrix(2)
+    assert str(err.value) == "pairing twist P_2 needs 64 unknowns, above the configured cap 63"
+    assert walks == []
+    assert pairing.psi_matrix(1).domain.dim > 0 and walks
+
+
 class TestCup:
     def test_product_of_traces(self, trivial_pairing):
         pairing = trivial_pairing

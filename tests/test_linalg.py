@@ -21,6 +21,7 @@ from hopfcyc.linalg import (
     identity,
     inverse_map,
     kernel_basis,
+    composite_first_difference,
     leg_permutation,
     maps_first_difference,
     membership,
@@ -486,6 +487,72 @@ def test_first_difference_matches_column_walk(pair):
     assert maps_first_difference(g, f) == _first_difference_by_column(f, g)
     if kind == "equal":
         assert maps_first_difference(f, g) is None
+
+
+@st.composite
+def composite_pairs(draw):
+    """Two composites (tuples of maps, applied right to left) with one outer
+    shape over ℚ, GF(7) or GF(32003): most columns hold one entry and some
+    none, and some factors hold one column with two.  The right side is the
+    left side's ``@`` product as one map, its first two factors multiplied
+    out, that product with one entry changed, or an independent composite."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    values = st.sampled_from([1, -1, 2, 3, 6]).map(field.from_int)
+
+    def factors(dims):
+        out = []
+        for k in range(len(dims) - 1):
+            cols, rows = dims[k], dims[k + 1]
+            entries = {}
+            for c in range(cols):
+                if draw(st.integers(0, 3)):
+                    entries[draw(st.integers(0, rows - 1)), c] = draw(values)
+            if rows > 1 and entries and draw(st.integers(0, 9)) == 0:
+                r, c = draw(st.sampled_from(sorted(entries)))
+                entries[(r + 1) % rows, c] = draw(values)
+            out.append(LinMap(space(cols, "c%d_" % k, field), space(rows, "r%d_" % k, field),
+                              entries))
+        return tuple(reversed(out))
+
+    dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+    lhs = factors(dims)
+    product = lhs[0]
+    for f in lhs[1:]:
+        product = product @ f
+    kind = draw(st.sampled_from(["product", "regrouped", "changed", "independent"]))
+    if kind == "product":
+        rhs = product
+    elif kind == "regrouped":
+        rhs = (lhs[0] @ lhs[1],) + lhs[2:] if len(lhs) > 1 else lhs
+    elif kind == "changed":
+        entry = (draw(st.integers(0, dims[-1] - 1)), draw(st.integers(0, dims[0] - 1)))
+        entries = dict(product.entries)
+        entries[entry] = entries.get(entry, 0) + draw(values)
+        rhs = LinMap(product.domain, product.codomain, entries)
+    else:
+        inner = draw(st.lists(st.integers(1, 4), min_size=0, max_size=3))
+        rhs = factors([dims[0]] + inner + [dims[-1]])
+    return kind, lhs, rhs
+
+
+def _product(f):
+    if isinstance(f, LinMap):
+        return f
+    out = f[0]
+    for g in f[1:]:
+        out = out @ g
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_pairs())
+def test_composite_first_difference_matches_the_products(pair):
+    kind, lhs, rhs = pair
+    expected = maps_first_difference(_product(lhs), _product(rhs))
+    assert composite_first_difference(lhs, rhs) == expected
+    assert composite_first_difference(rhs, lhs) == expected
+    if kind in ("product", "regrouped"):
+        assert expected is None
 
 
 class TestGF:

@@ -356,6 +356,26 @@ class TestCupCli:
             assert proc.stderr == ""
             assert "well-defined" in proc.stdout and "coface δ_1" in proc.stdout
 
+    def test_cup_over_the_twist_cap_exits_2(self, workdir, capsys, monkeypatch):
+        # the cap is lowered once the pairing's complexes are built, below
+        # P_0's (2·2)^1 = 4 source columns on the trivial-H instance
+        from hopfcyc import cli, symmetries
+
+        init = cli.CrossedPairing.__init__
+
+        def built_then_capped(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            monkeypatch.setattr(symmetries, "SIZE_CAP", 3)
+
+        monkeypatch.setattr(cli.CrossedPairing, "__init__", built_then_capped)
+        write_trivial_cup_files()
+        capsys.readouterr()
+        assert main(CUP_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pairing twist P_0 needs 4 unknowns, above the configured cap 3\n")
+
     @pytest.mark.parametrize("cochain", ["phi", "psi"])
     def test_cup_refuses_a_cochain_over_another_field(self, workdir, capsys, cochain):
         # "4" would read as 1 in GF(3): the coordinates must not be parsed
