@@ -18,7 +18,9 @@ All but the pair (L, R) are kept on M (``_memo``); the pair is built where
 it is read, by the classical check and a failing witness.  The
 carrier-SAYD check over an algebra walks the colinear cochains' hom
 coordinates through them, with the bent coaction kept on the carrier
-(``_diag``).
+(``_diag``).  There too are the diagonal coactions λ_diag by degree:
+structure maps, so each degree is one closed-form loop over the degree
+below, λ and H's product, while ``Chain`` stays for operators on cochains.
 """
 
 from __future__ import annotations
@@ -525,27 +527,29 @@ def regular_action_trivial_coaction(H):
 
 def diag_left_coaction(A: ComoduleAlgebra, k):
     """A^{⊗k} → H ⊗ A^{⊗k}: ã ↦ a₀⟨−1⟩⋯a_{k−1}⟨−1⟩ ⊗ ã⟨0⟩, built once per
-    degree and kept on A: degree k applies degree k−1 to the last k−1 legs,
-    then a⊗h ↦ a⟨−1⟩h ⊗ a⟨0⟩ to the first leg and the new H leg, so the
-    coaction of a₀ is multiplied in as it is made (the predual carrier of a
-    group algebra coacts with dim H entries, and the product keeps one)."""
+    degree and kept on A.  Degree 0 is H's unit.  Degree k is one loop over
+    the columns a⊗c̃: each entry h₁⊗a′ of λ(a) meets each entry h₂⊗b̃ of the
+    kept degree-(k−1) column c̃ and adds H's product column h₁⊗h₂ at
+    h⊗a′⊗b̃; the constructor drops what cancels.  A structure map, written
+    in closed form as H's are, not an operator on cochains: no ``Chain``."""
+    if k == 0:
+        return A._diag.setdefault(0, A.hopf.unit_map())
     if k not in A._diag:
-        H, Hs, As = A.hopf, A.hopf.space, A.space
-        if k == 0:
-            out = _unit_coaction(H)
-        else:
-            absorb = (Chain([As, Hs]).apply(A.left_coaction(), 0, 1, [Hs, As])
-                      .permute([0, 2, 1]).apply(H.mult, 0, 2, [Hs]).to_map())
-            out = (Chain([As] * k)
-                   .apply(diag_left_coaction(A, k - 1), 1, k - 1, [Hs] + [As] * (k - 1))
-                   .apply(absorb, 0, 2, [Hs, As]).to_map())
-        A._diag[k] = out
+        H, As, prev = A.hopf, A.space, diag_left_coaction(A, k - 1)
+        Adim, Hdim, rest = As.dim, H.dim, prev.domain.dim
+        mult, kept, entries = H.mult.by_col(), prev.by_col(), {}
+        for a, coact in A.left_coaction().by_col().items():
+            for c, col in kept.items():
+                src = a * rest + c
+                for r1, v1 in coact:
+                    h1, a1 = divmod(r1, Adim)
+                    for r2, v2 in col:
+                        h2, b = divmod(r2, rest)
+                        for h, w in mult.get(h1 * Hdim + h2, ()):
+                            key = ((h * Adim + a1) * rest + b, src)
+                            entries[key] = entries.get(key, 0) + v1 * v2 * w
+        A._diag[k] = LinMap(tensor_space(*[As] * k), tensor_space(H.space, *[As] * k), entries)
     return A._diag[k]
-
-
-def _unit_coaction(H):
-    """The diagonal coaction on the empty tensor power: k → H, 1 ↦ 1."""
-    return Chain([], field=H.field).apply(H.unit_map(), 0, 0, [H.space]).to_map()
 
 
 class DegreeCapError(ValueError):

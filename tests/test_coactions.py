@@ -5,8 +5,10 @@ per-vector stability of ``structure_oracle``),
 the row-indexed precomposition of the cochain complexes and the filtered
 character search: each against the whole-``Chain`` (or unfiltered)
 construction of ``chain_oracle``, on every corpus carrier over ℚ and
-GF(32003).  The group-like search, which runs as the character search of
-the dual algebra, against the separate search it replaced."""
+GF(32003); the diagonal coactions also over GF(2) and GF(3), and on the
+predual carriers of the module-algebra complexes.  The group-like search,
+which runs as the character search of the dual algebra, against the
+separate search it replaced."""
 
 import itertools
 
@@ -18,6 +20,7 @@ from hopfcyc.fields import GF, QQ
 from hopfcyc.hopf import (
     Character,
     GroupLike,
+    HopfAlgebra,
     StructureError,
     _char_name,
     _multiplication,
@@ -33,10 +36,12 @@ from hopfcyc.linalg import (
     Vector,
     tensor_power,
     tensor_space,
+    unit_space,
 )
 from hopfcyc.symmetries import (
     ModuleComodule,
     adjoint_comodule_coalgebra,
+    adjoint_module_algebra,
     bicrossed_function_comodule_algebra,
     bicrossed_group_comodule_coalgebra,
     check_sayd,
@@ -44,15 +49,17 @@ from hopfcyc.symmetries import (
     colinear_hom_space,
     diag_left_coaction,
     dual_carrier,
+    predual_carrier,
     regular_action_trivial_coaction,
     regular_coaction_trivial_action,
     regular_comodule_algebra,
     scalar_coefficients,
     trivial_comodule_algebra,
     trivial_comodule_coalgebra,
+    trivial_module_algebra,
     translation_module_algebra,
 )
-from hopfcyc.groups import symmetric_group
+from hopfcyc.groups import cyclic_group, symmetric_group
 
 import chain_oracle
 import rref_oracle
@@ -107,17 +114,59 @@ def _same_map(fast, slow):
             and fast.codomain.dim == slow.codomain.dim)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def _rebased_kz2(field):
+    """k[Z2] on the basis {x = 1 + g, y = g}: x² = 2x, xy = yx = x,
+    y² = x − y, Δx = x⊗x − x⊗y − y⊗x + 2y⊗y, Δy = y⊗y, ε = (2, 1), S = id.
+    Its products and coproducts have two terms, so in λ_diag of its regular
+    carrier terms from different pairs of H-legs meet at one entry, and
+    some cancel, over ℚ and over each GF(p) here.  No corpus carrier's
+    λ_diag has two terms at one entry."""
+    space = Space(("x", "y"), field)
+    HH = tensor_space(space, space)
+    return HopfAlgebra(
+        space, LinMap(HH, space, {(0, 0): 2, (0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 3): -1}),
+        Vector(space, {0: 1, 1: -1}),
+        LinMap(space, HH, {(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 2, (3, 1): 1}),
+        LinMap(space, unit_space(field), {(0, 0): 2, (0, 1): 1}),
+        LinMap(space, space, {(0, 0): 1, (1, 1): 1}), name="k[Z2] on 1+g, g")
+
+
+def _wider_algebras(name, field):
+    """The predual carriers that ``invariant_functionals`` and
+    ``build_module_algebra_complex`` solve over, those of the trivial and
+    the adjoint module algebra; over kZ2 also that of the Z2 translation
+    module algebra, and the regular carrier of ``_rebased_kz2``."""
+    H = get_hopf(name, field)
+    out = [("predual-trivial", predual_carrier(trivial_module_algebra(H))),
+           ("predual-adjoint", predual_carrier(adjoint_module_algebra(H)))]
+    if name == "kZ2":
+        out += [("predual-translation",
+                 predual_carrier(translation_module_algebra(cyclic_group(2), field)[1])),
+                ("regular-rebased", regular_comodule_algebra(_rebased_kz2(field)))]
+    return out
+
+
+SMALL_FIELDS = [GF(2), GF(3)]
+WIDE_TOP = 3  # the carriers of _wider_algebras, and every carrier over GF(2) and GF(3)
+
+
+@pytest.mark.parametrize("field", FIELDS + SMALL_FIELDS, ids=FIELD_IDS + ["GF2", "GF3"])
 @pytest.mark.parametrize("name", CARRIER_HOPF)
 def test_diagonal_coactions_match_oracle(name, field):
+    top = WIDE_TOP if field in SMALL_FIELDS else TOP
     for label, A in _algebras(name, field):
-        for k in range(TOP + 1):
+        for k in range(top + 1):
             assert _same_map(diag_left_coaction(A, k),
                              chain_oracle.diag_left_coaction(A, k)), (label, k)
     for label, C in _coalgebras(name, field):
-        for k in range(TOP + 1):
+        for k in range(top + 1):
             assert _same_map(_diag_right_coaction(C, k),
                              chain_oracle.diag_right_coaction(C, k)), (label, k)
+    for label, A in _wider_algebras(name, field):
+        # dim A^{⊗3} of an 18-dimensional carrier is 5832
+        for k in range(WIDE_TOP + 1 if A.dim <= 6 else WIDE_TOP):
+            assert _same_map(diag_left_coaction(A, k),
+                             chain_oracle.diag_left_coaction(A, k)), (label, k)
 
 
 def test_diagonal_coaction_is_built_once_per_carrier(KZ3):
